@@ -1,17 +1,18 @@
 """Balanced-descent steppers, theorem-derived parameter choices, and baselines.
 
-Two balance rules share the same level-set projection engine:
+Both balance rules pick a point on the path x(eta) = argmin D_Phi(x, x_prev)
++ eta * f(x) over the feasible set, i.e. a level-set projection of x_prev
+whose level constraint has multiplier eta:
 
-* primal balance: pick the level l whose projection moves exactly beta * l
-  in the switching norm (competitive-ratio setting, locally polyhedral costs);
-* dual balance: pick l so the dual-space movement ||grad Phi(x(l)) -
-  grad Phi(x_prev)||_* equals eta * ||grad f(x(l))||_* (regret setting,
-  smooth costs).
+* primal balance: x(eta) moves exactly beta * f(x(eta)) in the mirror map's
+  norm (competitive-ratio setting, locally polyhedral costs);
+* dual balance: the dual-space movement ||grad Phi(x(eta)) - grad Phi(x_prev)||_*
+  equals cfg.eta * ||grad f(x(eta))||_* (regret setting, smooth costs).
 
-Both searches bisect on l; correctness rests on continuity of the projected
-point in l, which the test suite exercises with dense level sweeps.  Steppers
-are pure functions of (previous point, revealed cost, config): replaying any
-suffix from a stored point reproduces it bitwise.
+Each is one bracketed scalar root in eta (``_balance_root``); the level sweeps
+of ``primal_balance_curve`` / ``dual_balance_curve`` check that no crossing
+is missed.  Steppers are pure functions of (previous point, revealed cost,
+config): replaying any suffix from a stored point reproduces it bitwise.
 """
 
 from __future__ import annotations
@@ -22,16 +23,18 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .costs import CostFunction, IndicatorCost
 from .geometry import FeasibleSet, MirrorMap, Norm
 from .projection import (
-    _euclidean_project, project_set, project_sublevel, solve_regularized,
+    ETA_CAP, _euclidean_project, _solve_regularized_full, project_set,
+    project_sublevel, solve_regularized,
 )
 
 
 class BracketError(RuntimeError):
-    """Level-search bracket invalid; indicates an internal logic bug."""
+    """A search bracket is invalid; indicates an internal logic bug."""
 
 
 class Branch(str, Enum):
@@ -43,7 +46,8 @@ class Branch(str, Enum):
 
 @dataclass
 class StepRecord:
-    """One online round: chosen point, hitting cost, movement, level data."""
+    """One online round: chosen point, hitting cost, movement, level data,
+    and how it was found (balance residual, convergence, regularized solves)."""
 
     t: int
     x: np.ndarray
@@ -54,11 +58,13 @@ class StepRecord:
     branch: Branch
     residual: float = 0.0
     converged: bool = True
+    iterations: int = 0
 
     def to_dict(self) -> dict:
         return {"t": self.t, "x": [float(v) for v in self.x], "hit": self.hit,
                 "move": self.move, "level": self.level, "eta_t": self.eta_t,
-                "branch": self.branch.value}
+                "branch": self.branch.value, "residual": self.residual,
+                "converged": self.converged, "iterations": self.iterations}
 
 
 @dataclass
@@ -103,15 +109,48 @@ def _indicator_step(mirror_map: MirrorMap, norm: Norm, f: IndicatorCost,
                       eta_t=0.0, branch=Branch.SET_PROJECTION)
 
 
+def _balance_root(cfg: PrimalConfig | DualConfig, f: CostFunction,
+                  x_prev: np.ndarray, balance):
+    """Solve balance(x(eta)) = 0 over eta > 0, given balance(x(0)) < 0.
+
+    The bracket's upper end doubles from eta = 1 until the sign changes (hard
+    cap ETA_CAP), then Brent's method runs to machine precision in eta.
+    Returns (eta, x) of smallest |balance| seen and the number of solves.
+    """
+    feasible = cfg.feasible or FeasibleSet.whole_space(x_prev.shape[0])
+    inner_tol = min(1e-10, 1e-2 * cfg.level_tol)
+    points: dict = {}  # eta -> (balance, x)
+    warm = None
+
+    def g(eta: float) -> float:
+        nonlocal warm
+        if eta not in points:
+            x, _, _ = _solve_regularized_full(cfg.mirror_map, f, eta, x_prev, feasible,
+                                              x_init=warm, tol=inner_tol,
+                                              max_iter=cfg.max_inner)
+            warm = x
+            points[eta] = (balance(x), x)
+        return points[eta][0]
+
+    lo, hi = 0.0, 1.0
+    while g(hi) < 0.0 and hi < ETA_CAP:
+        lo, hi = hi, 2.0 * hi
+    if g(lo) < 0.0 < g(hi):
+        brentq(g, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps,
+               maxiter=100, disp=False)
+    eta = min(points, key=lambda e: abs(points[e][0]))
+    return eta, points[eta][1], len(points)
+
+
 def primal_obd_step(x_prev, f: CostFunction, cfg: PrimalConfig,
                     t: int = 0) -> StepRecord:
     """One primal-balance round from ``x_prev`` against the revealed cost.
 
     Moves straight to the minimizer when it is closer than beta times its
-    value; otherwise bisects the level l in [f(v), f(x_prev)] until the
-    movement of the level-set projection matches beta * l to
-    level_tol * max(1, l).  Indicator costs bypass the balance search and are
-    projected directly.
+    value; otherwise finds the multiplier eta at which x(eta) moves exactly
+    beta times its hitting cost (see ``_balance_root``).  The step is
+    converged when that balance holds to level_tol * max(1, f(x)).  Indicator
+    costs bypass the balance search and are projected directly.
     """
     x_prev = np.asarray(x_prev, dtype=float)
     norm = cfg.mirror_map.norm
@@ -130,46 +169,25 @@ def primal_obd_step(x_prev, f: CostFunction, cfg: PrimalConfig,
         return StepRecord(t=t, x=f.minimizer.copy(), hit=fv, move=dist_to_v,
                           level=fv, eta_t=0.0, branch=Branch.MOVE_TO_MINIMIZER)
 
-    if dist_to_v - cfg.beta * fv < -1e-9 * max(1.0, fv):
-        raise BracketError("balance bracket invalid at the lower level")
-
-    lo, hi = fv, fx
-    warm = None
-    best: Optional[tuple] = None
-    converged = False
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        proj = project_sublevel(cfg.mirror_map, f, mid, x_prev, cfg.feasible,
-                                level_tol=min(cfg.level_tol, 1e-9),
-                                max_inner=cfg.max_inner, warm_x=warm)
-        warm = proj.x
-        move = norm(proj.x - x_prev)
-        r = move - cfg.beta * mid
-        if best is None or abs(r) < best[0]:
-            best = (abs(r), mid, proj, move)
-        if abs(r) <= cfg.level_tol * max(1.0, mid):
-            converged = True
-            break
-        if r > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    _, _, proj, move = best
-    hit = f(proj.x)
-    return StepRecord(t=t, x=proj.x, hit=hit, move=move, level=hit,
-                      eta_t=proj.eta, branch=Branch.BALANCED,
-                      residual=abs(move - cfg.beta * hit),
-                      converged=converged and proj.converged)
+    eta, x, solves = _balance_root(cfg, f, x_prev,
+                                   lambda x: norm(x - x_prev) - cfg.beta * f(x))
+    hit, move = f(x), norm(x - x_prev)
+    residual = abs(move - cfg.beta * hit)
+    return StepRecord(t=t, x=x, hit=hit, move=move, level=hit, eta_t=eta,
+                      branch=Branch.BALANCED, residual=residual,
+                      converged=residual <= cfg.level_tol * max(1.0, hit),
+                      iterations=solves)
 
 
 def dual_obd_step(x_prev, f: CostFunction, cfg: DualConfig,
                   t: int = 0) -> StepRecord:
     """One dual-balance round; requires a smooth cost with known minimizer.
 
-    Bisects l downward from f(x_prev): at the top the dual movement is zero,
-    while toward f(v) the gradient vanishes and the ratio diverges, so a
-    balanced level exists in between.  The lower end of the bracket is padded
-    away from f(v) to avoid that singularity.
+    Finds the multiplier eta at which the dual movement of x(eta) equals
+    cfg.eta times its dual gradient norm: at eta = 0 the movement is zero,
+    while toward the minimizer the gradient vanishes, so the balance changes
+    sign in between (see ``_balance_root``).  The step is converged when the
+    balance holds to level_tol relative.
     """
     x_prev = np.asarray(x_prev, dtype=float)
     norm = cfg.mirror_map.norm
@@ -186,64 +204,31 @@ def dual_obd_step(x_prev, f: CostFunction, cfg: DualConfig,
 
     grad_phi_prev = cfg.mirror_map.grad(x_prev)
 
-    # With the constraint set inactive, the balanced level's projection is the
-    # regularized solve at multiplier eta itself (stationarity makes the dual
-    # movement exactly eta times the gradient norm), so try that first.
+    def sides(x):
+        return (norm.dual_value(cfg.mirror_map.grad(x) - grad_phi_prev),
+                cfg.eta * norm.dual_value(f.grad(x)))
+
+    def record(x, eta, solves):
+        lhs, rhs = sides(x)
+        rel = abs(lhs - rhs) / max(lhs, rhs, 1e-30)
+        return StepRecord(t=t, x=x, hit=f(x), move=norm(x - x_prev), level=f(x),
+                          eta_t=eta, branch=Branch.BALANCED, residual=rel,
+                          converged=rel <= cfg.level_tol, iterations=solves)
+
+    # With the constraint set inactive, stationarity makes the dual movement
+    # of x(eta) exactly eta times the gradient norm, so the balanced point is
+    # the regularized solve at eta = cfg.eta itself: try that first.
     direct = solve_regularized(cfg.mirror_map, f, cfg.eta, x_prev,
                                cfg.feasible or FeasibleSet.whole_space(x_prev.shape[0]),
                                max_iter=cfg.max_inner)
-    lhs_d = norm.dual_value(cfg.mirror_map.grad(direct) - grad_phi_prev)
-    rhs_d = cfg.eta * norm.dual_value(f.grad(direct))
-    rel_d = abs(lhs_d - rhs_d) / max(lhs_d, rhs_d, 1e-30)
-    if rel_d <= cfg.level_tol and f(direct) <= fx:
-        return StepRecord(t=t, x=direct, hit=f(direct),
-                          move=norm(direct - x_prev), level=f(direct),
-                          eta_t=cfg.eta, branch=Branch.BALANCED, residual=rel_d)
+    rec = record(direct, cfg.eta, 1)
+    if rec.converged and rec.hit <= fx:
+        return rec
 
-    def balance(l: float, warm):
-        proj = project_sublevel(cfg.mirror_map, f, l, x_prev, cfg.feasible,
-                                level_tol=1e-10, max_inner=cfg.max_inner,
-                                warm_x=warm)
-        lhs = norm.dual_value(cfg.mirror_map.grad(proj.x) - grad_phi_prev)
-        rhs = cfg.eta * norm.dual_value(f.grad(proj.x))
-        return lhs, rhs, proj
-
-    lo = fv + max(cfg.level_tol, 1e-12 * (fx - fv))
-    lhs_lo, rhs_lo, proj_lo = balance(lo, None)
-    if rhs_lo < cfg.eta * cfg.grad_floor and \
-            norm.dual_value(f.grad(x_prev)) < cfg.grad_floor:
+    if norm.dual_value(f.grad(x_prev)) < cfg.grad_floor:
         raise ValueError("cost gradient below grad_floor throughout the bracket")
-
-    def record(lhs, rhs, proj, converged):
-        rel = abs(lhs - rhs) / max(lhs, rhs, 1e-30)
-        return StepRecord(t=t, x=proj.x, hit=f(proj.x), move=norm(proj.x - x_prev),
-                          level=f(proj.x), eta_t=proj.eta, branch=Branch.BALANCED,
-                          residual=rel, converged=converged and proj.converged)
-
-    if lhs_lo - rhs_lo <= 0.0:
-        # balance is met at (or below) the guarded lower level
-        return record(lhs_lo, rhs_lo, proj_lo, True)
-
-    hi = fx
-    warm = proj_lo.x
-    best = (math.inf, lhs_lo, rhs_lo, proj_lo)
-    converged = False
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        lhs, rhs, proj = balance(mid, warm)
-        warm = proj.x
-        rel = abs(lhs - rhs) / max(lhs, rhs, 1e-30)
-        if rel < best[0]:
-            best = (rel, lhs, rhs, proj)
-        if rel <= cfg.level_tol:
-            converged = True
-            break
-        if lhs - rhs > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    _, lhs, rhs, proj = best
-    return record(lhs, rhs, proj, converged)
+    eta, x, solves = _balance_root(cfg, f, x_prev, lambda x: np.subtract(*sides(x)))
+    return record(x, eta, 1 + solves)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +301,11 @@ def choose_eta(G: float, L: float, m: float, T: int) -> EtaChoice:
 
 def primal_balance_curve(x_prev, f: CostFunction, cfg: PrimalConfig,
                          num: int = 100):
-    """Sample (l, movement(l) - beta*l) over the bisection bracket."""
+    """Sample (l, movement(l) - beta*l) over the levels [f(v), f(x_prev)].
+
+    A diagnostic for the balance search: the sampled curve should change
+    sign once, in the cell that holds the level of ``primal_obd_step``.
+    """
     x_prev = np.asarray(x_prev, dtype=float)
     fv, fx = f.min_value, f(x_prev)
     ls = np.linspace(fv + 1e-9 * max(1.0, fx - fv), fx, num)
@@ -332,7 +321,7 @@ def primal_balance_curve(x_prev, f: CostFunction, cfg: PrimalConfig,
 
 def dual_balance_curve(x_prev, f: CostFunction, cfg: DualConfig,
                        num: int = 100):
-    """Sample (l, dual movement - eta * dual gradient norm) over the bracket."""
+    """Sample (l, dual movement - eta * dual gradient norm) over the levels."""
     x_prev = np.asarray(x_prev, dtype=float)
     norm = cfg.mirror_map.norm
     fv, fx = f.min_value, f(x_prev)

@@ -100,15 +100,33 @@ class Config:
         return Config(**data)
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to the current sys.stderr, so one handler serves every call."""
+
+    def __init__(self):
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
+_HANDLER = _StderrHandler()
+_HANDLER.setFormatter(logging.Formatter("obd %(levelname)s: %(message)s"))
+_LEVELS = {"info": logging.INFO, "debug": logging.DEBUG}
+
+
 def _setup_logging() -> None:
-    level = os.environ.get("OBD_LOG", "off").lower()
-    if level in ("info", "debug"):
-        handler = logging.StreamHandler(sys.stderr)
-        handler.setFormatter(logging.Formatter("obd %(levelname)s: %(message)s"))
-        log.addHandler(handler)
-        log.setLevel(logging.INFO if level == "info" else logging.DEBUG)
-    else:
-        log.addHandler(logging.NullHandler())
+    """Print ``obd`` log lines on stderr at the level OBD_LOG names.
+
+    The handler is installed once per process; later calls only reset the
+    levels.  With OBD_LOG off (the default) the handler prints nothing.
+    """
+    level = _LEVELS.get(os.environ.get("OBD_LOG", "off").lower())
+    if _HANDLER not in log.handlers:
+        log.addHandler(_HANDLER)
+    log.setLevel(level or logging.NOTSET)
+    _HANDLER.setLevel(level or logging.CRITICAL + 1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -93,10 +93,11 @@ class QuadraticCost(CostFunction):
         """Generalized eigendecomposition of (A'A, Q) cached per quadratic form.
 
         Returns (w, W) with W' Q W = I and W' A'A W = diag(w); Q=None means
-        the identity.  Cached because level-set projections evaluate many
-        points along the same curve.
+        the identity.  Cached because the balance searches evaluate many
+        points along the same curve; the key is Q's content, so a new Q
+        never picks up the decomposition of an earlier one.
         """
-        key = "eye" if Q is None else id(Q)
+        key = None if Q is None else (Q.shape, Q.tobytes())
         hit = self._eig_cache.get(key)
         if hit is not None:
             return hit

@@ -54,11 +54,11 @@ class OfflineSolution:
 def _switch_value_grad(diffs: np.ndarray, norm: Norm, eps: float):
     """Smoothed switching terms for each row of ``diffs``: (values, gradients)."""
     if norm.kind == L2:
-        r = np.sqrt(np.sum(diffs * diffs, axis=1) + eps * eps)
+        r = np.sqrt((diffs * diffs).sum(axis=1) + eps * eps)
         return r - eps, diffs / r[:, None]
     if norm.kind == L1:
         r = np.sqrt(diffs * diffs + eps * eps)
-        return np.sum(r - eps, axis=1), diffs / r
+        return (r - eps).sum(axis=1), diffs / r
     if norm.kind == LINF:
         z = np.concatenate([diffs, -diffs], axis=1) / eps
         zmax = z.max(axis=1, keepdims=True)
@@ -70,7 +70,7 @@ def _switch_value_grad(diffs: np.ndarray, norm: Norm, eps: float):
         return np.maximum(vals, 0.0), p[:, :d] - p[:, d:]
     Q = norm.Q
     qd = diffs @ Q
-    r = np.sqrt(np.sum(qd * diffs, axis=1) + eps * eps)
+    r = np.sqrt((qd * diffs).sum(axis=1) + eps * eps)
     return r - eps, qd / r[:, None]
 
 
@@ -94,7 +94,7 @@ def _batch_hit_evaluator(costs: Sequence[CostFunction]) -> Callable:
 
         def quad(X: np.ndarray, eps: float):
             res = np.einsum("tij,tj->ti", A, X) - Y
-            vals = np.sum(res * res)
+            vals = (res * res).sum()
             grads = 2.0 * np.einsum("tji,tj->ti", A, res)
             return float(vals), grads
 
@@ -105,8 +105,8 @@ def _batch_hit_evaluator(costs: Sequence[CostFunction]) -> Callable:
 
         def track(X: np.ndarray, eps: float):
             u = X - V
-            r = np.sqrt(np.sum(u * u, axis=1) + eps * eps)
-            return float(np.sum(s * (r - eps))), (s / r)[:, None] * u
+            r = np.sqrt((u * u).sum(axis=1) + eps * eps)
+            return float((s * (r - eps)).sum()), (s / r)[:, None] * u
 
         return track
     if all(isinstance(f, CompositeCost) for f in costs):
@@ -145,7 +145,10 @@ class _TrajectoryProblem:
         self.hit_eval = _batch_hit_evaluator(self.costs)
 
     def diffs(self, X: np.ndarray) -> np.ndarray:
-        return X - np.vstack([self.x0[None, :], X[:-1]])
+        D = np.empty_like(X)
+        D[0] = X[0] - self.x0
+        np.subtract(X[1:], X[:-1], out=D[1:])
+        return D
 
     def smoothed_value_grad(self, X: np.ndarray, eps: float):
         hit, grad = self.hit_eval(X, eps)
@@ -189,9 +192,9 @@ def _fista(problem: _TrajectoryProblem, X0: np.ndarray, eps: float,
         while True:
             Xn = problem.project(Z - gZ / lip)
             diff = Xn - Z
-            sq = float(np.sum(diff * diff))
+            sq = float((diff * diff).sum())
             fXn, _ = problem.smoothed_value_grad(Xn, eps)
-            if fXn <= fZ + float(np.sum(gZ * diff)) + 0.5 * lip * sq \
+            if fXn <= fZ + float((gZ * diff).sum()) + 0.5 * lip * sq \
                     + 1e-12 * (1.0 + abs(fZ)):
                 break
             lip *= 2.0
@@ -215,6 +218,18 @@ def _fista(problem: _TrajectoryProblem, X0: np.ndarray, eps: float,
                 break
         lip = max(lip * 0.9, 1e-10)
     return X, residual
+
+
+def _rows_inside(feasible: FeasibleSet, X: np.ndarray, tol: float = 1e-9) -> bool:
+    """Whether every row of X lies in the set; vectorized for boxes and l2 balls."""
+    p = feasible.params
+    if feasible.kind == WHOLE:
+        return True
+    if feasible.kind == BOX:
+        return bool(np.all(X >= p["lo"] - tol) and np.all(X <= p["hi"] + tol))
+    if feasible.kind == BALL and p["norm"].kind == L2:
+        return bool(np.all(np.linalg.norm(X - p["center"], axis=1) <= p["radius"] + tol))
+    return all(feasible.contains(row, tol=tol) for row in X)
 
 
 def _switch_hessian(u: np.ndarray, norm: Norm, eps: float) -> Optional[np.ndarray]:
@@ -264,11 +279,7 @@ def _newton_refine(problem: _TrajectoryProblem, X: np.ndarray, eps: float,
     T, d = X.shape
     n = T * d
     bw = 2 * d - 1  # block-tridiagonal bandwidth
-    whole = problem.feasible.kind == WHOLE
     A_idx, B_idx = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-
-    def feasible_ok(Y: np.ndarray) -> bool:
-        return whole or all(problem.feasible.contains(row) for row in Y)
 
     F, g = problem.smoothed_value_grad(X, eps)
     residual = float(np.linalg.norm(g))
@@ -298,7 +309,7 @@ def _newton_refine(problem: _TrajectoryProblem, X: np.ndarray, eps: float,
         step, accepted = 1.0, False
         while step > 1e-10:
             Xn = X + step * delta
-            if feasible_ok(Xn):
+            if _rows_inside(problem.feasible, Xn):
                 Fn, gn = problem.smoothed_value_grad(Xn, eps)
                 if Fn <= F + 1e-4 * step * slope:
                     X, F, g = Xn, Fn, gn
@@ -409,11 +420,20 @@ def offline_opt(costs: Sequence[CostFunction], x0, feasible: Optional[FeasibleSe
     problem = _TrajectoryProblem(costs, x0, norm, feasible, 1.0)
     X, residual = _solve_weighted(problem, tol=tol, max_iter=max_iter, polish=polish)
     hit, move = problem.exact_parts(X)
-    obj = hit + move
-    converged = _first_order_ok(residual, obj)
+    converged = _first_order_ok(residual, hit + move)
+    notes = [] if converged else ["first-order residual above tolerance"]
+    # Where staying put or jumping to every minimizer is optimal, the solve
+    # can land slightly above it; never report more than these trajectories.
+    for name, Y in (("stay at x0", np.tile(x0, (len(costs), 1))),
+                    ("jump to minimizers", np.stack([f.minimizer for f in costs]))):
+        if _rows_inside(feasible, Y, tol=0.0):
+            hit_y, move_y = problem.exact_parts(Y)
+            if hit_y + move_y < hit + move:
+                X, hit, move = Y, hit_y, move_y
+                notes.append(f"{name} trajectory beat the solve")
     return OfflineSolution(trajectory=X, total_hit=hit, total_move=move,
-                           objective=obj, lam=0.0, converged=converged,
-                           note="" if converged else "first-order residual above tolerance")
+                           objective=hit + move, lam=0.0, converged=converged,
+                           note="; ".join(notes))
 
 
 def offline_opt_constrained(costs: Sequence[CostFunction], x0, L: float,
@@ -433,17 +453,16 @@ def offline_opt_constrained(costs: Sequence[CostFunction], x0, L: float,
     x0 = np.asarray(x0, dtype=float)
     norm = norm or Norm.l2()
     feasible = feasible or FeasibleSet.whole_space(x0.shape[0])
-    if base is None:
-        base = offline_opt(costs, x0, feasible, norm, tol=tol, max_iter=max_iter)
-    if base.total_move <= L * (1.0 + 1e-9) + 1e-12:
-        return base
-
     if L <= 1e-12:
         X = np.tile(x0, (len(costs), 1))
         hit = float(sum(f(X[t]) for t, f in enumerate(costs)))
         return OfflineSolution(trajectory=X, total_hit=hit, total_move=0.0,
                                objective=hit, lam=math.inf,
                                note="zero movement budget: pinned at the start")
+    if base is None:
+        base = offline_opt(costs, x0, feasible, norm, tol=tol, max_iter=max_iter)
+    if base.total_move <= L * (1.0 + 1e-9) + 1e-12:
+        return base
 
     def solve(lam: float, warm, polish: bool = False):
         problem = _TrajectoryProblem(costs, x0, norm, feasible, 1.0 + lam)

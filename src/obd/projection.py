@@ -26,7 +26,7 @@ import numpy as np
 
 from .geometry import (
     BALL, BOX, HALFSPACE, HYPERPLANE, L1, L2, LINF, MAHALANOBIS, SIMPLEX, WHOLE,
-    FeasibleSet, MirrorMap,
+    FeasibleSet, MirrorMap, Norm,
 )
 from .costs import CompositeCost, CostFunction, NormTrackingCost, QuadraticCost
 
@@ -158,7 +158,7 @@ def _project_rows(constraint: FeasibleSet, X: np.ndarray) -> np.ndarray:
         return np.clip(X, p["lo"], p["hi"])
     if constraint.kind == BALL and p["norm"].kind == L2:
         u = X - p["center"]
-        n = np.sqrt(np.sum(u * u, axis=1))
+        n = np.sqrt((u * u).sum(axis=1))
         scale = np.ones_like(n)
         outside = n > p["radius"]
         scale[outside] = p["radius"] / n[outside]
@@ -305,18 +305,21 @@ def _subgradient_descent(value_grad: Callable, project: Callable, x0: np.ndarray
     return best_x, max_iter
 
 
-def _prox_tracking(u: np.ndarray, thr: float, kind: str) -> np.ndarray:
-    """prox of thr*||.||_kind evaluated at u (kind in l1/l2/linf)."""
+def _prox_tracking(u: np.ndarray, thr: float, norm: Norm) -> np.ndarray:
+    """prox of thr*||.|| evaluated at u: u minus its Euclidean projection
+    onto the dual-norm ball of radius thr."""
     if thr <= 0.0:
         return u.copy()
-    if kind == L2:
+    if norm.kind == L2:
         n = float(np.linalg.norm(u))
         if n <= thr:
             return np.zeros_like(u)
         return (1.0 - thr / n) * u
-    if kind == L1:
+    if norm.kind == L1:
         return np.sign(u) * np.maximum(np.abs(u) - thr, 0.0)
-    return u - _l1_ball_project(u, thr)
+    if norm.kind == LINF:
+        return u - _l1_ball_project(u, thr)
+    return u - _ellipsoid_project(u, np.zeros_like(u), np.linalg.inv(norm.Q), thr)
 
 
 def _entropy_simplex_regularized(f: QuadraticCost, eta: float,
@@ -383,8 +386,10 @@ def solve_regularized(mirror_map: MirrorMap, f: CostFunction, eta: float,
                       tol: float = 1e-10, max_iter: int = 10000) -> np.ndarray:
     """Minimize D_Phi(x, x_prev) + eta * f(x) over the feasible set.
 
-    f evaluated at the result is non-increasing in eta, which is what the
-    outer level-search bisections rely on.
+    f evaluated at the result is non-increasing in eta and the divergence
+    from x_prev non-decreasing, which is what the balance root searches of
+    ``obd.algorithms`` and the multiplier bisection of ``project_sublevel``
+    rely on.
     """
     x, _, _ = _solve_regularized_full(mirror_map, f, eta, np.asarray(x_prev, dtype=float),
                                       feasible, x_init, tol, max_iter)
@@ -412,10 +417,8 @@ def _solve_regularized_full(mirror_map: MirrorMap, f: CostFunction, eta: float,
         x = _entropy_simplex_regularized(f, eta, x_prev, feasible.params["delta"])
         if x is not None:
             return x, 1, 0.0
-    if isinstance(f, NormTrackingCost) and mirror_map.name == "euclidean" \
-            and f.norm_a.kind in (L1, L2, LINF):
-        x = f.minimizer + _prox_tracking(x_prev - f.minimizer,
-                                         eta * f.scale, f.norm_a.kind)
+    if isinstance(f, NormTrackingCost) and mirror_map.name == "euclidean":
+        x = f.minimizer + _prox_tracking(x_prev - f.minimizer, eta * f.scale, f.norm_a)
         if whole or feasible.contains(x):
             return x, 1, 0.0
 
@@ -425,16 +428,14 @@ def _solve_regularized_full(mirror_map: MirrorMap, f: CostFunction, eta: float,
     # proximal gradient when the nonsmooth part is a tracking norm
     prox_part = None
     smooth_cost: Optional[CostFunction] = f if f.smooth else None
-    if isinstance(f, NormTrackingCost) and f.norm_a.kind in (L1, L2, LINF) \
-            and mirror_map.name == "euclidean":
+    if isinstance(f, NormTrackingCost) and mirror_map.name == "euclidean":
         prox_part, smooth_cost = f, None
     elif isinstance(f, CompositeCost) and isinstance(f.g, NormTrackingCost) \
-            and f.g.norm_a.kind in (L1, L2, LINF) and f.h.smooth \
-            and mirror_map.name == "euclidean":
+            and f.h.smooth and mirror_map.name == "euclidean":
         prox_part, smooth_cost = f.g, f.h
 
     if prox_part is not None:
-        v, s, kind = prox_part.minimizer, prox_part.scale, prox_part.norm_a.kind
+        v, s, norm_a = prox_part.minimizer, prox_part.scale, prox_part.norm_a
 
         def smooth_value_grad(x):
             val = 0.5 * float((x - x_prev) @ (x - x_prev))
@@ -445,7 +446,7 @@ def _solve_regularized_full(mirror_map: MirrorMap, f: CostFunction, eta: float,
             return val, g
 
         def prox_project(y):
-            z = v + _prox_tracking(y - v, eta * s / lip_box[0], kind)
+            z = v + _prox_tracking(y - v, eta * s / lip_box[0], norm_a)
             return z if whole else _euclidean_project(feasible, z)
 
         # proximal gradient with backtracking on the smooth part

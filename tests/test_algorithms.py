@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import obd.algorithms
 from obd.algorithms import (
     Branch, DualConfig, Greedy, OGD, OMD, PrimalConfig, PrimalOBD,
     SetProjectionResponder, StaticPlay, choose_beta, choose_beta_general,
@@ -89,6 +91,57 @@ class TestPrimalStep:
             primal_cfg(1.0)
         with pytest.raises(ValueError):
             primal_cfg(0.0)
+
+    def test_record_dict_reports_how_step_was_found(self):
+        f = make_quadratic(np.eye(2), np.array([1.0, -1.0]))
+        rec = primal_obd_step([4.0, 3.0], f, primal_cfg(0.5))
+        out = rec.to_dict()
+        assert out["residual"] == rec.residual <= 1e-8 * max(1.0, rec.level)
+        assert out["converged"] is True
+        assert out["iterations"] == rec.iterations > 0
+
+
+def _random_quadratic(d, seed, spread):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((d, d)) + 2.0 * np.eye(d)
+    f = make_quadratic(A, rng.standard_normal(d))
+    return f, f.minimizer + spread * rng.standard_normal(d)
+
+
+class TestBalanceRoot:
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           beta=st.floats(0.01, 0.99), spread=st.floats(0.1, 10.0))
+    def test_primal_root_balances_inside_sweep_cell(self, d, seed, beta, spread):
+        f, x_prev = _random_quadratic(d, seed, spread)
+        cfg = primal_cfg(beta)
+        rec = primal_obd_step(x_prev, f, cfg)
+        if rec.branch != Branch.BALANCED:
+            return
+        assert rec.converged
+        assert rec.residual <= 1e-10 * max(1.0, rec.level)
+        ls, vals = primal_balance_curve(x_prev, f, cfg, num=100)
+        k = int(np.nonzero(vals > 0.0)[0][-1])  # last level that moves too far
+        assert ls[k] <= rec.level <= ls[k + 1]
+
+    def test_primal_work_count(self, monkeypatch):
+        sublevel_calls, solves = [], []
+        solve = obd.algorithms._solve_regularized_full
+
+        def counting_solve(*args, **kwargs):
+            solves.append(args[2])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(obd.algorithms, "project_sublevel",
+                            lambda *a, **k: sublevel_calls.append(a))
+        monkeypatch.setattr(obd.algorithms, "_solve_regularized_full", counting_solve)
+        for seed in range(10):
+            f, x_prev = _random_quadratic(8, seed, 3.0)
+            solves.clear()
+            rec = primal_obd_step(x_prev, f, primal_cfg(0.5))
+            assert rec.branch == Branch.BALANCED
+            assert rec.iterations == len(solves) <= 100
+        assert sublevel_calls == []
 
 
 class TestDualStep:

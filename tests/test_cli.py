@@ -102,7 +102,8 @@ class TestSingleRun:
         payload = json.loads((out / traj_files[0]).read_text())
         assert set(payload) == {"spec", "algo", "steps", "totals"}
         step = payload["steps"][0]
-        assert set(step) == {"t", "x", "hit", "move", "level", "eta_t", "branch"}
+        assert set(step) == {"t", "x", "hit", "move", "level", "eta_t", "branch",
+                             "residual", "converged", "iterations"}
         assert payload["algo"] == "primal_obd"
         assert len(payload["steps"]) == 6
 
@@ -128,6 +129,19 @@ def test_audit_suite_exit_code(tmp_path):
     assert rc == 0
     csv_text = (tmp_path / "a" / "results.csv").read_text()
     assert len(csv_text.splitlines()) > 1
+
+
+def test_obd_log_handler_installed_once(tmp_path, monkeypatch, capsys):
+    import logging
+    monkeypatch.setenv("OBD_LOG", "info")
+    counts = []
+    for i in range(3):
+        assert run_cli(["--experiment", "lower_bound", "--dims", "4",
+                        "--out", str(tmp_path / f"l{i}")]) == 0
+        err = capsys.readouterr().err
+        counts.append(sum("wrote" in line for line in err.splitlines()))
+    assert counts[0] >= 1 and counts == [counts[0]] * 3
+    assert len(logging.getLogger("obd").handlers) == 1
 
 
 def test_obd_log_env(tmp_path, monkeypatch, capsys):

@@ -47,6 +47,18 @@ class TestQuadratic:
         np.testing.assert_allclose(f.grad(x), [2.0, 2.0])
         np.testing.assert_allclose(f.minimizer, [0.0, 0.0])
 
+    def test_eig_cache_follows_fresh_forms(self):
+        rng = np.random.default_rng(7)
+        f = make_quadratic(rng.standard_normal((3, 3)) + 2 * np.eye(3), np.ones(3))
+        for _ in range(50):
+            B = rng.standard_normal((3, 3))
+            # a temporary form, freed after the call: a later one may reuse
+            # its address
+            w, W = f.eig_in(B @ B.T + np.eye(3))
+            Q = B @ B.T + np.eye(3)
+            np.testing.assert_allclose(W.T @ Q @ W, np.eye(3), atol=1e-9)
+            np.testing.assert_allclose(W.T @ f.AtA @ W, np.diag(w), atol=1e-8)
+
     def test_diagonal_minimizer(self):
         f = make_quadratic(np.diag([2.0, 1.0]), [2.0, 1.0])
         np.testing.assert_allclose(f.minimizer, [1.0, 1.0])

@@ -120,6 +120,23 @@ class TestAudits:
             audits = audit_theorem3(rep, G, 5.0, 1.0, eta)
             assert audits[0].passed
 
+    def test_theorem3_case_solves_offline_opt_once(self, monkeypatch):
+        import obd.harness
+        import obd.offline
+        calls = []
+        solve = obd.offline.offline_opt
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(obd.harness, "offline_opt", counting)
+        monkeypatch.setattr(obd.offline, "offline_opt", counting)
+        spec = theorem3_suite(seed=71, count=1, dims=(2,), T=20)[0]
+        cases = run_theorem3_case(spec)
+        assert sorted(c.L == 0.0 for c in cases) == [False, False, True]
+        assert len(calls) == 1
+
     def test_theorem3_zero_budget_reduction(self):
         spec = theorem3_suite(seed=70, count=1, dims=(2,), T=30)[0]
         cases = run_theorem3_case(spec, budgets=("opt_move", "zero"))

@@ -49,6 +49,20 @@ class TestOfflineOpt:
             rep = run(algo, inst, comparators=())
             assert opt.objective <= rep.total_cost * (1 + 1e-5)
 
+    def test_never_above_jump_trajectory(self):
+        # steep tracking: jumping to each minimizer is optimal, and the solve
+        # alone used to land about 3e-8 relative above it
+        spec = InstanceSpec(d=2, T=10, family="norm_tracking", seed=0,
+                            tracking_scale=4.0, diameter=10.0)
+        inst = generate_instance(spec)
+        sol = offline_opt(inst.costs, inst.x0)
+        V = np.stack([f.minimizer for f in inst.costs])
+        jump = sum(f(v) for f, v in zip(inst.costs, V)) + float(
+            np.linalg.norm(np.diff(np.vstack([inst.x0, V]), axis=0), axis=1).sum())
+        assert sol.objective <= jump
+        assert "jump to minimizers" in sol.note
+        np.testing.assert_array_equal(sol.trajectory, V)
+
     def test_first_order_residual_flag(self):
         spec = InstanceSpec(d=2, T=10, family="quadratic", seed=44)
         inst = generate_instance(spec)

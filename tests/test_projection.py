@@ -52,6 +52,21 @@ class TestSolveRegularized:
                 for eta in (0.0, 0.5, 1.0, 2.0, 4.0)]
         assert all(a >= b - 1e-10 for a, b in zip(vals, vals[1:]))
 
+    def test_mahalanobis_tracking_stationarity(self):
+        # x - x_prev + eta * s * Q(x - v) / ||x - v||_Q = 0 away from v, and
+        # x = v once the pull is strong enough
+        Q = np.array([[4.0, 1.0], [1.0, 2.0]])
+        v = np.array([1.0, -1.0])
+        f = make_norm_tracking(v, Norm.mahalanobis(Q), scale=1.5)
+        x_prev = np.array([3.0, 2.0])
+        for eta in (0.1, 0.5, 1.0):
+            x = solve_regularized(EMAP, f, eta, x_prev, FeasibleSet.whole_space(2))
+            u = x - v
+            stat = x - x_prev + eta * 1.5 * (Q @ u) / math.sqrt(u @ Q @ u)
+            assert np.linalg.norm(stat) <= 1e-9
+        x = solve_regularized(EMAP, f, 10.0, x_prev, FeasibleSet.whole_space(2))
+        np.testing.assert_allclose(x, v, atol=1e-12)
+
     def test_respects_feasible_set(self):
         f = make_quadratic(np.eye(2), np.array([2.0, 2.0]))
         box = FeasibleSet.box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
