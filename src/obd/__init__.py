@@ -14,8 +14,8 @@ Library layout:
 __version__ = "0.1.0"
 
 from .geometry import (
-    FeasibleSet, MirrorMap, Norm, bregman_divergence, dual_norm,
-    entropy_map, euclidean_map, mahalanobis_map, norm_equivalence_constants,
+    FeasibleSet, MirrorMap, Norm, bregman_divergence, entropy_map,
+    euclidean_map, mahalanobis_map, norm_equivalence_constants,
 )
 from .costs import (
     CostFunction, Instance, InstanceSpec, adversary_step, generate_instance,

@@ -9,10 +9,12 @@ whose level constraint has multiplier eta:
 * dual balance: the dual-space movement ||grad Phi(x(eta)) - grad Phi(x_prev)||_*
   equals cfg.eta * ||grad f(x(eta))||_* (regret setting, smooth costs).
 
-Each is one bracketed scalar root in eta (``_balance_root``); the level sweeps
-of ``primal_balance_curve`` / ``dual_balance_curve`` check that no crossing
-is missed.  Steppers are pure functions of (previous point, revealed cost,
-config): replaying any suffix from a stored point reproduces it bitwise.
+Each is one bracketed scalar root in eta (``_balance_root``, the same
+``obd.projection._multiplier_root`` that ``project_sublevel`` uses); the
+level sweeps of ``primal_balance_curve`` / ``dual_balance_curve`` check that
+no crossing is missed.  Steppers are pure functions of (previous point,
+revealed cost, config): replaying any suffix from a stored point reproduces
+it bitwise.
 """
 
 from __future__ import annotations
@@ -23,13 +25,12 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .costs import CostFunction, IndicatorCost
 from .geometry import FeasibleSet, MirrorMap, Norm
 from .projection import (
-    ETA_CAP, _euclidean_project, _solve_regularized_full, project_set,
-    project_sublevel, solve_regularized,
+    _euclidean_project, _multiplier_root, project_set, project_sublevel,
+    solve_regularized,
 )
 
 
@@ -111,35 +112,10 @@ def _indicator_step(mirror_map: MirrorMap, norm: Norm, f: IndicatorCost,
 
 def _balance_root(cfg: PrimalConfig | DualConfig, f: CostFunction,
                   x_prev: np.ndarray, balance):
-    """Solve balance(x(eta)) = 0 over eta > 0, given balance(x(0)) < 0.
-
-    The bracket's upper end doubles from eta = 1 until the sign changes (hard
-    cap ETA_CAP), then Brent's method runs to machine precision in eta.
-    Returns (eta, x) of smallest |balance| seen and the number of solves.
-    """
+    """Multiplier root of balance(x(eta)) = 0 under the stepper's config."""
     feasible = cfg.feasible or FeasibleSet.whole_space(x_prev.shape[0])
-    inner_tol = min(1e-10, 1e-2 * cfg.level_tol)
-    points: dict = {}  # eta -> (balance, x)
-    warm = None
-
-    def g(eta: float) -> float:
-        nonlocal warm
-        if eta not in points:
-            x, _, _ = _solve_regularized_full(cfg.mirror_map, f, eta, x_prev, feasible,
-                                              x_init=warm, tol=inner_tol,
-                                              max_iter=cfg.max_inner)
-            warm = x
-            points[eta] = (balance(x), x)
-        return points[eta][0]
-
-    lo, hi = 0.0, 1.0
-    while g(hi) < 0.0 and hi < ETA_CAP:
-        lo, hi = hi, 2.0 * hi
-    if g(lo) < 0.0 < g(hi):
-        brentq(g, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps,
-               maxiter=100, disp=False)
-    eta = min(points, key=lambda e: abs(points[e][0]))
-    return eta, points[eta][1], len(points)
+    return _multiplier_root(cfg.mirror_map, f, x_prev, feasible, balance,
+                            min(1e-10, 1e-2 * cfg.level_tol), cfg.max_inner)
 
 
 def primal_obd_step(x_prev, f: CostFunction, cfg: PrimalConfig,

@@ -167,11 +167,6 @@ class Norm:
         return f"Norm({self.kind})"
 
 
-def dual_norm(norm: Norm, z) -> float:
-    """Dual norm value ||z||_* under ``norm``'s pairing."""
-    return norm.dual_value(z)
-
-
 def norm_equivalence_constants(norm: Norm, d: int) -> tuple[float, float]:
     """Tight constants (k1, k2) with k1*||x|| <= ||x||_2 <= k2*||x||.
 
@@ -235,15 +230,13 @@ class MirrorMap:
 
     ``m`` and ``M`` are measured in ``norm``:
         (m/2)*||x-y||^2 <= D_Phi(x, y) <= (M/2)*||x-y||^2
-    on the feasible region the map is intended for.  ``grad_bound`` optionally
-    bounds ||grad Phi(x)||_* over that region (used by the regret bound).
+    on the feasible region the map is intended for.
     """
 
     def __init__(self, name: str, phi: Callable[[np.ndarray], float],
                  grad: Callable[[np.ndarray], np.ndarray],
                  inv_grad: Callable[[np.ndarray], np.ndarray],
                  m: float, M: float, norm: Norm,
-                 grad_bound: Optional[float] = None,
                  domain_check: Optional[Callable[[np.ndarray], None]] = None,
                  Q: Optional[np.ndarray] = None):
         if m <= 0 or M < m:
@@ -255,7 +248,6 @@ class MirrorMap:
         self.m = float(m)
         self.M = float(M)
         self.norm = norm
-        self.grad_bound = grad_bound
         self._domain_check = domain_check
         self.Q = Q  # quadratic-form matrix, None unless Phi(x) = x'Qx/2
 

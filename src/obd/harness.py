@@ -375,10 +375,10 @@ def _cr_trial(spec_dict: dict, beta: float) -> tuple[dict, dict]:
         "cr": report.cr if report.cr is not None else "",
         "regret_L": "", "bound": "", "audit_worst_residual": "",
     }
-    if instance.alpha is not None and report.cr is not None:
-        bound = 3.0 + 8.0 / instance.alpha
-        row["bound"] = bound
-        row["audit_worst_residual"] = report.cr - bound
+    choice = choose_beta(instance.alpha) if instance.alpha is not None else None
+    if choice and report.cr is not None and math.isclose(beta, choice.beta):
+        row["bound"] = choice.competitive_ratio
+        row["audit_worst_residual"] = report.cr - choice.competitive_ratio
     return row, report.to_dict()
 
 
@@ -390,7 +390,9 @@ def experiment_cr_vs_dim(family: str, dims: Sequence[int], trials: int,
     """Competitive ratio of the primal stepper as dimension grows.
 
     Defaults mirror the reference sweep: beta = 0.5, condition number 10,
-    target-set diameter 10, 10 seeded trials per dimension.
+    target-set diameter 10, 10 seeded trials per dimension.  A row carries
+    the bound 3 + 8/alpha and its residual only when beta is the
+    ``choose_beta(alpha)`` value the bound is proven for.
     """
     tasks = []
     for di, d in enumerate(dims):

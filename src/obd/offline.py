@@ -2,12 +2,13 @@
 and a discretized dynamic-programming oracle for cross-validation.
 
 The joint problem min_X sum_t f_t(x_t) + w*||x_t - x_{t-1}|| is solved by
-smoothing every nonsmooth term u -> sqrt(u^2 + eps^2) - eps, running
-accelerated projected gradient (FISTA with backtracking and restarts) over a
-decreasing schedule eps in {1e-2, 1e-4, 1e-6}, then polishing each scalar
-coordinate of the trajectory exactly on the unsmoothed objective.  The
-movement-budgeted variant bisects the multiplier lambda in the penalized
-weight w = 1 + lambda, using that total movement is non-increasing in lambda.
+smoothing every nonsmooth term u -> sqrt(u^2 + eps^2) - eps and running
+accelerated projected gradient (FISTA with backtracking and restarts),
+finished by damped Newton steps where the Hessian is available, over a
+decreasing schedule eps in {1e-2, 1e-4, 1e-6}.  The reported costs are the
+exact, unsmoothed ones of the last stage's trajectory.  The movement-budgeted
+variant bisects the multiplier lambda in the penalized weight w = 1 + lambda,
+using that total movement is non-increasing in lambda.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .costs import CompositeCost, CostFunction, NormTrackingCost, QuadraticCost
 from .geometry import (
-    BALL, BOX, HYPERPLANE, L1, L2, LINF, MAHALANOBIS, SIMPLEX, WHOLE,
+    BALL, BOX, L1, L2, LINF, MAHALANOBIS, WHOLE,
     FeasibleSet, Norm,
 )
 from .projection import _project_rows
@@ -177,8 +177,9 @@ def _fista(problem: _TrajectoryProblem, X0: np.ndarray, eps: float,
     """Monotone FISTA with backtracking and restart; returns (X, residual).
 
     Stops on the projected-gradient residual or when the objective stalls
-    (no relative progress over ``stall_window`` iterations); the smoothing
-    plateau near kinks is handled by the later exact coordinate polish.
+    (no relative progress over ``stall_window`` iterations), as it does on
+    the smoothing plateau near kinks; the Newton refine and the next, smaller
+    eps continue from there.
     """
     X = problem.project(X0.copy())
     Z = X.copy()
@@ -322,59 +323,6 @@ def _newton_refine(problem: _TrajectoryProblem, X: np.ndarray, eps: float,
     return X, residual
 
 
-def _coord_interval(feasible: FeasibleSet, x: np.ndarray, i: int,
-                    fallback: float) -> tuple[float, float]:
-    """Feasible interval of coordinate i with the others held fixed."""
-    p = feasible.params
-    if feasible.kind == WHOLE:
-        return x[i] - fallback, x[i] + fallback
-    if feasible.kind == BOX:
-        return float(p["lo"][i]), float(p["hi"][i])
-    if feasible.kind == BALL and p["norm"].kind == L2:
-        c, r = p["center"], p["radius"]
-        rest = x - c
-        rest[i] = 0.0
-        slack = r * r - float(rest @ rest)
-        if slack <= 0.0:
-            return x[i], x[i]
-        h = math.sqrt(slack)
-        return float(c[i] - h), float(c[i] + h)
-    return x[i], x[i]  # unsupported section: pin the coordinate
-
-
-def _coordinate_polish(problem: _TrajectoryProblem, X: np.ndarray) -> np.ndarray:
-    """One exact pass over every scalar coordinate of the trajectory."""
-    if problem.feasible.kind in (SIMPLEX, HYPERPLANE):
-        return X
-    X = X.copy()
-    T, d = X.shape
-    span = float(np.max(np.abs(X))) + float(np.max(np.abs(problem.x0))) + 1.0
-    for t in range(T):
-        f = problem.costs[t]
-        prev = problem.x0 if t == 0 else X[t - 1]
-        nxt = X[t + 1] if t + 1 < T else None
-        for i in range(d):
-            lo, hi = _coord_interval(problem.feasible, X[t], i, 2.0 * span)
-            if hi - lo <= 1e-14:
-                continue
-            xt = X[t]
-
-            def local(c: float) -> float:
-                old = xt[i]
-                xt[i] = c
-                val = f(xt) + problem.w * problem.norm(xt - prev)
-                if nxt is not None:
-                    val += problem.w * problem.norm(nxt - xt)
-                xt[i] = old
-                return val
-
-            res = minimize_scalar(local, bounds=(lo, hi), method="bounded",
-                                  options={"xatol": 1e-11})
-            if res.fun < local(xt[i]):
-                xt[i] = float(res.x)
-    return X
-
-
 def _initial_trajectory(problem: _TrajectoryProblem) -> np.ndarray:
     rows = []
     for f in problem.costs:
@@ -386,8 +334,7 @@ def _initial_trajectory(problem: _TrajectoryProblem) -> np.ndarray:
 def _solve_weighted(problem: _TrajectoryProblem,
                     X0: Optional[np.ndarray] = None,
                     eps_schedule: Sequence[float] = EPS_SCHEDULE,
-                    tol: float = 1e-6, max_iter: int = 2500,
-                    polish: bool = True):
+                    tol: float = 1e-6, max_iter: int = 2500):
     X = problem.project(X0.copy() if X0 is not None else
                         _initial_trajectory(problem))
     residual = math.inf
@@ -401,8 +348,6 @@ def _solve_weighted(problem: _TrajectoryProblem,
             obj, _ = problem.smoothed_value_grad(X, eps)
             X, residual = _newton_refine(problem, X, eps,
                                          0.3 * stage_tol * (1.0 + abs(obj)))
-    if polish:
-        X = _coordinate_polish(problem, X)
     return X, residual
 
 
@@ -412,13 +357,13 @@ def _first_order_ok(residual: float, objective: float) -> bool:
 
 def offline_opt(costs: Sequence[CostFunction], x0, feasible: Optional[FeasibleSet] = None,
                 norm: Optional[Norm] = None, tol: float = 1e-6,
-                max_iter: int = 2500, polish: bool = True) -> OfflineSolution:
+                max_iter: int = 2500) -> OfflineSolution:
     """Dynamic offline optimum of sum_t f_t(x_t) + ||x_t - x_{t-1}||."""
     x0 = np.asarray(x0, dtype=float)
     norm = norm or Norm.l2()
     feasible = feasible or FeasibleSet.whole_space(x0.shape[0])
     problem = _TrajectoryProblem(costs, x0, norm, feasible, 1.0)
-    X, residual = _solve_weighted(problem, tol=tol, max_iter=max_iter, polish=polish)
+    X, residual = _solve_weighted(problem, tol=tol, max_iter=max_iter)
     hit, move = problem.exact_parts(X)
     converged = _first_order_ok(residual, hit + move)
     notes = [] if converged else ["first-order residual above tolerance"]
@@ -464,11 +409,11 @@ def offline_opt_constrained(costs: Sequence[CostFunction], x0, L: float,
     if base.total_move <= L * (1.0 + 1e-9) + 1e-12:
         return base
 
-    def solve(lam: float, warm, polish: bool = False):
+    def solve(lam: float, warm):
         problem = _TrajectoryProblem(costs, x0, norm, feasible, 1.0 + lam)
         # warm-started re-solves skip the coarsest smoothing stage
         X, _ = _solve_weighted(problem, X0=warm, eps_schedule=EPS_SCHEDULE[1:],
-                               tol=tol, max_iter=max_iter, polish=polish)
+                               tol=tol, max_iter=max_iter)
         hit, move = problem.exact_parts(X)
         return X, hit, move
 
@@ -485,7 +430,6 @@ def offline_opt_constrained(costs: Sequence[CostFunction], x0, L: float,
     best = (X_hi, hit_hi, move_hi, lam_hi)  # feasible side: movement <= L
     lo_side = (base.trajectory, base.total_hit, base.total_move)
     converged = move_hi >= L * (1.0 - window)
-    interpolated = False
     if not converged:
         # movement(lam) is monotone; false-position with bisection guard
         move_lo = base.total_move if lam_lo == 0.0 else math.inf
@@ -529,16 +473,7 @@ def offline_opt_constrained(costs: Sequence[CostFunction], x0, L: float,
         if move > best[2]:
             best = (Xc, hit, move, best[3])
         converged = L * (1.0 - window) <= best[2] <= L
-        interpolated = True
     X, hit, move, lam = best
-    if not interpolated:
-        X_pol = _coordinate_polish(
-            _TrajectoryProblem(costs, x0, norm, feasible, 1.0 + lam), X)
-        problem1 = _TrajectoryProblem(costs, x0, norm, feasible, 1.0)
-        hit_p, move_p = problem1.exact_parts(X_pol)
-        if L * (1.0 - window) <= move_p <= L * (1.0 + 1e-9) \
-                and hit_p + move_p <= hit + move:
-            X, hit, move = X_pol, hit_p, move_p
     return OfflineSolution(trajectory=X, total_hit=hit, total_move=move,
                            objective=hit + move, lam=lam, converged=converged,
                            note="" if converged else

@@ -1,16 +1,19 @@
 """Bregman projections onto cost sublevel sets and onto simple convex sets.
 
 The central operation is ``project_sublevel``: minimize D_Phi(x, x_prev)
-subject to f(x) <= l over the feasible set.  It is solved by bisection on the
-scalar dual variable eta of the level constraint -- f evaluated at
+subject to f(x) <= l over the feasible set.  It is one scalar root in the
+multiplier eta of the level constraint -- f evaluated at
 
     x(eta) = argmin_x  D_Phi(x, x_prev) + eta * f(x)
 
-is non-increasing in eta, so the unique eta with f(x(eta)) = l brackets
-cleanly.  Structured cases (quadratic costs under quadratic-form maps,
-norm-tracking costs under the Euclidean map) use exact inner solves; the
-generic path runs projected gradient descent with backtracking (smooth costs)
-or subgradient descent with diminishing steps (nonsmooth costs).
+is non-increasing in eta, so the eta with f(x(eta)) = l brackets cleanly.
+``_multiplier_root`` finds it with Brent's method; the balanced-descent
+steppers of ``obd.algorithms`` find their balanced points with the same root.
+Each x(eta) comes from ``solve_regularized``: exact for structured cases
+(quadratic costs under quadratic-form maps or the entropy map on the simplex,
+norm-tracking costs under the Euclidean map), otherwise proximal gradient with
+backtracking (smooth costs, or a tracking norm plus a smooth part) or
+subgradient descent with diminishing steps (other nonsmooth costs).
 
 Everything here is stateless given its inputs; warm starts are passed
 explicitly by callers, never kept in module state.
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .geometry import (
     BALL, BOX, HALFSPACE, HYPERPLANE, L1, L2, LINF, MAHALANOBIS, SIMPLEX, WHOLE,
@@ -236,8 +240,8 @@ def _bregman_project_pgd(mirror_map: MirrorMap, constraint: FeasibleSet,
         return (mirror_map.phi(y) - float(gx @ y),
                 mirror_map.grad(y) - gx)
 
-    y, _, _ = _pgd_smooth(value_grad, lambda z: _euclidean_project(constraint, z),
-                          start, tol, max_iter)
+    y, _, _ = _prox_gradient(value_grad, lambda z, _: _euclidean_project(constraint, z),
+                             start, tol, max_iter)
     return y
 
 
@@ -256,12 +260,18 @@ def _safe_domain_start(mirror_map: MirrorMap, constraint: FeasibleSet,
 # Inner solvers
 # ---------------------------------------------------------------------------
 
-def _pgd_smooth(value_grad: Callable, project: Callable, x0: np.ndarray,
-                tol: float, max_iter: int):
-    """Projected gradient with backtracking; returns (x, iterations, residual).
+def _prox_gradient(value_grad: Callable, prox: Callable, x0: np.ndarray,
+                   tol: float, max_iter: int):
+    """Proximal gradient with backtracking; returns (x, iterations, residual).
 
-    Residual is the step length scaled by the local curvature estimate, i.e.
-    the projected-gradient stationarity measure.
+    ``prox(y, step)`` maps the gradient step y of length ``step`` to the next
+    iterate: the Euclidean projection onto the feasible set for smooth
+    problems, or the prox of step times the nonsmooth part.  The curvature
+    estimate never shrinks: a shrinking one let the line search's rounding
+    slack accept estimates below the true constant, and on composite costs
+    the iterates then bounced far above the tolerance.  Residual is the step
+    length scaled by the curvature estimate, the proximal-gradient
+    stationarity measure.
     """
     x = x0.copy()
     fx, gx = value_grad(x)
@@ -269,7 +279,7 @@ def _pgd_smooth(value_grad: Callable, project: Callable, x0: np.ndarray,
     residual = math.inf
     for it in range(1, max_iter + 1):
         while True:
-            cand = project(x - gx / lip)
+            cand = prox(x - gx / lip, 1.0 / lip)
             diff = cand - x
             sq = float(diff @ diff)
             fc, gc = value_grad(cand)
@@ -282,7 +292,6 @@ def _pgd_smooth(value_grad: Callable, project: Callable, x0: np.ndarray,
         x, fx, gx = cand, fc, gc
         if residual <= tol * (1.0 + float(np.linalg.norm(x))):
             return x, it, residual
-        lip = max(lip * 0.7, 1e-12)
     return x, max_iter, residual
 
 
@@ -387,9 +396,8 @@ def solve_regularized(mirror_map: MirrorMap, f: CostFunction, eta: float,
     """Minimize D_Phi(x, x_prev) + eta * f(x) over the feasible set.
 
     f evaluated at the result is non-increasing in eta and the divergence
-    from x_prev non-decreasing, which is what the balance root searches of
-    ``obd.algorithms`` and the multiplier bisection of ``project_sublevel``
-    rely on.
+    from x_prev non-decreasing, which is what ``_multiplier_root`` relies on
+    for ``project_sublevel`` and the balanced-descent steppers.
     """
     x, _, _ = _solve_regularized_full(mirror_map, f, eta, np.asarray(x_prev, dtype=float),
                                       feasible, x_init, tol, max_iter)
@@ -445,40 +453,19 @@ def _solve_regularized_full(mirror_map: MirrorMap, f: CostFunction, eta: float,
                 g = g + eta * smooth_cost.grad(x)
             return val, g
 
-        def prox_project(y):
-            z = v + _prox_tracking(y - v, eta * s / lip_box[0], norm_a)
+        def prox_project(y, step):
+            z = v + _prox_tracking(y - v, eta * s * step, norm_a)
             return z if whole else _euclidean_project(feasible, z)
 
-        # proximal gradient with backtracking on the smooth part
-        x = start.copy()
-        lip_box = [1.0]
-        fx, gx = smooth_value_grad(x)
-        residual = math.inf
-        for it in range(1, max_iter + 1):
-            while True:
-                cand = prox_project(x - gx / lip_box[0])
-                diff = cand - x
-                sq = float(diff @ diff)
-                fc, gc = smooth_value_grad(cand)
-                if fc <= fx + float(gx @ diff) + 0.5 * lip_box[0] * sq + 1e-15 * (1 + abs(fx)):
-                    break
-                lip_box[0] *= 2.0
-                if lip_box[0] > 1e18:
-                    raise NonConvergence("proximal backtracking failed")
-            residual = lip_box[0] * math.sqrt(sq)
-            x, fx, gx = cand, fc, gc
-            if residual <= tol * (1.0 + float(np.linalg.norm(x))):
-                return x, it, residual
-            lip_box[0] = max(lip_box[0] * 0.7, 1e-12)
-        return x, max_iter, residual
+        return _prox_gradient(smooth_value_grad, prox_project, start, tol, max_iter)
 
     if f.smooth:
         def value_grad(x):
             return (mirror_map.phi(x) - float(gx_prev @ x) + eta * f(x),
                     mirror_map.grad(x) - gx_prev + eta * f.grad(x))
 
-        return _pgd_smooth(value_grad, lambda z: _euclidean_project(feasible, z),
-                           start, tol, max_iter)
+        return _prox_gradient(value_grad, lambda z, _: _euclidean_project(feasible, z),
+                              start, tol, max_iter)
 
     # nonsmooth without usable prox structure: diminishing-step subgradient
     def value_subgrad(x):
@@ -492,21 +479,54 @@ def _solve_regularized_full(mirror_map: MirrorMap, f: CostFunction, eta: float,
 
 
 # ---------------------------------------------------------------------------
-# Sublevel-set projection
+# Multiplier root and sublevel-set projection
 # ---------------------------------------------------------------------------
+
+def _multiplier_root(mirror_map: MirrorMap, f: CostFunction, x_prev: np.ndarray,
+                     feasible: FeasibleSet, balance: Callable, inner_tol: float,
+                     max_inner: int, warm: Optional[np.ndarray] = None):
+    """Solve balance(x(eta)) = 0 over eta > 0, given balance(x(0)) < 0.
+
+    The bracket's upper end doubles from eta = 1 until the sign changes (hard
+    cap ETA_CAP), then Brent's method runs to machine precision in eta.  The
+    first iterative inner solve starts from ``warm``, each later one from the
+    previous solution.  Returns (eta, x) of smallest |balance| seen, ties
+    going to the larger eta, and the number of regularized solves made.
+    """
+    points: dict = {}  # eta -> (balance, x)
+
+    def g(eta: float) -> float:
+        nonlocal warm
+        if eta not in points:
+            x, _, _ = _solve_regularized_full(mirror_map, f, eta, x_prev, feasible,
+                                              x_init=warm, tol=inner_tol,
+                                              max_iter=max_inner)
+            warm = x
+            points[eta] = (balance(x), x)
+        return points[eta][0]
+
+    lo, hi = 0.0, 1.0
+    while g(hi) < 0.0 and hi < ETA_CAP:
+        lo, hi = hi, 2.0 * hi
+    if g(lo) < 0.0 < g(hi):
+        brentq(g, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps,
+               maxiter=100, disp=False)
+    eta = min(points, key=lambda e: (abs(points[e][0]), -e))
+    return eta, points[eta][1], len(points)
+
 
 def project_sublevel(mirror_map: MirrorMap, f: CostFunction, l: float, x_prev,
                      feasible: Optional[FeasibleSet] = None,
-                     level_tol: float = 1e-8, stat_tol: float = 1e-6,
-                     max_inner: int = 10000,
+                     level_tol: float = 1e-8, max_inner: int = 10000,
                      warm_x: Optional[np.ndarray] = None) -> ProjectionResult:
     """Bregman-project x_prev onto {x : f(x) <= l} intersected with the set.
 
-    Bisects the scalar multiplier eta of the level constraint: the bracket
-    starts at [0, 1] and the upper end doubles until the level is reached
-    (hard cap 2**60, reported as non-convergence).  The level residual target
-    is level_tol * max(1, l); bisection continues beyond it while cheap so
-    complementarity eta*(f(x)-l) is also tight.
+    Finds the multiplier eta of the level constraint with f(x(eta)) = l as
+    one ``_multiplier_root``; ``iterations`` counts its regularized solves.
+    The result is converged when the level residual is at most
+    level_tol * max(1, l); a level out of reach within eta <= 2**60 raises
+    NonConvergence.  Tracking costs under the Euclidean map project in
+    closed form.
     """
     x_prev = np.asarray(x_prev, dtype=float)
     if feasible is None:
@@ -548,99 +568,15 @@ def project_sublevel(mirror_map: MirrorMap, f: CostFunction, l: float, x_prev,
             return ProjectionResult(x=x, eta=eta, active=True, iterations=1,
                                     residual=abs(f(x) - l))
 
-    # structured quadratic: scalar root-find along the exact regularized path
-    if isinstance(f, QuadraticCost) and (mirror_map.Q is not None or
-                                         mirror_map.name == "euclidean"):
-        res = _quad_sublevel(mirror_map, f, l, x_prev, tol_abs)
-        if res is not None and (feasible.kind == WHOLE or feasible.contains(res.x)):
-            return res
-
-    return _generic_sublevel(mirror_map, f, l, x_prev, feasible, tol_abs,
-                             max_inner, warm_x)
-
-
-def _quad_sublevel(mirror_map: MirrorMap, f: QuadraticCost, l: float,
-                   x_prev: np.ndarray, tol_abs: float) -> Optional[ProjectionResult]:
-    w, W = f.eig_in(mirror_map.Q)
-    Qm = mirror_map.Q
-    zp = W.T @ (x_prev if Qm is None else Qm @ x_prev)
-    b1 = W.T @ f.Aty
-    zv = W.T @ (f.minimizer if Qm is None else Qm @ f.minimizer)
-
-    def level_at(eta: float) -> float:
-        z = (zp + 2.0 * eta * b1) / (1.0 + 2.0 * eta * w)
-        dz = z - zv
-        return float(np.sum(w * dz * dz)) + f.min_value
-
-    hi = 1.0
-    doublings = 0
-    while level_at(hi) > l:
-        hi *= 2.0
-        doublings += 1
-        if hi > ETA_CAP:
-            return None
-    lo = 0.0
-    it = doublings
-    for _ in range(200):
-        it += 1
-        mid = 0.5 * (lo + hi)
-        if level_at(mid) > l:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(hi, 1.0) and abs(level_at(hi) - l) <= tol_abs:
-            break
-    eta = hi
-    z = (zp + 2.0 * eta * b1) / (1.0 + 2.0 * eta * w)
-    x = W @ z
-    residual = abs(level_at(eta) - l)
-    return ProjectionResult(x=x, eta=eta, active=True, iterations=it,
-                            residual=residual, converged=residual <= tol_abs)
-
-
-def _generic_sublevel(mirror_map: MirrorMap, f: CostFunction, l: float,
-                      x_prev: np.ndarray, feasible: FeasibleSet, tol_abs: float,
-                      max_inner: int, warm_x: Optional[np.ndarray]):
-    inner_tol = min(1e-10, tol_abs * 1e-2)
-    iterations = 0
-    x_seed = warm_x
-
-    def solve(eta: float):
-        nonlocal iterations, x_seed
-        x, it, _ = _solve_regularized_full(mirror_map, f, eta, x_prev, feasible,
-                                           x_init=x_seed, tol=inner_tol,
-                                           max_iter=max_inner)
-        iterations += it
-        x_seed = x
-        return x
-
-    hi = 1.0
-    x_hi = solve(hi)
-    while f(x_hi) > l:
-        hi *= 2.0
-        if hi > ETA_CAP:
-            raise NonConvergence(
-                f"level {l} unreachable: multiplier bracket exceeded 2**60 "
-                f"(reached f = {f(x_hi):.6g})")
-        x_hi = solve(hi)
-    lo = 0.0
-    best_x, best_eta = x_hi, hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        x_mid = solve(mid)
-        val = f(x_mid)
-        if val > l:
-            lo = mid
-        else:
-            hi = mid
-            best_x, best_eta = x_mid, mid
-        if abs(val - l) <= 0.25 * tol_abs or (hi - lo) <= 1e-15 * max(hi, 1.0):
-            if val <= l:
-                best_x, best_eta = x_mid, mid
-            break
-    residual = abs(f(best_x) - l)
+    eta, x, solves = _multiplier_root(mirror_map, f, x_prev, feasible,
+                                      lambda y: l - f(y), min(1e-10, 1e-2 * tol_abs),
+                                      max_inner, warm_x)
+    excess = f(x) - l
+    if excess > tol_abs and eta >= ETA_CAP:
+        raise NonConvergence(f"level {l} unreachable: multiplier bracket exceeded "
+                             f"2**60 (reached f = {f(x):.6g})")
+    residual = abs(excess)
     converged = residual <= tol_abs
-    return ProjectionResult(x=best_x, eta=best_eta, active=True,
-                            iterations=iterations, residual=residual,
-                            converged=converged,
+    return ProjectionResult(x=x, eta=eta, active=True, iterations=solves,
+                            residual=residual, converged=converged,
                             note="" if converged else "level residual above tolerance")

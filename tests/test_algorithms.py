@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import obd.algorithms
+import obd.projection
 from obd.algorithms import (
     Branch, DualConfig, Greedy, OGD, OMD, PrimalConfig, PrimalOBD,
     SetProjectionResponder, StaticPlay, choose_beta, choose_beta_general,
@@ -126,7 +127,7 @@ class TestBalanceRoot:
 
     def test_primal_work_count(self, monkeypatch):
         sublevel_calls, solves = [], []
-        solve = obd.algorithms._solve_regularized_full
+        solve = obd.projection._solve_regularized_full
 
         def counting_solve(*args, **kwargs):
             solves.append(args[2])
@@ -134,7 +135,7 @@ class TestBalanceRoot:
 
         monkeypatch.setattr(obd.algorithms, "project_sublevel",
                             lambda *a, **k: sublevel_calls.append(a))
-        monkeypatch.setattr(obd.algorithms, "_solve_regularized_full", counting_solve)
+        monkeypatch.setattr(obd.projection, "_solve_regularized_full", counting_solve)
         for seed in range(10):
             f, x_prev = _random_quadratic(8, seed, 3.0)
             solves.clear()

@@ -5,8 +5,8 @@ import pytest
 
 from obd.geometry import (
     DomainError, FeasibleSet, Norm, SingularMatrixError, bregman_divergence,
-    check_divergence_sandwich, dual_norm, entropy_map, euclidean_map,
-    mahalanobis_map, norm_equivalence_constants, pair_growth_constant,
+    check_divergence_sandwich, entropy_map, euclidean_map, mahalanobis_map,
+    norm_equivalence_constants, pair_growth_constant,
 )
 from obd.projection import project_set
 
@@ -20,10 +20,10 @@ def all_norms(d=3):
 
 class TestNorms:
     def test_dual_examples(self):
-        assert dual_norm(Norm.l1(), [3.0, -4.0]) == 4.0
-        assert dual_norm(Norm.l2(), [3.0, 4.0]) == pytest.approx(5.0)
+        assert Norm.l1().dual_value([3.0, -4.0]) == 4.0
+        assert Norm.l2().dual_value([3.0, 4.0]) == pytest.approx(5.0)
         m = Norm.mahalanobis(np.diag([4.0, 1.0]))
-        assert dual_norm(m, [2.0, 0.0]) == pytest.approx(1.0)
+        assert m.dual_value([2.0, 0.0]) == pytest.approx(1.0)
 
     def test_mahalanobis_dual_by_ellipse_sampling(self):
         # ||z||_* = max <z, x> over ||x||_Q <= 1, checked on a fine sweep

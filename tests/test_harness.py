@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from obd.algorithms import DualConfig, DualOBD, Greedy, PrimalConfig, PrimalOBD
+from obd.algorithms import (
+    DualConfig, DualOBD, Greedy, PrimalConfig, PrimalOBD, choose_beta,
+)
 from obd.costs import InstanceSpec, generate_instance, make_norm_tracking
 from obd.geometry import FeasibleSet, Norm, entropy_map, euclidean_map
 from obd.harness import (
@@ -186,6 +188,16 @@ class TestResultTable:
         a = experiment_cr_vs_dim("norm_tracking", (2,), 2, seed=71, T=10)
         b = experiment_cr_vs_dim("norm_tracking", (2,), 2, seed=71, T=10)
         assert a.to_csv_text() == b.to_csv_text()
+
+    def test_cr_vs_dim_bound_only_at_its_beta(self):
+        # 3 + 8/alpha is proven for beta = choose_beta(alpha).beta alone
+        off = experiment_cr_vs_dim("norm_tracking", (2,), 1, seed=71, beta=0.5, T=10)
+        assert [(r["bound"], r["audit_worst_residual"]) for r in off.rows] == [("", "")]
+        on = experiment_cr_vs_dim("norm_tracking", (2,), 1, seed=71,
+                                  beta=choose_beta(1.0).beta, T=10)
+        row = on.rows[0]
+        assert row["bound"] == pytest.approx(11.0)
+        assert row["audit_worst_residual"] == pytest.approx(row["cr"] - 11.0)
 
     def test_derive_seed_stable(self):
         assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)

@@ -3,13 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from obd.costs import make_composite, make_norm_tracking, make_quadratic
+import obd.projection
+from obd.costs import (
+    InstanceSpec, generate_instance, make_composite, make_norm_tracking,
+    make_quadratic,
+)
 from obd.geometry import (
     FeasibleSet, Norm, bregman_divergence, entropy_map, euclidean_map,
     mahalanobis_map,
 )
 from obd.projection import (
-    InfeasibleLevel, project_set, project_sublevel, solve_regularized,
+    InfeasibleLevel, NonConvergence, project_set, project_sublevel,
+    solve_regularized,
 )
 
 EMAP = euclidean_map()
@@ -66,6 +71,16 @@ class TestSolveRegularized:
             assert np.linalg.norm(stat) <= 1e-9
         x = solve_regularized(EMAP, f, 10.0, x_prev, FeasibleSet.whole_space(2))
         np.testing.assert_allclose(x, v, atol=1e-12)
+
+    def test_composite_prox_gradient_reaches_tolerance(self):
+        # an l2 tracking norm plus a quadratic: the proximal-gradient loop
+        # must stop on its residual target, not run out its budget
+        inst = generate_instance(InstanceSpec(d=2, T=10, family="composite", seed=0))
+        x, it, residual = obd.projection._solve_regularized_full(
+            EMAP, inst.costs[0], 0.234, inst.x0, FeasibleSet.whole_space(2),
+            tol=1e-10, max_iter=10000)
+        assert it < 10000
+        assert residual <= 1e-10 * (1.0 + np.linalg.norm(x))
 
     def test_respects_feasible_set(self):
         f = make_quadratic(np.eye(2), np.array([2.0, 2.0]))
@@ -173,6 +188,13 @@ class TestProjectSublevel:
         with pytest.raises(InfeasibleLevel):
             project_sublevel(EMAP, f, -0.5, [3.0])
 
+    def test_unreachable_level_raises(self):
+        # the box keeps f at 32 or more, whatever the multiplier
+        f = make_quadratic(np.eye(2), [5.0, 5.0])
+        box = FeasibleSet.box([-1.0, -1.0], [1.0, 1.0])
+        with pytest.raises(NonConvergence):
+            project_sublevel(EMAP, f, 1.0, np.zeros(2), box)
+
     def test_indicator_rejected(self):
         from obd.costs import adversary_step
         f = adversary_step(np.zeros(2), 1)
@@ -266,3 +288,45 @@ class TestProjectSublevel:
         mult = x_prev * np.exp(-res.eta * f.grad(res.x))
         mult /= mult.sum()
         np.testing.assert_allclose(res.x, mult, atol=1e-6)
+
+
+def _count_solves(monkeypatch):
+    etas = []
+    solve = obd.projection._solve_regularized_full
+
+    def counting_solve(*args, **kwargs):
+        etas.append(args[2])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(obd.projection, "_solve_regularized_full", counting_solve)
+    return etas
+
+
+class TestMultiplierRoot:
+    """project_sublevel is one multiplier root: every solve is counted in
+    ``iterations``, with no bisection around it."""
+
+    def test_quadratic(self, monkeypatch):
+        etas = _count_solves(monkeypatch)
+        rng = np.random.default_rng(28)
+        for _ in range(10):
+            A = rng.standard_normal((4, 4)) + 2.0 * np.eye(4)
+            f = make_quadratic(A, rng.standard_normal(4))
+            x_prev = f.minimizer + 2.0 * rng.standard_normal(4)
+            l = f.min_value + 0.3 * (f(x_prev) - f.min_value)
+            etas.clear()
+            res = project_sublevel(EMAP, f, l, x_prev)
+            assert res.converged
+            assert res.iterations == len(etas) <= 100
+
+    def test_entropy_simplex(self, monkeypatch):
+        etas = _count_solves(monkeypatch)
+        d = 4
+        A = np.eye(d) + 0.2 * np.random.default_rng(29).standard_normal((d, d))
+        f = make_quadratic(A, A @ np.array([0.4, 0.3, 0.2, 0.1]))
+        x_prev = np.array([0.1, 0.2, 0.3, 0.4])
+        l = f.min_value + 0.4 * (f(x_prev) - f.min_value)
+        res = project_sublevel(entropy_map(0.01), f, l, x_prev,
+                               FeasibleSet.simplex(d, 0.01))
+        assert res.converged
+        assert res.iterations == len(etas) <= 100
