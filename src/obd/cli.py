@@ -1,9 +1,11 @@
 """Command-line entry point: parse config, dispatch experiments, emit data files.
 
 Exit codes: 0 success with all audited bounds holding, 2 when an audited
-bound is violated beyond slack, 1 on usage or I/O errors.  Every output file
-is written atomically (temp file plus rename).  Diagnostics go to stderr,
-gated by the OBD_LOG environment variable (off | info | debug).
+bound is violated beyond slack, 3 when a comparator could not be verified
+(its solve raised or did not converge; the trajectory JSON lists it under
+``totals.unverified``), 1 on usage or I/O errors; 2 wins over 3.  Every
+output file is written atomically (temp file plus rename).  Diagnostics go
+to stderr, gated by the OBD_LOG environment variable (off | info | debug).
 """
 
 from __future__ import annotations
@@ -205,6 +207,11 @@ def _write_report_dict(cfg: Config, payload_dict: dict) -> None:
     atomic_write_text(os.path.join(cfg.out, f"run_{digest}.json"), payload)
 
 
+def _exit_status(violated: bool, unverified: Sequence[Sequence[str]]) -> int:
+    """2 for a violated bound, else 3 when a run has an unverified comparator."""
+    return 2 if violated else 3 if any(unverified) else 0
+
+
 def _cr_vs_dim(cfg: Config) -> int:
     beta = cfg.beta if cfg.beta is not None else 0.5
     table, reports = experiment_cr_vs_dim(
@@ -217,11 +224,12 @@ def _cr_vs_dim(cfg: Config) -> int:
     stats = []
     for d in sorted(set(int(r["d"]) for r in table.rows)):
         crs = [float(r["cr"]) for r in table.rows if int(r["d"]) == d and r["cr"] != ""]
-        stats.append((d, float(np.mean(crs)), min(crs), max(crs)))
+        if crs:
+            stats.append((d, float(np.mean(crs)), min(crs), max(crs)))
     _write_dat(cfg, "cr_vs_dim", "d mean_cr min_cr max_cr", stats)
     worst = max((float(r["audit_worst_residual"]) for r in table.rows
                  if r["audit_worst_residual"] != ""), default=-math.inf)
-    return 2 if worst > 1e-3 else 0
+    return _exit_status(worst > 1e-3, [rep["totals"]["unverified"] for rep in reports])
 
 
 def _lower_bound(cfg: Config) -> int:
@@ -248,7 +256,7 @@ def _regret_sweep(cfg: Config) -> int:
     violated = any(
         float(r["regret_L"]) > float(r["bound"])
         + 1e-4 * max(1.0, float(r["bound"])) for r in table.rows)
-    return 2 if violated else 0
+    return _exit_status(violated, [rep["totals"]["unverified"] for rep in reports])
 
 
 def _audit_suite(cfg: Config) -> int:
@@ -258,8 +266,10 @@ def _audit_suite(cfg: Config) -> int:
     table = ResultTable()
     dat = []
     failures = 0
+    unverified = []
     for i, spec in enumerate(specs):
         report, audits = run_theorem1_case(spec)
+        unverified.append(report.unverified())
         worst = max(a.worst_residual for a in audits)
         ok = all(a.passed for a in audits)
         failures += 0 if ok else 1
@@ -273,7 +283,7 @@ def _audit_suite(cfg: Config) -> int:
                  i, report.cr, bound, worst)
     _write_table(cfg, table)
     _write_dat(cfg, "audit_suite", "case cr bound worst_residual", dat)
-    return 2 if failures else 0
+    return _exit_status(failures > 0, unverified)
 
 
 def _build_algorithm(cfg: Config, instance):
@@ -327,7 +337,7 @@ def _single_run(cfg: Config) -> int:
     _write_table(cfg, table)
     _write_dat(cfg, "single_run", "t hit move",
                [(s.t, s.hit, s.move) for s in report.steps])
-    return 0
+    return _exit_status(False, [report.unverified()])
 
 
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:

@@ -44,19 +44,6 @@ class CostFunction:
     def dim(self) -> int:
         return self.minimizer.shape[0]
 
-    def smoothed_value_grad(self, x: np.ndarray, eps: float):
-        """(value, gradient) of an eps-smoothed surrogate; exact when smooth.
-
-        Used by the offline solvers, which replace every nonsmooth term u ->
-        sqrt(u^2 + eps^2) - eps before running accelerated projected gradient.
-        """
-        return self(x), self.grad(x)
-
-
-def _smoothed_l2(u: np.ndarray, eps: float):
-    r = math.sqrt(float(u @ u) + eps * eps)
-    return r - eps, u / r
-
 
 class QuadraticCost(CostFunction):
     """f(x) = ||A x - y||_2^2 with full-rank A; minimizer solves A v = y."""
@@ -155,29 +142,6 @@ class NormTrackingCost(CostFunction):
             return np.zeros_like(u)
         return self.scale * (self.norm_a.Q @ u) / n
 
-    def smoothed_value_grad(self, x, eps):
-        u = x - self.minimizer
-        kind = self.norm_a.kind
-        if kind == L2:
-            val, g = _smoothed_l2(u, eps)
-            return self.scale * val, self.scale * g
-        if kind == L1:
-            r = np.sqrt(u * u + eps * eps)
-            return self.scale * float(np.sum(r - eps)), self.scale * (u / r)
-        if kind == LINF:
-            # smooth max via logsumexp over +/- coordinates, exact at u = 0
-            z = np.concatenate([u, -u]) / eps
-            zmax = float(z.max())
-            ez = np.exp(z - zmax)
-            s = float(ez.sum())
-            val = eps * (zmax + math.log(s) - math.log(2 * u.size))
-            p = ez / s
-            g = p[:u.size] - p[u.size:]
-            return self.scale * max(val, 0.0), self.scale * g
-        Qu = self.norm_a.Q @ u
-        r = math.sqrt(float(u @ Qu) + eps * eps)
-        return self.scale * (r - eps), self.scale * (Qu / r)
-
 
 class CompositeCost(CostFunction):
     """g + h with shared minimizer; inherits g's growth modulus.
@@ -205,11 +169,6 @@ class CompositeCost(CostFunction):
 
     def grad(self, x):
         return self.g.grad(x) + self.h.grad(x)
-
-    def smoothed_value_grad(self, x, eps):
-        vg, gg = self.g.smoothed_value_grad(x, eps)
-        vh, gh = self.h.smoothed_value_grad(x, eps)
-        return vg + vh, gg + gh
 
 
 class IndicatorCost(CostFunction):

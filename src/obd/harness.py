@@ -62,6 +62,12 @@ class RunReport:
     instance: Optional[Instance] = None
     revealed_costs: Optional[list] = None
 
+    def unverified(self) -> list[str]:
+        """Labels of the comparators that raised or did not converge."""
+        return sorted(set(self.comparator_errors) | {
+            label for label, sol in self.comparators.items()
+            if sol is not None and not sol.converged})
+
     def worst_audit_residual(self) -> Optional[float]:
         if not self.audits:
             return None
@@ -81,6 +87,7 @@ class RunReport:
                 "static_regret": self.static_regret,
                 "comparators": {k: (v.objective if v is not None else None)
                                 for k, v in self.comparators.items()},
+                "unverified": self.unverified(),
             },
         }
 
@@ -127,8 +134,11 @@ def run(algorithm: OnlineAlgorithm, instance: Instance,
     adds a movement-budgeted comparator keyed "opt_L:<L>".  ``precomputed``
     injects already-solved comparators (valid only for non-adaptive
     instances, whose cost sequence does not depend on the algorithm).
-    Comparator solve failures leave the corresponding entry unavailable
-    instead of aborting the run.
+    A comparator whose solve raises is logged, stored as None with its error
+    in ``comparator_errors``, and leaves cr or its regret empty instead of
+    aborting the run.  Both it and a comparator that returned
+    ``converged=False`` are listed by ``RunReport.unverified()``, which the
+    CLI turns into exit code 3.
     """
     algorithm.start(instance)
     steps: list[StepRecord] = []
@@ -156,7 +166,7 @@ def run(algorithm: OnlineAlgorithm, instance: Instance,
             return
         try:
             comp[label] = fn()
-        except Exception as exc:  # pragma: no cover - defensive
+        except Exception as exc:
             log.warning("comparator %s failed: %s", label, exc)
             comp[label] = None
             errors[label] = str(exc)

@@ -1,37 +1,45 @@
 """Offline comparators: dynamic optimum, movement-budgeted optimum, static play,
 and a discretized dynamic-programming oracle for cross-validation.
 
-The joint problem min_X sum_t f_t(x_t) + w*||x_t - x_{t-1}|| is solved by
-smoothing every nonsmooth term u -> sqrt(u^2 + eps^2) - eps and running
-accelerated projected gradient (FISTA with backtracking and restarts),
-finished by damped Newton steps where the Hessian is available, over a
-decreasing schedule eps in {1e-2, 1e-4, 1e-6}.  The reported costs are the
-exact, unsmoothed ones of the last stage's trajectory.  The movement-budgeted
-variant bisects the multiplier lambda in the penalized weight w = 1 + lambda,
-using that total movement is non-increasing in lambda.
+All three comparators are one damped-Newton path-following solve
+(``_solve``) of min_X sum_t f_t(x_t) + ||x_t - x_{t-1}|| over the feasible
+set.  Nonsmooth norms are smoothed (Nesterov, Smooth minimization of
+non-smooth functions, 2005) and the set enters as a log barrier (Boyd &
+Vandenberghe, Convex Optimization, 11.2); stages lower the smoothing and the
+barrier weight together.  The Hessian is block tridiagonal in the rounds, so
+each Newton step is one banded Cholesky factorization.  ``static_opt`` ties
+every round to one point; ``offline_opt_constrained`` adds a barrier row on
+an upper bound of the movement, so the exact movement never exceeds L.  The
+reported costs are the exact, unsmoothed ones.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .costs import CompositeCost, CostFunction, NormTrackingCost, QuadraticCost
 from .geometry import (
     BALL, BOX, L1, L2, LINF, MAHALANOBIS, WHOLE,
     FeasibleSet, Norm,
 )
-from .projection import _project_rows
 
-EPS_SCHEDULE = (1e-2, 1e-4, 1e-6)
+log = logging.getLogger("obd")
 
 
 @dataclass
 class OfflineSolution:
-    """A comparator trajectory with its exact (unsmoothed) accounting."""
+    """A comparator trajectory with its exact (unsmoothed) accounting.
+
+    ``iterations`` counts Newton steps; ``converged`` says whether the last
+    stage met its Newton-decrement test (and a binding budget its window).
+    """
 
     trajectory: np.ndarray  # (T, d)
     total_hit: float
@@ -41,37 +49,45 @@ class OfflineSolution:
     converged: bool = True
     note: str = ""
     uncertainty: float = 0.0
-
-    @property
-    def T(self) -> int:
-        return self.trajectory.shape[0]
+    iterations: int = 0
 
 
 # ---------------------------------------------------------------------------
-# Vectorized objective machinery
+# Smoothed objective, barriers and the Newton solve
 # ---------------------------------------------------------------------------
 
-def _switch_value_grad(diffs: np.ndarray, norm: Norm, eps: float):
-    """Smoothed switching terms for each row of ``diffs``: (values, gradients)."""
-    if norm.kind == L2:
-        r = np.sqrt((diffs * diffs).sum(axis=1) + eps * eps)
-        return r - eps, diffs / r[:, None]
+def _smoothed_norm(U: np.ndarray, norm: Norm, eps: float):
+    """Row-wise (values, gradients, Hessians) of the eps-smoothed ``norm``.
+
+    sqrt(||u||^2 + eps^2) - eps for l2 and Mahalanobis, the same per
+    coordinate for l1, and eps * log-sum-exp of +-u/eps, shifted to vanish
+    at 0, for linf.  Each lies below the norm by at most eps (l2 and
+    Mahalanobis), d * eps (l1) or log(2d) * eps (linf).
+    """
+    m, d = U.shape
+    diag = np.arange(d)
     if norm.kind == L1:
-        r = np.sqrt(diffs * diffs + eps * eps)
-        return (r - eps).sum(axis=1), diffs / r
+        r = np.sqrt(U * U + eps * eps)
+        H = np.zeros((m, d, d))
+        H[:, diag, diag] = eps * eps / r ** 3
+        return (r - eps).sum(axis=1), U / r, H
     if norm.kind == LINF:
-        z = np.concatenate([diffs, -diffs], axis=1) / eps
-        zmax = z.max(axis=1, keepdims=True)
-        ez = np.exp(z - zmax)
-        s = ez.sum(axis=1, keepdims=True)
-        d = diffs.shape[1]
+        Z = np.concatenate([U, -U], axis=1) / eps
+        zmax = Z.max(axis=1, keepdims=True)
+        E = np.exp(Z - zmax)
+        s = E.sum(axis=1, keepdims=True)
+        P = E / s
+        G = P[:, :d] - P[:, d:]
+        H = -G[:, :, None] * G[:, None, :]
+        H[:, diag, diag] += P[:, :d] + P[:, d:]
         vals = eps * (zmax[:, 0] + np.log(s[:, 0]) - math.log(2 * d))
-        p = ez / s
-        return np.maximum(vals, 0.0), p[:, :d] - p[:, d:]
-    Q = norm.Q
-    qd = diffs @ Q
-    r = np.sqrt((qd * diffs).sum(axis=1) + eps * eps)
-    return r - eps, qd / r[:, None]
+        return vals, G, H / eps
+    Q = np.eye(d) if norm.kind == L2 else norm.Q
+    QU = U if norm.kind == L2 else U @ Q
+    r = np.sqrt((QU * U).sum(axis=1) + eps * eps)
+    G = QU / r[:, None]
+    H = (Q[None] - G[:, :, None] * G[:, None, :]) / r[:, None, None]
+    return r - eps, G, H
 
 
 def _switch_values_exact(diffs: np.ndarray, norm: Norm) -> np.ndarray:
@@ -85,319 +101,269 @@ def _switch_values_exact(diffs: np.ndarray, norm: Norm) -> np.ndarray:
     return np.sqrt(np.maximum(np.sum(qd * diffs, axis=1), 0.0))
 
 
-def _batch_hit_evaluator(costs: Sequence[CostFunction]) -> Callable:
-    """Build value-and-gradient over the whole trajectory, vectorizing across
-    rounds when the instance is homogeneous (all-quadratic or all-tracking)."""
+def _hit_terms(costs: Sequence[CostFunction]):
+    """(X, eps) -> (total value, row gradients, row Hessians) of the smoothed
+    hitting costs, vectorized over the rounds of one cost family."""
     if all(isinstance(f, QuadraticCost) for f in costs):
         A = np.stack([f.A for f in costs])
         Y = np.stack([f.y for f in costs])
+        H = 2.0 * np.stack([f.AtA for f in costs])
 
         def quad(X: np.ndarray, eps: float):
             res = np.einsum("tij,tj->ti", A, X) - Y
-            vals = (res * res).sum()
-            grads = 2.0 * np.einsum("tji,tj->ti", A, res)
-            return float(vals), grads
+            return float((res * res).sum()), 2.0 * np.einsum("tji,tj->ti", A, res), H
 
         return quad
-    if all(isinstance(f, NormTrackingCost) and f.norm_a.kind == L2 for f in costs):
+    if all(isinstance(f, NormTrackingCost) for f in costs):
+        norm = costs[0].norm_a
+        if any(f.norm_a.kind != norm.kind or not np.array_equal(f.norm_a.Q, norm.Q)
+               for f in costs):
+            raise ValueError("offline solvers need one tracking norm for all rounds")
         V = np.stack([f.minimizer for f in costs])
         s = np.array([f.scale for f in costs])
 
         def track(X: np.ndarray, eps: float):
-            u = X - V
-            r = np.sqrt((u * u).sum(axis=1) + eps * eps)
-            return float((s * (r - eps)).sum()), (s / r)[:, None] * u
+            vals, G, H = _smoothed_norm(X - V, norm, eps)
+            return float(s @ vals), s[:, None] * G, s[:, None, None] * H
 
         return track
     if all(isinstance(f, CompositeCost) for f in costs):
-        left = _batch_hit_evaluator([f.g for f in costs])
-        right = _batch_hit_evaluator([f.h for f in costs])
+        g, h = _hit_terms([f.g for f in costs]), _hit_terms([f.h for f in costs])
+        return lambda X, eps: tuple(a + b for a, b in zip(g(X, eps), h(X, eps)))
+    raise ValueError("offline solvers need quadratic, norm-tracking or composite "
+                     "costs, one family for all rounds")
 
-        def comp(X: np.ndarray, eps: float):
-            v1, g1 = left(X, eps)
-            v2, g2 = right(X, eps)
-            return v1 + v2, g1 + g2
 
-        return comp
+def _set_barrier(feasible: FeasibleSet):
+    """X -> (value, row gradients, row Hessians) of the set's log barrier,
+    with value inf outside its interior; None for the whole space."""
+    p = feasible.params
+    if feasible.kind == WHOLE:
+        return None
+    if feasible.kind == BOX:
+        lo, hi = p["lo"], p["hi"]
 
-    def generic(X: np.ndarray, eps: float):
-        total = 0.0
-        grads = np.empty_like(X)
-        for t, f in enumerate(costs):
-            v, g = f.smoothed_value_grad(X[t], eps)
-            total += v
-            grads[t] = g
-        return total, grads
+        def box(X: np.ndarray):
+            a, b = X - lo, hi - X
+            if a.min() <= 0.0 or b.min() <= 0.0:
+                return math.inf, None, None
+            d = X.shape[1]
+            H = np.zeros((X.shape[0], d, d))
+            H[:, np.arange(d), np.arange(d)] = 1.0 / (a * a) + 1.0 / (b * b)
+            return -float(np.log(a).sum() + np.log(b).sum()), 1.0 / b - 1.0 / a, H
 
-    return generic
+        return box
+    if feasible.kind == BALL and p["norm"].kind in (L2, MAHALANOBIS):
+        c, r2 = p["center"], p["radius"] ** 2
+        Q = np.eye(c.shape[0]) if p["norm"].kind == L2 else p["norm"].Q
+
+        def ball(X: np.ndarray):
+            U = X - c
+            QU = U @ Q
+            s = r2 - (QU * U).sum(axis=1)
+            if s.min() <= 0.0:
+                return math.inf, None, None
+            G = 2.0 * QU / s[:, None]
+            H = 2.0 * Q[None] / s[:, None, None] + G[:, :, None] * G[:, None, :]
+            return -float(np.log(s).sum()), G, H
+
+        return ball
+    kind = f"{p['norm'].kind} ball" if feasible.kind == BALL else feasible.kind
+    raise ValueError(f"offline solvers support boxes and l2 or Mahalanobis balls, not a {kind}")
 
 
 class _TrajectoryProblem:
-    def __init__(self, costs, x0, norm: Norm, feasible: FeasibleSet,
-                 move_weight: float):
+    """Smoothed, barrier-weighted objective over X (rows x d), and its Newton step.
+
+    ``tied`` is static play: one row, its hitting terms summed over the
+    rounds.  ``budget`` L adds the barrier row -mu * log(L - sum_t m_t), m_t
+    the smoothed norm of x_t - x_{t-1} plus its largest gap, an upper bound
+    on the norm; its multiplier mu / slack is ``lam``.
+    """
+
+    def __init__(self, costs: Sequence[CostFunction], x0, norm: Optional[Norm],
+                 feasible: Optional[FeasibleSet], tied: bool = False,
+                 budget: Optional[float] = None):
         self.costs = list(costs)
         self.x0 = np.asarray(x0, dtype=float)
-        self.norm = norm
-        self.feasible = feasible
-        self.w = float(move_weight)
-        self.T = len(self.costs)
-        self.d = self.x0.shape[0]
-        self.hit_eval = _batch_hit_evaluator(self.costs)
+        self.T, self.d = len(self.costs), self.x0.shape[0]
+        d = self.d
+        self.norm = norm or Norm.l2()
+        self.feasible = feasible or FeasibleSet.whole_space(d)
+        self.tied, self.budget = tied, budget
+        self.rows = 1 if tied else self.T
+        self.hit = _hit_terms(self.costs)
+        self.barrier = _set_barrier(self.feasible)
+        self.gap = self.rows * {L1: d, LINF: math.log(2 * d)}.get(self.norm.kind, 1.0)
+        # the block-tridiagonal Hessian's lower triangle in LAPACK band storage:
+        # entry (i, j), i >= j, of the matrix sits at row i - j, column j
+        self.bw = min(2 * d - 1, self.rows * d - 1)
+        a, b = self._lower = np.tril_indices(d)
+        starts = d * np.arange(self.rows)[:, None]
+        self._diag_at = tuple(np.broadcast_arrays(a - b, starts + b))
+        a, b = (ix.ravel() for ix in np.indices((d, d)))
+        self._off_at = tuple(np.broadcast_arrays(d + a - b, starts[:-1] + b))
 
     def diffs(self, X: np.ndarray) -> np.ndarray:
-        D = np.empty_like(X)
-        D[0] = X[0] - self.x0
-        np.subtract(X[1:], X[:-1], out=D[1:])
-        return D
+        return np.diff(X, axis=0, prepend=self.x0[None])
 
-    def smoothed_value_grad(self, X: np.ndarray, eps: float):
-        hit, grad = self.hit_eval(X, eps)
-        svals, sgrads = _switch_value_grad(self.diffs(X), self.norm, eps)
-        grad = grad + self.w * sgrads
-        grad[:-1] -= self.w * sgrads[1:]
-        return hit + self.w * float(svals.sum()), grad
+    def movement(self, X: np.ndarray) -> float:
+        return float(_switch_values_exact(self.diffs(X), self.norm).sum())
 
     def exact_parts(self, X: np.ndarray):
-        hit = sum(f(X[t]) for t, f in enumerate(self.costs))
-        move = float(_switch_values_exact(self.diffs(X), self.norm).sum())
-        return float(hit), move
+        rows = np.broadcast_to(X, (self.T, self.d))
+        return float(sum(f(rows[t]) for t, f in enumerate(self.costs))), self.movement(X)
 
-    def exact_value(self, X: np.ndarray) -> float:
-        hit, move = self.exact_parts(X)
-        return hit + self.w * move
+    def interior(self, X: np.ndarray) -> np.ndarray:
+        """X with every row pulled strictly inside the set, where the barrier is finite."""
+        p = self.feasible.params
+        if self.feasible.kind == BOX:
+            pad = 1e-3 * (p["hi"] - p["lo"])
+            return np.clip(X, p["lo"] + pad, p["hi"] - pad)
+        if self.feasible.kind == BALL:
+            U = X - p["center"]
+            n = np.maximum([p["norm"](u) for u in U], 1e-300)
+            return p["center"] + np.minimum(1.0, (1.0 - 1e-3) * p["radius"] / n)[:, None] * U
+        return X
 
-    def project(self, X: np.ndarray) -> np.ndarray:
-        if self.feasible.kind == WHOLE:
-            return X
-        return _project_rows(self.feasible, X)
+    def evaluate(self, X: np.ndarray, eps: float, mu: float):
+        """(F, gradient, diagonal blocks, off-diagonal blocks, rank-one column,
+        budget multiplier); F is inf outside the barriers' domain."""
+        F, grad, D = self.hit(np.broadcast_to(X, (self.T, self.d)), eps)
+        if self.tied:
+            grad, D = grad.sum(axis=0, keepdims=True), D.sum(axis=0, keepdims=True)
+        vals, sg, sH = _smoothed_norm(self.diffs(X), self.norm, eps)
+        F += float(vals.sum())
+        w, q, lam = 1.0, None, 0.0
+        move_grad = sg.copy()
+        move_grad[:-1] -= sg[1:]
+        if self.budget is not None:
+            slack = self.budget - float(vals.sum()) - self.gap * eps
+            if slack <= 0.0:
+                return (math.inf,) * 6
+            lam = mu / slack
+            F -= mu * math.log(slack)
+            w = 1.0 + lam
+            q = (math.sqrt(mu) / slack) * move_grad
+        grad = grad + w * move_grad
+        D = D + w * sH
+        D[:-1] += w * sH[1:]
+        if self.barrier is not None:
+            bv, bg, bH = self.barrier(X)
+            if not math.isfinite(bv):
+                return (math.inf,) * 6
+            F += mu * bv
+            grad = grad + mu * bg
+            D = D + mu * bH
+        return F, grad, D, -w * sH[1:], q, lam
+
+    def newton_step(self, F: float, grad, D, C, q) -> np.ndarray:
+        """Solve (H + ridge) step = -grad by banded Cholesky, the rank-one
+        budget term by Sherman-Morrison; raises LinAlgError if H is not
+        positive definite."""
+        band = np.zeros((self.bw + 1, self.rows * self.d))
+        band[self._diag_at] = D[:, self._lower[0], self._lower[1]]
+        band[self._off_at] = C.transpose(0, 2, 1).reshape(len(C), self.d * self.d)
+        band[0] += 1e-12 * (1.0 + abs(F)) + 1e-13 * float(np.abs(band).max())
+        # the lower form: OpenBLAS threads the upper one, which crawls on a busy host
+        factor = (cholesky_banded(band, lower=True), True)
+        step = -cho_solve_banded(factor, grad.ravel())
+        if q is not None:
+            q = q.ravel()
+            z = cho_solve_banded(factor, q)
+            step -= z * (float(q @ step) / (1.0 + float(q @ z)))
+        return step.reshape(grad.shape)
 
 
-def _fista(problem: _TrajectoryProblem, X0: np.ndarray, eps: float,
-           tol: float, max_iter: int, stall_window: int = 60):
-    """Monotone FISTA with backtracking and restart; returns (X, residual).
+def _solve(problem: _TrajectoryProblem, X: np.ndarray):
+    """Damped Newton path following from the interior point X.
 
-    Stops on the projected-gradient residual or when the objective stalls
-    (no relative progress over ``stall_window`` iterations), as it does on
-    the smoothing plateau near kinks; the Newton refine and the next, smaller
-    eps continue from there.
+    Stage k = 2, ..., 10 smooths with eps = 10^-min(k, 8) under barrier
+    weight mu = 10^-k * (1 + |F(X)|), for at most 200 Armijo-damped steps,
+    until the Newton decrement is at most 1e-13 * (1 + |F|).  The last two
+    stages only lower mu: each barrier costs about mu, and stopping at mu =
+    1e-8 * (1 + |F(X)|) left budgeted solves up to 3e-8 relative higher.  A
+    stage whose smoothing leaves X outside the budget is skipped.  Returns
+    (X, steps, whether the last stage ended on the decrement, lam).
     """
-    X = problem.project(X0.copy())
-    Z = X.copy()
-    theta = 1.0
-    fX, _ = problem.smoothed_value_grad(X, eps)
-    lip = 1.0
-    residual = math.inf
-    stall_best, stall_count = fX, 0
-    for _ in range(max_iter):
-        fZ, gZ = problem.smoothed_value_grad(Z, eps)
-        while True:
-            Xn = problem.project(Z - gZ / lip)
-            diff = Xn - Z
-            sq = float((diff * diff).sum())
-            fXn, _ = problem.smoothed_value_grad(Xn, eps)
-            if fXn <= fZ + float((gZ * diff).sum()) + 0.5 * lip * sq \
-                    + 1e-12 * (1.0 + abs(fZ)):
-                break
-            lip *= 2.0
-            if lip > 1e18:
-                raise RuntimeError("offline line search failed")
-        residual = lip * math.sqrt(sq)
-        if fXn > fX:  # restart momentum on objective increase
-            Z, theta = X.copy(), 1.0
-            lip = max(lip * 0.5, 1e-10)
+    scale = 1.0 + abs(sum(problem.exact_parts(X)))
+    steps, done, lam = 0, False, 0.0
+    for k in range(2, 11):
+        eps, mu = 10.0 ** -min(k, 8), 10.0 ** -k * scale
+        F, grad, D, C, q, lam = problem.evaluate(X, eps, mu)
+        done = False
+        if not math.isfinite(F):
             continue
-        theta_n = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
-        Z = Xn + ((theta - 1.0) / theta_n) * (Xn - X)
-        X, fX, theta = Xn, fXn, theta_n
-        if residual <= tol * (1.0 + abs(fX)):
-            break
-        if fX < stall_best - 1e-13 * (1.0 + abs(stall_best)):
-            stall_best, stall_count = fX, 0
-        else:
-            stall_count += 1
-            if stall_count >= stall_window:
+        for _ in range(200):
+            try:
+                step = problem.newton_step(F, grad, D, C, q)
+            except LinAlgError:
                 break
-        lip = max(lip * 0.9, 1e-10)
-    return X, residual
-
-
-def _rows_inside(feasible: FeasibleSet, X: np.ndarray, tol: float = 1e-9) -> bool:
-    """Whether every row of X lies in the set; vectorized for boxes and l2 balls."""
-    p = feasible.params
-    if feasible.kind == WHOLE:
-        return True
-    if feasible.kind == BOX:
-        return bool(np.all(X >= p["lo"] - tol) and np.all(X <= p["hi"] + tol))
-    if feasible.kind == BALL and p["norm"].kind == L2:
-        return bool(np.all(np.linalg.norm(X - p["center"], axis=1) <= p["radius"] + tol))
-    return all(feasible.contains(row, tol=tol) for row in X)
-
-
-def _switch_hessian(u: np.ndarray, norm: Norm, eps: float) -> Optional[np.ndarray]:
-    d = u.shape[0]
-    if norm.kind == L2:
-        r = math.sqrt(float(u @ u) + eps * eps)
-        return np.eye(d) / r - np.outer(u, u) / r ** 3
-    if norm.kind == L1:
-        return np.diag(eps * eps / np.power(u * u + eps * eps, 1.5))
-    if norm.kind == MAHALANOBIS:
-        Q = norm.Q
-        qu = Q @ u
-        r = math.sqrt(float(u @ qu) + eps * eps)
-        return Q / r - np.outer(qu, qu) / r ** 3
-    return None
-
-
-def _hit_hessian(f: CostFunction, x: np.ndarray, eps: float) -> Optional[np.ndarray]:
-    if isinstance(f, QuadraticCost):
-        return 2.0 * f.AtA
-    if isinstance(f, NormTrackingCost):
-        h = _switch_hessian(x - f.minimizer, f.norm_a, eps)
-        return None if h is None else f.scale * h
-    if isinstance(f, CompositeCost):
-        hg = _hit_hessian(f.g, x, eps)
-        hh = _hit_hessian(f.h, x, eps)
-        if hg is None or hh is None:
-            return None
-        return hg + hh
-    return None
-
-
-def _newton_supported(problem: _TrajectoryProblem) -> bool:
-    if problem.norm.kind == LINF:
-        return False
-    probe = problem.x0
-    return all(_hit_hessian(f, probe, 1.0) is not None for f in problem.costs)
-
-
-def _newton_refine(problem: _TrajectoryProblem, X: np.ndarray, eps: float,
-                   target: float, max_steps: int = 30) -> tuple[np.ndarray, float]:
-    """Finish a smoothing stage with damped Newton steps (block tridiagonal
-    Hessian); the 1/eps curvature of the smoothed switching terms makes pure
-    first-order convergence impractically slow at the final stage."""
-    from scipy.linalg import solve_banded
-
-    T, d = X.shape
-    n = T * d
-    bw = 2 * d - 1  # block-tridiagonal bandwidth
-    A_idx, B_idx = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-
-    F, g = problem.smoothed_value_grad(X, eps)
-    residual = float(np.linalg.norm(g))
-    eye = np.eye(d)
-    for _ in range(max_steps):
-        if residual <= target:
-            break
-        diffs = problem.diffs(X)
-        ridge = 1e-10 * (1.0 + abs(F))
-        ab = np.zeros((2 * bw + 1, n))
-        for t in range(T):
-            block = _hit_hessian(problem.costs[t], X[t], eps) + ridge * eye
-            S = problem.w * _switch_hessian(diffs[t], problem.norm, eps)
-            block = block + S
-            if t + 1 < T:
-                dn = diffs[t + 1]
-                Sn = problem.w * _switch_hessian(dn, problem.norm, eps)
-                block = block + Sn
-                # coupling blocks between rounds t and t+1
-                ab[bw + A_idx - B_idx - d, (t + 1) * d + B_idx] += -Sn
-                ab[bw + A_idx - B_idx + d, t * d + B_idx] += -Sn
-            ab[bw + A_idx - B_idx, t * d + B_idx] += block
-        delta = solve_banded((bw, bw), ab, -g.ravel()).reshape(T, d)
-        slope = float(np.sum(g * delta))
-        if not np.all(np.isfinite(delta)) or slope >= 0.0:
-            break
-        step, accepted = 1.0, False
-        while step > 1e-10:
-            Xn = X + step * delta
-            if _rows_inside(problem.feasible, Xn):
-                Fn, gn = problem.smoothed_value_grad(Xn, eps)
-                if Fn <= F + 1e-4 * step * slope:
-                    X, F, g = Xn, Fn, gn
-                    residual = float(np.linalg.norm(g))
-                    accepted = True
+            slope = float((grad * step).sum())
+            done = -slope <= 1e-13 * (1.0 + abs(F))
+            if done or not math.isfinite(slope):
+                break
+            t = 1.0
+            while t > 1e-12:
+                trial = problem.evaluate(X + t * step, eps, mu)
+                if trial[0] <= F + 1e-4 * t * slope:
                     break
-            step *= 0.5
-        if not accepted:
-            break
-    return X, residual
+                t *= 0.5
+            else:
+                break
+            X = X + t * step
+            F, grad, D, C, q, lam = trial
+            steps += 1
+    return X, steps, done, lam
 
 
-def _initial_trajectory(problem: _TrajectoryProblem) -> np.ndarray:
-    rows = []
-    for f in problem.costs:
-        v = getattr(f, "minimizer", None)
-        rows.append(problem.x0 if v is None else v)
-    return np.stack(rows)
-
-
-def _solve_weighted(problem: _TrajectoryProblem,
-                    X0: Optional[np.ndarray] = None,
-                    eps_schedule: Sequence[float] = EPS_SCHEDULE,
-                    tol: float = 1e-6, max_iter: int = 2500):
-    X = problem.project(X0.copy() if X0 is not None else
-                        _initial_trajectory(problem))
-    residual = math.inf
-    newton = _newton_supported(problem)
-    for eps in eps_schedule:
-        # early stages only need accuracy commensurate with their smoothing
-        stage_tol = max(tol, 0.02 * eps) if eps != eps_schedule[-1] else tol
-        budget = max_iter // 5 if newton else max_iter
-        X, residual = _fista(problem, X, eps, stage_tol, budget)
-        if newton:
-            obj, _ = problem.smoothed_value_grad(X, eps)
-            X, residual = _newton_refine(problem, X, eps,
-                                         0.3 * stage_tol * (1.0 + abs(obj)))
-    return X, residual
-
-
-def _first_order_ok(residual: float, objective: float) -> bool:
-    return residual <= 1e-5 * (1.0 + abs(objective))
+def _solution(label: str, problem: _TrajectoryProblem, X: np.ndarray, steps: int,
+              converged: bool, started: float, **fields) -> OfflineSolution:
+    """The exact accounting of X, logged at debug level as one line."""
+    hit, move = problem.exact_parts(X)
+    log.debug("offline %s: T=%d d=%d steps=%d converged=%s %.3fs", label, problem.T,
+              problem.d, steps, converged, time.perf_counter() - started)
+    return OfflineSolution(trajectory=np.broadcast_to(X, (problem.T, problem.d)).copy(),
+                           total_hit=hit, total_move=move, objective=hit + move,
+                           converged=converged, iterations=steps, **fields)
 
 
 def offline_opt(costs: Sequence[CostFunction], x0, feasible: Optional[FeasibleSet] = None,
-                norm: Optional[Norm] = None, tol: float = 1e-6,
-                max_iter: int = 2500) -> OfflineSolution:
+                norm: Optional[Norm] = None) -> OfflineSolution:
     """Dynamic offline optimum of sum_t f_t(x_t) + ||x_t - x_{t-1}||."""
-    x0 = np.asarray(x0, dtype=float)
-    norm = norm or Norm.l2()
-    feasible = feasible or FeasibleSet.whole_space(x0.shape[0])
-    problem = _TrajectoryProblem(costs, x0, norm, feasible, 1.0)
-    X, residual = _solve_weighted(problem, tol=tol, max_iter=max_iter)
-    hit, move = problem.exact_parts(X)
-    converged = _first_order_ok(residual, hit + move)
-    notes = [] if converged else ["first-order residual above tolerance"]
+    started = time.perf_counter()
+    problem = _TrajectoryProblem(costs, x0, norm, feasible)
+    minimizers = np.stack([f.minimizer for f in costs])
+    X, steps, converged, _ = _solve(problem, problem.interior(minimizers))
+    notes = []
     # Where staying put or jumping to every minimizer is optimal, the solve
     # can land slightly above it; never report more than these trajectories.
-    for name, Y in (("stay at x0", np.tile(x0, (len(costs), 1))),
-                    ("jump to minimizers", np.stack([f.minimizer for f in costs]))):
-        if _rows_inside(feasible, Y, tol=0.0):
-            hit_y, move_y = problem.exact_parts(Y)
-            if hit_y + move_y < hit + move:
-                X, hit, move = Y, hit_y, move_y
-                notes.append(f"{name} trajectory beat the solve")
-    return OfflineSolution(trajectory=X, total_hit=hit, total_move=move,
-                           objective=hit + move, lam=0.0, converged=converged,
-                           note="; ".join(notes))
+    for name, Y in (("stay at x0", np.tile(problem.x0, (problem.T, 1))),
+                    ("jump to minimizers", minimizers)):
+        if all(problem.feasible.contains(y, tol=0.0) for y in Y) \
+                and sum(problem.exact_parts(Y)) < sum(problem.exact_parts(X)):
+            X = Y
+            notes.append(f"{name} trajectory beat the solve")
+    return _solution("opt", problem, X, steps, converged, started, note="; ".join(notes))
 
 
 def offline_opt_constrained(costs: Sequence[CostFunction], x0, L: float,
                             feasible: Optional[FeasibleSet] = None,
-                            norm: Optional[Norm] = None, tol: float = 1e-6,
-                            max_iter: int = 2500, window: float = 1e-4,
+                            norm: Optional[Norm] = None,
                             base: Optional[OfflineSolution] = None) -> OfflineSolution:
     """Offline optimum under total movement budget L.
 
-    Movement of the penalized problem min sum f + (1+lambda) sum ||dx|| is
-    non-increasing in lambda, so lambda is bisected until the movement lands
-    in [L*(1-window), L]; lambda = 0 when the budget does not bind.  A
-    precomputed unconstrained solution may be supplied as ``base``.
+    ``base`` is the unconstrained optimum (solved here when not given); it is
+    returned when its movement fits the budget.  Otherwise one budgeted solve
+    starts from base shrunk toward x0 to half the budget.  Where the costs
+    are flat along a face, the barrier can stop well inside the budget; the
+    objective is convex on the segment to base and least at base, so moving
+    along that segment until the movement meets L never raises it.
     """
     if L < 0.0:
         raise ValueError("movement budget L must be >= 0")
+    started = time.perf_counter()
     x0 = np.asarray(x0, dtype=float)
-    norm = norm or Norm.l2()
-    feasible = feasible or FeasibleSet.whole_space(x0.shape[0])
     if L <= 1e-12:
         X = np.tile(x0, (len(costs), 1))
         hit = float(sum(f(X[t]) for t, f in enumerate(costs)))
@@ -405,116 +371,37 @@ def offline_opt_constrained(costs: Sequence[CostFunction], x0, L: float,
                                objective=hit, lam=math.inf,
                                note="zero movement budget: pinned at the start")
     if base is None:
-        base = offline_opt(costs, x0, feasible, norm, tol=tol, max_iter=max_iter)
+        base = offline_opt(costs, x0, feasible, norm)
     if base.total_move <= L * (1.0 + 1e-9) + 1e-12:
         return base
-
-    def solve(lam: float, warm):
-        problem = _TrajectoryProblem(costs, x0, norm, feasible, 1.0 + lam)
-        # warm-started re-solves skip the coarsest smoothing stage
-        X, _ = _solve_weighted(problem, X0=warm, eps_schedule=EPS_SCHEDULE[1:],
-                               tol=tol, max_iter=max_iter)
-        hit, move = problem.exact_parts(X)
-        return X, hit, move
-
-    lam_hi, warm = 1.0, base.trajectory
-    X_hi, hit_hi, move_hi = solve(lam_hi, warm)
-    doublings = 0
-    while move_hi > L:
-        lam_hi *= 2.0
-        doublings += 1
-        if doublings > 60:
-            raise RuntimeError("movement does not fall below the budget")
-        X_hi, hit_hi, move_hi = solve(lam_hi, X_hi)
-    lam_lo = lam_hi / 2.0 if doublings else 0.0
-    best = (X_hi, hit_hi, move_hi, lam_hi)  # feasible side: movement <= L
-    lo_side = (base.trajectory, base.total_hit, base.total_move)
-    converged = move_hi >= L * (1.0 - window)
-    if not converged:
-        # movement(lam) is monotone; false-position with bisection guard
-        move_lo = base.total_move if lam_lo == 0.0 else math.inf
-        for _ in range(100):
-            span = lam_hi - lam_lo
-            if math.isfinite(move_lo) and move_lo > L >= move_hi and move_lo > move_hi:
-                frac = (move_lo - L) / (move_lo - move_hi)
-                lam = lam_lo + span * min(0.95, max(0.05, frac))
+    problem = _TrajectoryProblem(costs, x0, norm, feasible, budget=L)
+    Y = problem.interior(base.trajectory)
+    start = x0 + (0.5 * L / max(problem.movement(Y), L)) * (Y - x0)
+    X, steps, converged, lam = _solve(problem, start)
+    note = ""
+    if problem.movement(X) < L * (1.0 - 1e-4):
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if problem.movement(X + mid * (base.trajectory - X)) <= L:
+                lo = mid
             else:
-                lam = lam_lo + 0.5 * span
-            X, hit, move = solve(lam, best[0])
-            if move > L:
-                lam_lo, move_lo = lam, move
-                lo_side = (X, hit, move)
-            else:
-                lam_hi, move_hi = lam, move
-                if move > best[2]:
-                    best = (X, hit, move, lam)
-            if L * (1.0 - window) <= best[2] <= L:
-                converged = True
-                break
-            if span <= 1e-11 * max(1.0, lam_hi):
-                break
-    if not converged and lo_side[2] > L:
-        # polyhedral face: movement jumps in lambda, but the optimal set at
-        # the critical multiplier is convex, so interpolate along the segment
-        # between the two sides until the movement meets the budget
-        problem1 = _TrajectoryProblem(costs, x0, norm, feasible, 1.0)
-        X_in, X_out = best[0], lo_side[0]
-        theta_lo, theta_hi = 0.0, 1.0
-        for _ in range(80):
-            theta = 0.5 * (theta_lo + theta_hi)
-            Xc = (1.0 - theta) * X_in + theta * X_out
-            _, move = problem1.exact_parts(Xc)
-            if move > L:
-                theta_hi = theta
-            else:
-                theta_lo = theta
-        Xc = (1.0 - theta_lo) * X_in + theta_lo * X_out
-        hit, move = problem1.exact_parts(Xc)
-        if move > best[2]:
-            best = (Xc, hit, move, best[3])
-        converged = L * (1.0 - window) <= best[2] <= L
-    X, hit, move, lam = best
-    return OfflineSolution(trajectory=X, total_hit=hit, total_move=move,
-                           objective=hit + move, lam=lam, converged=converged,
-                           note="" if converged else
-                           "movement window not reached (budget nearly slack)")
-
-
-class _SummedCost:
-    """Stand-in cost for the static problem: the sum of all rounds."""
-
-    def __init__(self, costs):
-        self.costs = list(costs)
-        self._batch = _batch_hit_evaluator(self.costs)
-
-    def __call__(self, x):
-        return float(sum(f(x) for f in self.costs))
-
-    def smoothed_value_grad(self, x, eps):
-        total, grads = self._batch(np.tile(x, (len(self.costs), 1)), eps)
-        return total, grads.sum(axis=0)
+                hi = mid
+        X = X + lo * (base.trajectory - X)
+        note = "moved along a flat face to the budget"
+    converged = converged and L * (1.0 - 1e-4) <= problem.movement(X) <= L
+    return _solution("opt_L", problem, X, steps, converged, started, lam=lam, note=note)
 
 
 def static_opt(costs: Sequence[CostFunction], x0,
                feasible: Optional[FeasibleSet] = None,
-               norm: Optional[Norm] = None, tol: float = 1e-6,
-               max_iter: int = 2500) -> OfflineSolution:
+               norm: Optional[Norm] = None) -> OfflineSolution:
     """Best single point: min_x ||x - x0|| + sum_t f_t(x), held for all rounds."""
-    x0 = np.asarray(x0, dtype=float)
-    norm = norm or Norm.l2()
-    feasible = feasible or FeasibleSet.whole_space(x0.shape[0])
-    summed = _SummedCost(costs)
-    problem = _TrajectoryProblem([summed], x0, norm, feasible, 1.0)
-    X0 = np.stack([np.mean([f.minimizer for f in costs], axis=0)
-                   if all(hasattr(f, "minimizer") for f in costs) else x0])
-    X, residual = _solve_weighted(problem, X0=X0, tol=tol, max_iter=max_iter)
-    x_star = X[0]
-    hit = float(sum(f(x_star) for f in costs))
-    move = norm(x_star - x0)
-    converged = _first_order_ok(residual, hit + move)
-    return OfflineSolution(trajectory=np.tile(x_star, (len(costs), 1)),
-                           total_hit=hit, total_move=move, objective=hit + move,
-                           converged=converged)
+    started = time.perf_counter()
+    problem = _TrajectoryProblem(costs, x0, norm, feasible, tied=True)
+    mean = np.mean([f.minimizer for f in costs], axis=0)[None]
+    X, steps, converged, _ = _solve(problem, problem.interior(mean))
+    return _solution("static", problem, X, steps, converged, started)
 
 
 # ---------------------------------------------------------------------------

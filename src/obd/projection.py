@@ -153,23 +153,6 @@ def _euclidean_project(constraint: FeasibleSet, x: np.ndarray) -> np.ndarray:
     return _ellipsoid_project(x, c, norm.Q, r)
 
 
-def _project_rows(constraint: FeasibleSet, X: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row of X; vectorized for box and l2 ball."""
-    if constraint.kind == WHOLE:
-        return X
-    p = constraint.params
-    if constraint.kind == BOX:
-        return np.clip(X, p["lo"], p["hi"])
-    if constraint.kind == BALL and p["norm"].kind == L2:
-        u = X - p["center"]
-        n = np.sqrt((u * u).sum(axis=1))
-        scale = np.ones_like(n)
-        outside = n > p["radius"]
-        scale[outside] = p["radius"] / n[outside]
-        return p["center"] + scale[:, None] * u
-    return np.stack([_euclidean_project(constraint, row) for row in X])
-
-
 def _entropy_simplex_project(x: np.ndarray, delta: float) -> np.ndarray:
     """KL projection onto {sum = 1, x_i >= delta}: x -> max(delta, c*x)."""
     d = x.size

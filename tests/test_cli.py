@@ -89,6 +89,49 @@ class TestCrVsDim:
         assert (out / "results.csv").exists()
 
 
+class TestUnverifiedComparators:
+    ARGS = ["--experiment", "cr_vs_dim", "--dims", "2,3", "--trials", "2",
+            "--seed", "1", "--T", "8", "--family", "norm_tracking"]
+
+    @staticmethod
+    def _failing_opt(monkeypatch, fails):
+        import obd.harness
+        solve = obd.harness.offline_opt
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(1)
+            if fails(len(calls)):
+                raise RuntimeError("solver broke")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(obd.harness, "offline_opt", flaky)
+
+    @staticmethod
+    def _unverified(out):
+        return sorted(json.loads((out / f).read_text())["totals"]["unverified"]
+                      for f in os.listdir(out) if f.startswith("run_"))
+
+    def test_some_comparators_raise(self, tmp_path, monkeypatch):
+        # both d = 2 solves raise: their cr cells are blank, d = 2 has no
+        # plot row, and the run is unverified
+        self._failing_opt(monkeypatch, lambda n: n <= 2)
+        out = tmp_path / "some"
+        assert run_cli(self.ARGS + ["--out", str(out)]) == 3
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[7] == "" for r in rows] == [True, True, False, False]
+        assert self._unverified(out) == [[], [], ["opt"], ["opt"]]
+        dat = (out / "plot_cr_vs_dim.dat").read_text().splitlines()[1:]
+        assert [float(r.split()[0]) for r in dat] == [3.0]
+
+    def test_every_comparator_raises(self, tmp_path, monkeypatch):
+        self._failing_opt(monkeypatch, lambda n: True)
+        out = tmp_path / "all"
+        assert run_cli(self.ARGS + ["--out", str(out)]) == 3
+        assert self._unverified(out) == [["opt"]] * 4
+        assert len((out / "plot_cr_vs_dim.dat").read_text().splitlines()) == 1
+
+
 class TestSingleRun:
     def test_trajectory_schema(self, tmp_path):
         out = tmp_path / "s"

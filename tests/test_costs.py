@@ -26,9 +26,6 @@ class _ZeroCost:
     def grad(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def smoothed_value_grad(self, x, eps):
-        return 0.0, self.grad(x)
-
 
 def fd_gradient(f, x, h=1e-5):
     g = np.zeros_like(x)

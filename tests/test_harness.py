@@ -62,6 +62,17 @@ class TestRun:
         # a tighter budget can only raise the comparator's cost
         assert rep.regrets["opt_L:0"] <= rep.regrets["opt_L:5"] + 1e-6
 
+    def test_unconverged_comparator_is_unverified(self, monkeypatch):
+        import dataclasses
+        import obd.harness
+        solve = obd.harness.offline_opt
+        monkeypatch.setattr(obd.harness, "offline_opt", lambda *a: dataclasses.replace(
+            solve(*a), converged=False))
+        spec = InstanceSpec(d=2, T=5, family="quadratic", seed=60)
+        rep = run(Greedy(), generate_instance(spec), comparators=("opt", "static"))
+        assert rep.unverified() == ["opt"]
+        assert rep.to_dict()["totals"]["unverified"] == ["opt"]
+
     def test_opt_L_monotone(self):
         spec = InstanceSpec(d=2, T=10, family="quadratic", seed=64)
         inst = generate_instance(spec)

@@ -1,10 +1,12 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
+import obd.offline
 from obd.costs import InstanceSpec, generate_instance, make_norm_tracking, make_quadratic
-from obd.geometry import Norm
+from obd.geometry import FeasibleSet, Norm
 from obd.offline import (
     GridSpec, auto_grid, grid_dp_oracle, offline_opt, offline_opt_constrained,
     static_opt,
@@ -69,6 +71,65 @@ class TestOfflineOpt:
         sol = offline_opt(inst.costs, inst.x0)
         assert sol.converged
 
+    def test_linf_switching_converges(self):
+        # linf switching: log-sum-exp smoothing, the stiffest of the norms
+        spec = InstanceSpec(d=5, T=30, family="norm_tracking", seed=16,
+                            switching_norm="linf")
+        inst = generate_instance(spec)
+        sol = offline_opt(inst.costs, inst.x0, inst.feasible, inst.switching_norm)
+        assert sol.converged
+        assert sol.objective <= 103.9606
+
+    def test_binding_ball(self):
+        # every target lies outside the radius-2 ball, so the rows sit on it
+        rng = np.random.default_rng(3)
+        ball = FeasibleSet.ball(np.zeros(2), 2.0)
+        costs = []
+        for _ in range(4):
+            A = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
+            v = rng.standard_normal(2)
+            costs.append(make_quadratic(A, A @ (3.5 * v / np.linalg.norm(v))))
+        sol = offline_opt(costs, np.zeros(2), ball)
+        radii = np.linalg.norm(sol.trajectory, axis=1)
+        assert sol.converged
+        assert np.all(radii <= 2.0) and radii.max() >= 2.0 - 1e-6
+        dp = grid_dp_oracle(costs, np.zeros(2), feasible=ball, refine=4)
+        assert sol.objective == pytest.approx(dp.objective, rel=1e-3)
+
+    @pytest.mark.parametrize("feasible", [
+        FeasibleSet.simplex(2, 0.1), FeasibleSet.halfspace([1.0, 0.0], 1.0),
+        FeasibleSet.hyperplane([1.0, 0.0], 0.0),
+        FeasibleSet.ball(np.zeros(2), 1.0, Norm.l1()),
+        FeasibleSet.ball(np.zeros(2), 1.0, Norm.linf())])
+    def test_unsupported_sets_rejected(self, feasible):
+        f = make_quadratic(np.eye(2), np.zeros(2))
+        for solve in (offline_opt, static_opt):
+            with pytest.raises(ValueError):
+                solve([f, f], np.zeros(2), feasible)
+        with pytest.raises(ValueError):
+            offline_opt_constrained([f, f], np.zeros(2), 0.5, feasible)
+
+    def test_mixed_families_rejected(self):
+        quad = make_quadratic(np.eye(2), np.ones(2))
+        l2 = make_norm_tracking(np.ones(2), Norm.l2())
+        l1 = make_norm_tracking(np.ones(2), Norm.l1())
+        for costs in ([quad, l2], [l2, l1]):
+            with pytest.raises(ValueError):
+                offline_opt(costs, np.zeros(2))
+
+    def test_debug_line_per_solve(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="obd")
+        costs = [abs_cost(1.0), abs_cost(1.0)]
+        sol = offline_opt(costs, [0.0])
+        offline_opt_constrained(costs, [0.0], 0.5, base=sol)
+        static_opt(costs, [0.0])
+        lines = [r.getMessage() for r in caplog.records if r.name == "obd"]
+        assert [line.split(":")[0] for line in lines] == [
+            "offline opt", "offline opt_L", "offline static"]
+        assert lines[0].startswith(f"offline opt: T=2 d=1 steps={sol.iterations} "
+                                   "converged=True ")
+        assert sol.iterations > 0
+
 
 class TestConstrained:
     def test_slack_budget_equals_opt(self):
@@ -108,12 +169,21 @@ class TestConstrained:
             assert a >= b - 1e-6 * max(1.0, abs(b))
         assert objs[-1] == pytest.approx(opt.objective)
 
-    def test_binding_budget_movement_window(self):
+    def test_binding_budget_movement_window(self, monkeypatch):
         spec = InstanceSpec(d=2, T=8, family="quadratic", seed=46)
         inst = generate_instance(spec)
         opt = offline_opt(inst.costs, inst.x0)
         L = 0.4 * opt.total_move
+        solves = []
+        solve = obd.offline._solve
+
+        def counting(*args):
+            solves.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(obd.offline, "_solve", counting)
         sol = offline_opt_constrained(inst.costs, inst.x0, L, base=opt)
+        assert len(solves) == 1  # the budget is a barrier row, not a multiplier search
         assert sol.converged
         assert L * (1 - 1e-4) <= sol.total_move <= L * (1 + 1e-12)
         assert sol.lam > 0
