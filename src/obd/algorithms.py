@@ -76,7 +76,6 @@ class PrimalConfig:
     mirror_map: MirrorMap
     feasible: Optional[FeasibleSet] = None
     level_tol: float = 1e-8
-    max_inner: int = 10000
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
@@ -96,7 +95,6 @@ class DualConfig:
     feasible: Optional[FeasibleSet] = None
     level_tol: float = 1e-6
     grad_floor: float = 1e-12
-    max_inner: int = 10000
 
     def __post_init__(self):
         if self.eta <= 0.0:
@@ -114,8 +112,7 @@ def _balance_root(cfg: PrimalConfig | DualConfig, f: CostFunction,
                   x_prev: np.ndarray, balance):
     """Multiplier root of balance(x(eta)) = 0 under the stepper's config."""
     feasible = cfg.feasible or FeasibleSet.whole_space(x_prev.shape[0])
-    return _multiplier_root(cfg.mirror_map, f, x_prev, feasible, balance,
-                            min(1e-10, 1e-2 * cfg.level_tol), cfg.max_inner)
+    return _multiplier_root(cfg.mirror_map, f, x_prev, feasible, balance)
 
 
 def primal_obd_step(x_prev, f: CostFunction, cfg: PrimalConfig,
@@ -195,8 +192,7 @@ def dual_obd_step(x_prev, f: CostFunction, cfg: DualConfig,
     # of x(eta) exactly eta times the gradient norm, so the balanced point is
     # the regularized solve at eta = cfg.eta itself: try that first.
     direct = solve_regularized(cfg.mirror_map, f, cfg.eta, x_prev,
-                               cfg.feasible or FeasibleSet.whole_space(x_prev.shape[0]),
-                               max_iter=cfg.max_inner)
+                               cfg.feasible or FeasibleSet.whole_space(x_prev.shape[0]))
     rec = record(direct, cfg.eta, 1)
     if rec.converged and rec.hit <= fx:
         return rec
@@ -286,11 +282,8 @@ def primal_balance_curve(x_prev, f: CostFunction, cfg: PrimalConfig,
     fv, fx = f.min_value, f(x_prev)
     ls = np.linspace(fv + 1e-9 * max(1.0, fx - fv), fx, num)
     vals = []
-    warm = None
     for l in ls:
-        proj = project_sublevel(cfg.mirror_map, f, float(l), x_prev, cfg.feasible,
-                                warm_x=warm)
-        warm = proj.x
+        proj = project_sublevel(cfg.mirror_map, f, float(l), x_prev, cfg.feasible)
         vals.append(cfg.mirror_map.norm(proj.x - x_prev) - cfg.beta * float(l))
     return ls, np.asarray(vals)
 
@@ -305,11 +298,8 @@ def dual_balance_curve(x_prev, f: CostFunction, cfg: DualConfig,
     ls = np.linspace(lo, fx, num)
     gp = cfg.mirror_map.grad(x_prev)
     vals = []
-    warm = None
     for l in ls:
-        proj = project_sublevel(cfg.mirror_map, f, float(l), x_prev, cfg.feasible,
-                                warm_x=warm)
-        warm = proj.x
+        proj = project_sublevel(cfg.mirror_map, f, float(l), x_prev, cfg.feasible)
         lhs = norm.dual_value(cfg.mirror_map.grad(proj.x) - gp)
         rhs = cfg.eta * norm.dual_value(f.grad(proj.x))
         vals.append(lhs - rhs)

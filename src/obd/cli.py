@@ -1,9 +1,10 @@
 """Command-line entry point: parse config, dispatch experiments, emit data files.
 
 Exit codes: 0 success with all audited bounds holding, 2 when an audited
-bound is violated beyond slack, 3 when a comparator could not be verified
-(its solve raised or did not converge; the trajectory JSON lists it under
-``totals.unverified``), 1 on usage or I/O errors; 2 wins over 3.  Every
+bound is violated beyond slack, 3 when a result could not be verified (a
+comparator's solve raised or did not converge, or an online step did not
+converge; the trajectory JSON lists the comparator's label or ``step:<t>``
+under ``totals.unverified``), 1 on usage or I/O errors; 2 wins over 3.  Every
 output file is written atomically (temp file plus rename).  Diagnostics go
 to stderr, gated by the OBD_LOG environment variable (off | info | debug).
 """
@@ -208,7 +209,7 @@ def _write_report_dict(cfg: Config, payload_dict: dict) -> None:
 
 
 def _exit_status(violated: bool, unverified: Sequence[Sequence[str]]) -> int:
-    """2 for a violated bound, else 3 when a run has an unverified comparator."""
+    """2 for a violated bound, else 3 when a run has an unverified comparator or step."""
     return 2 if violated else 3 if any(unverified) else 0
 
 
@@ -247,15 +248,16 @@ def _regret_sweep(cfg: Config) -> int:
     for rep in reports:
         _write_report_dict(cfg, rep)
     _write_table(cfg, table)
+    rows = [r for r in table.rows if r["regret_L"] != ""]  # blank: comparator raised
     stats = []
-    for d in sorted(set(int(r["d"]) for r in table.rows)):
-        rs = [float(r["regret_L"]) for r in table.rows if int(r["d"]) == d]
-        bs = [float(r["bound"]) for r in table.rows if int(r["d"]) == d]
+    for d in sorted(set(int(r["d"]) for r in rows)):
+        rs = [float(r["regret_L"]) for r in rows if int(r["d"]) == d]
+        bs = [float(r["bound"]) for r in rows if int(r["d"]) == d]
         stats.append((d, float(np.mean(rs)), min(rs), max(bs)))
     _write_dat(cfg, "regret_sweep", "d mean_regret min_regret max_bound", stats)
     violated = any(
         float(r["regret_L"]) > float(r["bound"])
-        + 1e-4 * max(1.0, float(r["bound"])) for r in table.rows)
+        + 1e-4 * max(1.0, float(r["bound"])) for r in rows)
     return _exit_status(violated, [rep["totals"]["unverified"] for rep in reports])
 
 
@@ -270,17 +272,19 @@ def _audit_suite(cfg: Config) -> int:
     for i, spec in enumerate(specs):
         report, audits = run_theorem1_case(spec)
         unverified.append(report.unverified())
-        worst = max(a.worst_residual for a in audits)
-        ok = all(a.passed for a in audits)
-        failures += 0 if ok else 1
+        failures += 0 if all(a.passed for a in audits) else 1
         bound = 3.0 + 8.0 / report.instance.alpha
+        opt = report.comparators["opt"]
+        worst = max((a.worst_residual for a in audits), default="")  # blank: no audit
         table.append(family=spec.family, d=spec.d, trial=i, seed=spec.seed,
                      algo="primal_obd", total_cost=report.total_cost,
-                     opt_cost=report.comparators["opt"].objective,
-                     cr=report.cr, bound=bound, audit_worst_residual=worst)
-        dat.append((i, report.cr, bound, worst))
-        log.info("audit case %d: cr=%.4f bound=%.4f worst_residual=%.3g",
-                 i, report.cr, bound, worst)
+                     opt_cost=opt.objective if opt else "",
+                     cr=report.cr if report.cr is not None else "", bound=bound,
+                     audit_worst_residual=worst)
+        if report.cr is not None:
+            dat.append((i, report.cr, bound, worst))
+            log.info("audit case %d: cr=%.4f bound=%.4f worst_residual=%.3g",
+                     i, report.cr, bound, worst)
     _write_table(cfg, table)
     _write_dat(cfg, "audit_suite", "case cr bound worst_residual", dat)
     return _exit_status(failures > 0, unverified)

@@ -63,10 +63,12 @@ class RunReport:
     revealed_costs: Optional[list] = None
 
     def unverified(self) -> list[str]:
-        """Labels of the comparators that raised or did not converge."""
+        """Labels of the comparators that raised or did not converge, and
+        ``step:<t>`` for every step that did not converge."""
         return sorted(set(self.comparator_errors) | {
             label for label, sol in self.comparators.items()
-            if sol is not None and not sol.converged})
+            if sol is not None and not sol.converged}) + [
+            f"step:{s.t}" for s in self.steps if not s.converged]
 
     def worst_audit_residual(self) -> Optional[float]:
         if not self.audits:
@@ -124,6 +126,19 @@ def mirror_grad_bound(mirror_map: MirrorMap, feasible: FeasibleSet) -> float:
 # Running an algorithm over an instance
 # ---------------------------------------------------------------------------
 
+def _solve_guarded(comp: dict, errors: dict, label: str, fn) -> None:
+    """comp[label] = fn(), unless already there; if fn raises, log it and
+    store None, with the error in errors[label]."""
+    if label in comp:
+        return
+    try:
+        comp[label] = fn()
+    except Exception as exc:
+        log.warning("comparator %s failed: %s", label, exc)
+        comp[label] = None
+        errors[label] = str(exc)
+
+
 def run(algorithm: OnlineAlgorithm, instance: Instance,
         comparators: Sequence = ("opt",),
         opt_L: Sequence[float] = (),
@@ -137,8 +152,8 @@ def run(algorithm: OnlineAlgorithm, instance: Instance,
     A comparator whose solve raises is logged, stored as None with its error
     in ``comparator_errors``, and leaves cr or its regret empty instead of
     aborting the run.  Both it and a comparator that returned
-    ``converged=False`` are listed by ``RunReport.unverified()``, which the
-    CLI turns into exit code 3.
+    ``converged=False`` are listed by ``RunReport.unverified()``, with every
+    unconverged step, and the CLI turns any of them into exit code 3.
     """
     algorithm.start(instance)
     steps: list[StepRecord] = []
@@ -161,24 +176,14 @@ def run(algorithm: OnlineAlgorithm, instance: Instance,
             raise ValueError("precomputed comparators are invalid for adaptive instances")
         comp.update(precomputed)
 
-    def solve(label: str, fn):
-        if label in comp:
-            return
-        try:
-            comp[label] = fn()
-        except Exception as exc:
-            log.warning("comparator %s failed: %s", label, exc)
-            comp[label] = None
-            errors[label] = str(exc)
-
     if "opt" in comparators:
-        solve("opt", lambda: offline_opt(revealed, instance.x0, instance.feasible,
-                                         instance.switching_norm))
+        _solve_guarded(comp, errors, "opt", lambda: offline_opt(
+            revealed, instance.x0, instance.feasible, instance.switching_norm))
     if "static" in comparators:
-        solve("static", lambda: static_opt(revealed, instance.x0, instance.feasible,
-                                           instance.switching_norm))
+        _solve_guarded(comp, errors, "static", lambda: static_opt(
+            revealed, instance.x0, instance.feasible, instance.switching_norm))
     for L in opt_L:
-        solve(f"opt_L:{L:g}", lambda L=L: offline_opt_constrained(
+        _solve_guarded(comp, errors, f"opt_L:{L:g}", lambda L=L: offline_opt_constrained(
             revealed, instance.x0, L, instance.feasible, instance.switching_norm,
             base=comp.get("opt")))
 
@@ -498,17 +503,19 @@ def run_theorem1_case(spec: InstanceSpec) -> tuple[RunReport, list[AuditResult]]
     choice = choose_beta(alpha)
     cfg = PrimalConfig(beta=choice.beta, mirror_map=euclidean_map())
     report = run(PrimalOBD(cfg), instance, comparators=("opt",))
-    report.audits = audit_theorem1(report, alpha)
+    # without its comparator the audit cannot run; unverified() names it
+    report.audits = audit_theorem1(report, alpha) if report.comparators["opt"] else []
     return report, report.audits
 
 
 @dataclass
 class RegretCase:
-    """One (budget, run) pair of a dual-balance regret experiment."""
+    """One (budget, run) pair of a dual-balance regret experiment; ``regret``
+    is None when the budgeted comparator could not be solved."""
 
     L: float
     eta: float
-    regret: float
+    regret: Optional[float]
     bound: float
     report: RunReport
 
@@ -522,36 +529,43 @@ def run_theorem3_case(spec: InstanceSpec,
     own movement, the feasible diameter, or zero.  Positive budgets re-run
     the stepper with eta = sqrt(2*G*L*m/T); the zero budget reuses the
     smallest positive-eta run, whose bound T*eta/(2m) is valid for any eta.
+    ``opt`` and ``static`` are solved once, guarded as in ``run``: one that
+    raises is None in every report and listed by its ``unverified()``; the
+    opt_move budget is then skipped, and a budget whose comparator raised
+    gets no regret and no audit.
     """
     instance = generate_instance(spec)
     m = 1.0
     G = mirror_grad_bound(euclidean_map(), instance.feasible)
     D = instance.feasible.diameter(instance.switching_norm)
-    opt = offline_opt(list(instance.costs), instance.x0, instance.feasible,
-                      instance.switching_norm)
-    static = static_opt(list(instance.costs), instance.x0, instance.feasible,
-                        instance.switching_norm)
-    shared = {"opt": opt, "static": static}
-    named = {"opt_move": opt.total_move, "diameter": D, "zero": 0.0}
+    shared, errors = {}, {}
+    _solve_guarded(shared, errors, "opt", lambda: offline_opt(
+        list(instance.costs), instance.x0, instance.feasible, instance.switching_norm))
+    _solve_guarded(shared, errors, "static", lambda: static_opt(
+        list(instance.costs), instance.x0, instance.feasible, instance.switching_norm))
+    opt = shared["opt"]
+    named = {"opt_move": opt.total_move if opt else None, "diameter": D, "zero": 0.0}
     cases = []
     smallest_eta_rep = None
     for name in budgets:
-        if name == "zero":
+        if name == "zero" or named[name] is None:
             continue
         L = named[name]
         eta = choose_eta(G, L, m, instance.T).eta
         cfg = DualConfig(eta=eta, mirror_map=euclidean_map())
         rep = run(DualOBD(cfg), instance, comparators=("opt", "static"),
                   opt_L=(L,), precomputed=dict(shared))
-        rep.audits = audit_theorem3(rep, G, L, m, eta,
-                                    diameter=D if name == "diameter" else None)
+        rep.comparator_errors.update(errors)
         sol = rep.comparators[f"opt_L:{L:g}"]
+        if sol is not None:
+            rep.audits = audit_theorem3(rep, G, L, m, eta,
+                                        diameter=D if name == "diameter" else None)
         bound = G * L / eta + instance.T * eta / (2.0 * m)
-        cases.append(RegretCase(L=L, eta=eta, regret=rep.total_cost - sol.objective,
-                                bound=bound, report=rep))
+        cases.append(RegretCase(L=L, eta=eta, bound=bound, report=rep,
+                                regret=rep.total_cost - sol.objective if sol else None))
         if smallest_eta_rep is None or eta < smallest_eta_rep[0]:
             smallest_eta_rep = (eta, rep)
-    if "zero" in budgets:
+    if "zero" in budgets and smallest_eta_rep is not None:
         eta, rep = smallest_eta_rep
         pinned = offline_opt_constrained(rep.revealed_costs, instance.x0, 0.0,
                                          instance.feasible, instance.switching_norm)
@@ -594,9 +608,10 @@ def _regret_task(task) -> tuple[list[dict], list[dict]]:
             "total_cost": case.report.total_cost,
             "opt_cost": opt.objective if opt else "",
             "cr": case.report.cr if case.report.cr is not None else "",
-            "regret_L": case.regret,
+            "regret_L": case.regret if case.regret is not None else "",
             "bound": case.bound,
-            "audit_worst_residual": case.report.worst_audit_residual(),
+            "audit_worst_residual": case.report.worst_audit_residual()
+            if case.report.audits else "",
         })
         reports.append(case.report.to_dict())
     return rows, reports

@@ -118,7 +118,7 @@ def _hit_terms(costs: Sequence[CostFunction]):
         norm = costs[0].norm_a
         if any(f.norm_a.kind != norm.kind or not np.array_equal(f.norm_a.Q, norm.Q)
                for f in costs):
-            raise ValueError("offline solvers need one tracking norm for all rounds")
+            raise ValueError("the Newton solve needs one tracking norm for all rounds")
         V = np.stack([f.minimizer for f in costs])
         s = np.array([f.scale for f in costs])
 
@@ -130,7 +130,7 @@ def _hit_terms(costs: Sequence[CostFunction]):
     if all(isinstance(f, CompositeCost) for f in costs):
         g, h = _hit_terms([f.g for f in costs]), _hit_terms([f.h for f in costs])
         return lambda X, eps: tuple(a + b for a, b in zip(g(X, eps), h(X, eps)))
-    raise ValueError("offline solvers need quadratic, norm-tracking or composite "
+    raise ValueError("the Newton solve needs quadratic, norm-tracking or composite "
                      "costs, one family for all rounds")
 
 
@@ -169,7 +169,20 @@ def _set_barrier(feasible: FeasibleSet):
 
         return ball
     kind = f"{p['norm'].kind} ball" if feasible.kind == BALL else feasible.kind
-    raise ValueError(f"offline solvers support boxes and l2 or Mahalanobis balls, not a {kind}")
+    raise ValueError(f"the Newton solve supports boxes and l2 or Mahalanobis balls, not a {kind}")
+
+
+def _interior(feasible: FeasibleSet, X: np.ndarray) -> np.ndarray:
+    """X with every row pulled strictly inside the set, where the barrier is finite."""
+    p = feasible.params
+    if feasible.kind == BOX:
+        pad = 1e-3 * (p["hi"] - p["lo"])
+        return np.clip(X, p["lo"] + pad, p["hi"] - pad)
+    if feasible.kind == BALL:
+        U = X - p["center"]
+        n = np.maximum([p["norm"](u) for u in U], 1e-300)
+        return p["center"] + np.minimum(1.0, (1.0 - 1e-3) * p["radius"] / n)[:, None] * U
+    return X
 
 
 class _TrajectoryProblem:
@@ -213,18 +226,6 @@ class _TrajectoryProblem:
     def exact_parts(self, X: np.ndarray):
         rows = np.broadcast_to(X, (self.T, self.d))
         return float(sum(f(rows[t]) for t, f in enumerate(self.costs))), self.movement(X)
-
-    def interior(self, X: np.ndarray) -> np.ndarray:
-        """X with every row pulled strictly inside the set, where the barrier is finite."""
-        p = self.feasible.params
-        if self.feasible.kind == BOX:
-            pad = 1e-3 * (p["hi"] - p["lo"])
-            return np.clip(X, p["lo"] + pad, p["hi"] - pad)
-        if self.feasible.kind == BALL:
-            U = X - p["center"]
-            n = np.maximum([p["norm"](u) for u in U], 1e-300)
-            return p["center"] + np.minimum(1.0, (1.0 - 1e-3) * p["radius"] / n)[:, None] * U
-        return X
 
     def evaluate(self, X: np.ndarray, eps: float, mu: float):
         """(F, gradient, diagonal blocks, off-diagonal blocks, rank-one column,
@@ -275,16 +276,18 @@ class _TrajectoryProblem:
         return step.reshape(grad.shape)
 
 
-def _solve(problem: _TrajectoryProblem, X: np.ndarray):
+def _solve(problem, X: np.ndarray):
     """Damped Newton path following from the interior point X.
 
     Stage k = 2, ..., 10 smooths with eps = 10^-min(k, 8) under barrier
     weight mu = 10^-k * (1 + |F(X)|), for at most 200 Armijo-damped steps,
     until the Newton decrement is at most 1e-13 * (1 + |F|).  The last two
     stages only lower mu: each barrier costs about mu, and stopping at mu =
-    1e-8 * (1 + |F(X)|) left budgeted solves up to 3e-8 relative higher.  A
-    stage whose smoothing leaves X outside the budget is skipped.  Returns
-    (X, steps, whether the last stage ended on the decrement, lam).
+    1e-8 * (1 + |F(X)|) left budgeted solves up to 3e-8 relative higher.  The
+    step that passes the decrement test is still taken.  A stage whose
+    smoothing leaves X outside the budget is skipped.  ``problem`` provides
+    ``exact_parts``, ``evaluate`` and ``newton_step``.  Returns (X, steps,
+    whether the last stage ended on the decrement, lam).
     """
     scale = 1.0 + abs(sum(problem.exact_parts(X)))
     steps, done, lam = 0, False, 0.0
@@ -301,7 +304,10 @@ def _solve(problem: _TrajectoryProblem, X: np.ndarray):
                 break
             slope = float((grad * step).sum())
             done = -slope <= 1e-13 * (1.0 + abs(F))
-            if done or not math.isfinite(slope):
+            if done:
+                X = X + step  # already solved, and inside the barriers' Dikin ellipsoid
+                break
+            if not math.isfinite(slope):
                 break
             t = 1.0
             while t > 1e-12:
@@ -334,7 +340,7 @@ def offline_opt(costs: Sequence[CostFunction], x0, feasible: Optional[FeasibleSe
     started = time.perf_counter()
     problem = _TrajectoryProblem(costs, x0, norm, feasible)
     minimizers = np.stack([f.minimizer for f in costs])
-    X, steps, converged, _ = _solve(problem, problem.interior(minimizers))
+    X, steps, converged, _ = _solve(problem, _interior(problem.feasible, minimizers))
     notes = []
     # Where staying put or jumping to every minimizer is optimal, the solve
     # can land slightly above it; never report more than these trajectories.
@@ -375,7 +381,7 @@ def offline_opt_constrained(costs: Sequence[CostFunction], x0, L: float,
     if base.total_move <= L * (1.0 + 1e-9) + 1e-12:
         return base
     problem = _TrajectoryProblem(costs, x0, norm, feasible, budget=L)
-    Y = problem.interior(base.trajectory)
+    Y = _interior(problem.feasible, base.trajectory)
     start = x0 + (0.5 * L / max(problem.movement(Y), L)) * (Y - x0)
     X, steps, converged, lam = _solve(problem, start)
     note = ""
@@ -400,7 +406,7 @@ def static_opt(costs: Sequence[CostFunction], x0,
     started = time.perf_counter()
     problem = _TrajectoryProblem(costs, x0, norm, feasible, tied=True)
     mean = np.mean([f.minimizer for f in costs], axis=0)[None]
-    X, steps, converged, _ = _solve(problem, problem.interior(mean))
+    X, steps, converged, _ = _solve(problem, _interior(problem.feasible, mean))
     return _solution("static", problem, X, steps, converged, started)
 
 

@@ -9,14 +9,14 @@ multiplier eta of the level constraint -- f evaluated at
 is non-increasing in eta, so the eta with f(x(eta)) = l brackets cleanly.
 ``_multiplier_root`` finds it with Brent's method; the balanced-descent
 steppers of ``obd.algorithms`` find their balanced points with the same root.
-Each x(eta) comes from ``solve_regularized``: exact for structured cases
-(quadratic costs under quadratic-form maps or the entropy map on the simplex,
-norm-tracking costs under the Euclidean map), otherwise proximal gradient with
-backtracking (smooth costs, or a tracking norm plus a smooth part) or
-subgradient descent with diminishing steps (other nonsmooth costs).
+Each x(eta) comes from ``solve_regularized``: a closed form where one exists
+(quadratic costs under quadratic-form maps, norm-tracking costs under the
+Euclidean map) and lands in the set, a KKT Newton solve for quadratic costs
+under the entropy map on the simplex, and otherwise the damped-Newton barrier
+solve of ``obd.offline`` on a one-row problem.  Pairs none of these covers
+raise ValueError; there is no first-order fallback.
 
-Everything here is stateless given its inputs; warm starts are passed
-explicitly by callers, never kept in module state.
+Everything here is stateless given its inputs.
 """
 
 from __future__ import annotations
@@ -26,13 +26,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import brentq
 
 from .geometry import (
     BALL, BOX, HALFSPACE, HYPERPLANE, L1, L2, LINF, MAHALANOBIS, SIMPLEX, WHOLE,
     FeasibleSet, MirrorMap, Norm,
 )
-from .costs import CompositeCost, CostFunction, NormTrackingCost, QuadraticCost
+from .costs import CostFunction, NormTrackingCost, QuadraticCost
+from .offline import _hit_terms, _interior, _set_barrier, _solve
 
 ETA_CAP = 2.0 ** 60
 
@@ -181,8 +183,8 @@ def project_set(mirror_map: MirrorMap, constraint: FeasibleSet, x) -> np.ndarray
 
     Closed forms cover the Euclidean map on every supported set, the
     quadratic-form (Mahalanobis) map on affine sets / matching balls /
-    diagonal boxes, and the entropy map on the simplex interior.  Remaining
-    pairs fall back to projected gradient on the divergence objective.
+    diagonal boxes, and the entropy map on the simplex interior.  Other
+    pairs raise ValueError.
     """
     x = np.asarray(x, dtype=float)
     if constraint.contains(x, tol=0.0):
@@ -210,91 +212,10 @@ def project_set(mirror_map: MirrorMap, constraint: FeasibleSet, x) -> np.ndarray
             return p["center"] + (p["radius"] / n) * u
         if constraint.kind == BOX and np.count_nonzero(Q - np.diag(np.diag(Q))) == 0:
             return np.clip(x, p["lo"], p["hi"])
-    return _bregman_project_pgd(mirror_map, constraint, x)
-
-
-def _bregman_project_pgd(mirror_map: MirrorMap, constraint: FeasibleSet,
-                         x: np.ndarray, tol: float = 1e-10,
-                         max_iter: int = 10000) -> np.ndarray:
-    gx = mirror_map.grad(x)
-    start = _safe_domain_start(mirror_map, constraint, x)
-
-    def value_grad(y):
-        return (mirror_map.phi(y) - float(gx @ y),
-                mirror_map.grad(y) - gx)
-
-    y, _, _ = _prox_gradient(value_grad, lambda z, _: _euclidean_project(constraint, z),
-                             start, tol, max_iter)
-    return y
-
-
-def _safe_domain_start(mirror_map: MirrorMap, constraint: FeasibleSet,
-                       x: np.ndarray) -> np.ndarray:
-    y = _euclidean_project(constraint, x)
-    try:
-        mirror_map.check_domain(y)
-    except Exception:
-        from .costs import _any_member
-        y = _any_member(constraint)
-    return y
-
-
-# ---------------------------------------------------------------------------
-# Inner solvers
-# ---------------------------------------------------------------------------
-
-def _prox_gradient(value_grad: Callable, prox: Callable, x0: np.ndarray,
-                   tol: float, max_iter: int):
-    """Proximal gradient with backtracking; returns (x, iterations, residual).
-
-    ``prox(y, step)`` maps the gradient step y of length ``step`` to the next
-    iterate: the Euclidean projection onto the feasible set for smooth
-    problems, or the prox of step times the nonsmooth part.  The curvature
-    estimate never shrinks: a shrinking one let the line search's rounding
-    slack accept estimates below the true constant, and on composite costs
-    the iterates then bounced far above the tolerance.  Residual is the step
-    length scaled by the curvature estimate, the proximal-gradient
-    stationarity measure.
-    """
-    x = x0.copy()
-    fx, gx = value_grad(x)
-    lip = 1.0
-    residual = math.inf
-    for it in range(1, max_iter + 1):
-        while True:
-            cand = prox(x - gx / lip, 1.0 / lip)
-            diff = cand - x
-            sq = float(diff @ diff)
-            fc, gc = value_grad(cand)
-            if fc <= fx + float(gx @ diff) + 0.5 * lip * sq + 1e-15 * (1 + abs(fx)):
-                break
-            lip *= 2.0
-            if lip > 1e18:
-                raise NonConvergence("backtracking line search failed")
-        residual = lip * math.sqrt(sq)
-        x, fx, gx = cand, fc, gc
-        if residual <= tol * (1.0 + float(np.linalg.norm(x))):
-            return x, it, residual
-    return x, max_iter, residual
-
-
-def _subgradient_descent(value_grad: Callable, project: Callable, x0: np.ndarray,
-                         max_iter: int):
-    """Projected subgradient with c/sqrt(k) steps and best-iterate tracking."""
-    x = project(x0.copy())
-    best_x, best_f = x, value_grad(x)[0]
-    g0 = value_grad(x)[1]
-    c = 0.5 * (1.0 + float(np.linalg.norm(x0))) / (1.0 + float(np.linalg.norm(g0)))
-    for k in range(1, max_iter + 1):
-        _, g = value_grad(x)
-        gn = float(np.linalg.norm(g))
-        if gn == 0.0:
-            return x, k
-        x = project(x - (c / math.sqrt(k)) * g)
-        f = value_grad(x)[0]
-        if f < best_f:
-            best_x, best_f = x, f
-    return best_x, max_iter
+    kind = f"{constraint.params['norm'].kind} ball" if constraint.kind == BALL \
+        else constraint.kind
+    raise ValueError(f"no closed-form projection onto a {kind} under the "
+                     f"{mirror_map.name} map")
 
 
 def _prox_tracking(u: np.ndarray, thr: float, norm: Norm) -> np.ndarray:
@@ -317,18 +238,19 @@ def _prox_tracking(u: np.ndarray, thr: float, norm: Norm) -> np.ndarray:
 def _entropy_simplex_regularized(f: QuadraticCost, eta: float,
                                  x_prev: np.ndarray, delta: float,
                                  tol: float = 1e-12,
-                                 max_iter: int = 60) -> Optional[np.ndarray]:
+                                 max_iter: int = 60) -> np.ndarray:
     """KKT Newton solve of min D_ent(x, x_prev) + eta*f(x) on the simplex.
 
     Solves the stationarity system ln x - ln x_prev + eta*grad f(x) + nu*1 = 0
-    with sum x = 1; returns None when the delta bounds turn active (the
-    caller falls back to projected gradient) or Newton fails to settle.
+    with sum x = 1; raises NonConvergence when Newton fails to settle or a
+    bound x_i >= delta turns active, which this system leaves out.
     """
     d = x_prev.size
     x = x_prev.copy()
     nu = 0.0
     log_prev = np.log(x_prev)
     H = 2.0 * eta * f.AtA
+    t = 1.0
     for _ in range(max_iter):
         g = np.log(x) - log_prev + eta * f.grad(x) + nu
         r2 = float(x.sum()) - 1.0
@@ -339,21 +261,20 @@ def _entropy_simplex_regularized(f: QuadraticCost, eta: float,
         J[:d, :d] = np.diag(1.0 / x) + H
         J[:d, d] = 1.0
         J[d, :d] = 1.0
-        try:
-            step = np.linalg.solve(J, -np.concatenate([g, [r2]]))
-        except np.linalg.LinAlgError:
-            return None
+        step = np.linalg.solve(J, -np.concatenate([g, [r2]]))
         t = 1.0
         while t > 1e-12 and np.min(x + t * step[:d]) <= 0.25 * delta:
             t *= 0.5
+        if t <= 1e-12:
+            break
         x = x + t * step[:d]
         nu += t * step[d]
-        if t <= 1e-12:
-            return None
-    else:
-        return None
-    if np.min(x) < delta - 1e-12:
-        return None  # delta bound active: needs the inequality-aware path
+    if np.min(x) < delta - 1e-12 or t <= 1e-12:
+        raise NonConvergence(f"entropy x(eta) at eta = {eta:g}: the bound x_i >= "
+                             f"delta = {delta:g} turns active")
+    if res > tol * (1.0 + eta):
+        raise NonConvergence(f"entropy x(eta) at eta = {eta:g}: Newton stopped at "
+                             f"KKT residual {res:.3g}")
     return x
 
 
@@ -362,103 +283,87 @@ def _quad_regularized_solve(mirror_map: MirrorMap, f: QuadraticCost,
     """Exact unconstrained minimizer of D_Phi(x, x_prev) + eta*f(x) for
     quadratic-form maps, via the cached generalized eigendecomposition."""
     w, W = f.eig_in(mirror_map.Q)
-    if mirror_map.Q is None:
-        zp = W.T @ x_prev
-        b1 = W.T @ f.Aty
-    else:
-        zp = W.T @ (mirror_map.Q @ x_prev)
-        b1 = W.T @ f.Aty
-    z = (zp + 2.0 * eta * b1) / (1.0 + 2.0 * eta * w)
-    return W @ z
+    zp = W.T @ (x_prev if mirror_map.Q is None else mirror_map.Q @ x_prev)
+    return W @ ((zp + 2.0 * eta * (W.T @ f.Aty)) / (1.0 + 2.0 * eta * w))
+
+
+class _RegularizedProblem:
+    """x(eta)'s objective 1/2 (x - x_prev)'Q(x - x_prev) + eta * f(x) as a
+    one-row problem for ``offline._solve``: f smoothed and the set a log
+    barrier, exactly as the offline comparators smooth and bound them."""
+
+    def __init__(self, Q: np.ndarray, f: CostFunction, eta: float,
+                 x_prev: np.ndarray, feasible: FeasibleSet):
+        self.Q, self.f, self.eta, self.x_prev = Q, f, eta, x_prev
+        self.hit = _hit_terms([f])
+        self.barrier = _set_barrier(feasible)
+
+    def exact_parts(self, X: np.ndarray):
+        u = X[0] - self.x_prev
+        return self.eta * self.f(X[0]), 0.5 * float(u @ (self.Q @ u))
+
+    def evaluate(self, X: np.ndarray, eps: float, mu: float):
+        """(F, gradient, Hessian, None, None, 0.0); F is inf outside the barrier's domain."""
+        u = X[0] - self.x_prev
+        Qu = self.Q @ u
+        F, grad, H = self.hit(X, eps)
+        F = 0.5 * float(u @ Qu) + self.eta * F
+        grad, H = Qu + self.eta * grad, self.Q + self.eta * H
+        if self.barrier is not None:
+            bv, bg, bH = self.barrier(X)
+            if not math.isfinite(bv):
+                return (math.inf,) * 6
+            F, grad, H = F + mu * bv, grad + mu * bg, H + mu * bH
+        return F, grad, H, None, None, 0.0
+
+    def newton_step(self, F: float, grad, H, C, q) -> np.ndarray:
+        """Solve (H + ridge) step = -grad by dense Cholesky, with the ridge of
+        ``_TrajectoryProblem``; raises LinAlgError if H is not positive definite."""
+        ridge = 1e-12 * (1.0 + abs(F)) + 1e-13 * float(np.abs(H).max())
+        H = H[0] + ridge * np.eye(H.shape[-1])
+        return -cho_solve(cho_factor(H), grad[0])[None]
 
 
 def solve_regularized(mirror_map: MirrorMap, f: CostFunction, eta: float,
-                      x_prev, feasible: FeasibleSet,
-                      x_init: Optional[np.ndarray] = None,
-                      tol: float = 1e-10, max_iter: int = 10000) -> np.ndarray:
-    """Minimize D_Phi(x, x_prev) + eta * f(x) over the feasible set.
+                      x_prev, feasible: FeasibleSet) -> np.ndarray:
+    """x(eta): minimize D_Phi(x, x_prev) + eta * f(x) over the feasible set.
+
+    eta = 0 is the Bregman projection of x_prev (``project_set``).  Quadratic
+    costs under a quadratic-form map and tracking costs under the Euclidean
+    map have closed forms, used when they land in the set; quadratic costs
+    under the entropy map on the simplex take a KKT Newton solve.  Every
+    other case under the Euclidean or a Mahalanobis map is one
+    ``offline._solve`` of ``_RegularizedProblem``: quadratic, tracking or
+    composite costs on the whole space, a box, or an l2 or Mahalanobis ball.
+    Other sets and maps raise ValueError.
 
     f evaluated at the result is non-increasing in eta and the divergence
     from x_prev non-decreasing, which is what ``_multiplier_root`` relies on
     for ``project_sublevel`` and the balanced-descent steppers.
     """
-    x, _, _ = _solve_regularized_full(mirror_map, f, eta, np.asarray(x_prev, dtype=float),
-                                      feasible, x_init, tol, max_iter)
-    return x
-
-
-def _solve_regularized_full(mirror_map: MirrorMap, f: CostFunction, eta: float,
-                            x_prev: np.ndarray, feasible: FeasibleSet,
-                            x_init: Optional[np.ndarray] = None,
-                            tol: float = 1e-10, max_iter: int = 10000):
+    x_prev = np.asarray(x_prev, dtype=float)
     if eta < 0.0:
         raise ValueError("eta must be >= 0")
     if eta == 0.0:
-        return project_set(mirror_map, feasible, x_prev), 0, 0.0
-
-    whole = feasible.kind == WHOLE
-    # structured exact solves
-    if isinstance(f, QuadraticCost) and (mirror_map.Q is not None or
-                                         mirror_map.name == "euclidean"):
-        x = _quad_regularized_solve(mirror_map, f, eta, x_prev)
-        if whole or feasible.contains(x):
-            return x, 1, 0.0
-    if isinstance(f, QuadraticCost) and mirror_map.name == "entropy" \
+        return project_set(mirror_map, feasible, x_prev)
+    if mirror_map.name == "entropy" and isinstance(f, QuadraticCost) \
             and feasible.kind == SIMPLEX:
-        x = _entropy_simplex_regularized(f, eta, x_prev, feasible.params["delta"])
-        if x is not None:
-            return x, 1, 0.0
-    if isinstance(f, NormTrackingCost) and mirror_map.name == "euclidean":
+        return _entropy_simplex_regularized(f, eta, x_prev, feasible.params["delta"])
+    euclidean = mirror_map.name == "euclidean"
+    if not euclidean and mirror_map.Q is None:
+        raise ValueError(f"x(eta) under the {mirror_map.name} map needs a quadratic "
+                         "cost on the simplex")
+    x = None
+    if isinstance(f, QuadraticCost):
+        x = _quad_regularized_solve(mirror_map, f, eta, x_prev)
+    elif isinstance(f, NormTrackingCost) and euclidean:
         x = f.minimizer + _prox_tracking(x_prev - f.minimizer, eta * f.scale, f.norm_a)
-        if whole or feasible.contains(x):
-            return x, 1, 0.0
-
-    gx_prev = mirror_map.grad(x_prev)
-    start = x_init if x_init is not None else _safe_domain_start(mirror_map, feasible, x_prev)
-
-    # proximal gradient when the nonsmooth part is a tracking norm
-    prox_part = None
-    smooth_cost: Optional[CostFunction] = f if f.smooth else None
-    if isinstance(f, NormTrackingCost) and mirror_map.name == "euclidean":
-        prox_part, smooth_cost = f, None
-    elif isinstance(f, CompositeCost) and isinstance(f.g, NormTrackingCost) \
-            and f.h.smooth and mirror_map.name == "euclidean":
-        prox_part, smooth_cost = f.g, f.h
-
-    if prox_part is not None:
-        v, s, norm_a = prox_part.minimizer, prox_part.scale, prox_part.norm_a
-
-        def smooth_value_grad(x):
-            val = 0.5 * float((x - x_prev) @ (x - x_prev))
-            g = x - x_prev
-            if smooth_cost is not None:
-                val += eta * smooth_cost(x)
-                g = g + eta * smooth_cost.grad(x)
-            return val, g
-
-        def prox_project(y, step):
-            z = v + _prox_tracking(y - v, eta * s * step, norm_a)
-            return z if whole else _euclidean_project(feasible, z)
-
-        return _prox_gradient(smooth_value_grad, prox_project, start, tol, max_iter)
-
-    if f.smooth:
-        def value_grad(x):
-            return (mirror_map.phi(x) - float(gx_prev @ x) + eta * f(x),
-                    mirror_map.grad(x) - gx_prev + eta * f.grad(x))
-
-        return _prox_gradient(value_grad, lambda z, _: _euclidean_project(feasible, z),
-                              start, tol, max_iter)
-
-    # nonsmooth without usable prox structure: diminishing-step subgradient
-    def value_subgrad(x):
-        return (mirror_map.phi(x) - float(gx_prev @ x) + eta * f(x),
-                mirror_map.grad(x) - gx_prev + eta * f.grad(x))
-
-    x, it = _subgradient_descent(value_subgrad,
-                                 lambda z: _euclidean_project(feasible, z),
-                                 start, min(max_iter, 4000))
-    return x, it, math.nan
+    if x is not None and feasible.contains(x):
+        return x
+    Q = np.eye(x_prev.shape[0]) if euclidean else mirror_map.Q
+    X, _, _, _ = _solve(_RegularizedProblem(Q, f, eta, x_prev, feasible),
+                        _interior(feasible, x_prev[None]))
+    return X[0]
 
 
 # ---------------------------------------------------------------------------
@@ -466,25 +371,19 @@ def _solve_regularized_full(mirror_map: MirrorMap, f: CostFunction, eta: float,
 # ---------------------------------------------------------------------------
 
 def _multiplier_root(mirror_map: MirrorMap, f: CostFunction, x_prev: np.ndarray,
-                     feasible: FeasibleSet, balance: Callable, inner_tol: float,
-                     max_inner: int, warm: Optional[np.ndarray] = None):
+                     feasible: FeasibleSet, balance: Callable):
     """Solve balance(x(eta)) = 0 over eta > 0, given balance(x(0)) < 0.
 
     The bracket's upper end doubles from eta = 1 until the sign changes (hard
-    cap ETA_CAP), then Brent's method runs to machine precision in eta.  The
-    first iterative inner solve starts from ``warm``, each later one from the
-    previous solution.  Returns (eta, x) of smallest |balance| seen, ties
-    going to the larger eta, and the number of regularized solves made.
+    cap ETA_CAP), then Brent's method runs to machine precision in eta.
+    Returns (eta, x) of smallest |balance| seen, ties going to the larger
+    eta, and the number of regularized solves made.
     """
     points: dict = {}  # eta -> (balance, x)
 
     def g(eta: float) -> float:
-        nonlocal warm
         if eta not in points:
-            x, _, _ = _solve_regularized_full(mirror_map, f, eta, x_prev, feasible,
-                                              x_init=warm, tol=inner_tol,
-                                              max_iter=max_inner)
-            warm = x
+            x = solve_regularized(mirror_map, f, eta, x_prev, feasible)
             points[eta] = (balance(x), x)
         return points[eta][0]
 
@@ -500,16 +399,14 @@ def _multiplier_root(mirror_map: MirrorMap, f: CostFunction, x_prev: np.ndarray,
 
 def project_sublevel(mirror_map: MirrorMap, f: CostFunction, l: float, x_prev,
                      feasible: Optional[FeasibleSet] = None,
-                     level_tol: float = 1e-8, max_inner: int = 10000,
-                     warm_x: Optional[np.ndarray] = None) -> ProjectionResult:
+                     level_tol: float = 1e-8) -> ProjectionResult:
     """Bregman-project x_prev onto {x : f(x) <= l} intersected with the set.
 
     Finds the multiplier eta of the level constraint with f(x(eta)) = l as
-    one ``_multiplier_root``; ``iterations`` counts its regularized solves.
-    The result is converged when the level residual is at most
-    level_tol * max(1, l); a level out of reach within eta <= 2**60 raises
-    NonConvergence.  Tracking costs under the Euclidean map project in
-    closed form.
+    one ``_multiplier_root`` over ``solve_regularized``; ``iterations``
+    counts its regularized solves.  The result is converged when the level
+    residual is at most level_tol * max(1, l); a level out of reach within
+    eta <= 2**60 raises NonConvergence.
     """
     x_prev = np.asarray(x_prev, dtype=float)
     if feasible is None:
@@ -518,42 +415,13 @@ def project_sublevel(mirror_map: MirrorMap, f: CostFunction, l: float, x_prev,
         raise ValueError("indicator costs have no level structure; use project_set")
     if l < f.min_value - 1e-12 * max(1.0, abs(f.min_value)):
         raise InfeasibleLevel(f"level {l} below minimum value {f.min_value}")
-    fx = f(x_prev)
-    if fx <= l:
+    if f(x_prev) <= l:
         return ProjectionResult(x=x_prev.copy(), eta=0.0, active=False,
                                 iterations=0, residual=0.0)
 
     tol_abs = level_tol * max(1.0, abs(l))
-
-    # closed-form: tracking cost under the Euclidean map on the whole space
-    if isinstance(f, NormTrackingCost) and mirror_map.name == "euclidean":
-        rho = l / f.scale
-        v = f.minimizer
-        kind = f.norm_a.kind
-        if kind == L2:
-            u = x_prev - v
-            n = float(np.linalg.norm(u))
-            x = v + (rho / n) * u
-            eta = (n - rho) / f.scale
-        elif kind == LINF:
-            x = v + np.clip(x_prev - v, -rho, rho)
-            eta = float(np.abs(x_prev - x).sum()) / f.scale
-        elif kind == L1:
-            x = v + _l1_ball_project(x_prev - v, rho)
-            moved = np.abs(x_prev - x)
-            eta = float(moved.max()) / f.scale
-        else:
-            x = _ellipsoid_project(x_prev, v, f.norm_a.Q, rho)
-            g = f.grad(x)
-            gn = float(g @ g)
-            eta = float((x_prev - x) @ g) / gn if gn > 0 else 0.0
-        if feasible.kind == WHOLE or feasible.contains(x):
-            return ProjectionResult(x=x, eta=eta, active=True, iterations=1,
-                                    residual=abs(f(x) - l))
-
     eta, x, solves = _multiplier_root(mirror_map, f, x_prev, feasible,
-                                      lambda y: l - f(y), min(1e-10, 1e-2 * tol_abs),
-                                      max_inner, warm_x)
+                                      lambda y: l - f(y))
     excess = f(x) - l
     if excess > tol_abs and eta >= ETA_CAP:
         raise NonConvergence(f"level {l} unreachable: multiplier bracket exceeded "

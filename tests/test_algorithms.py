@@ -127,7 +127,7 @@ class TestBalanceRoot:
 
     def test_primal_work_count(self, monkeypatch):
         sublevel_calls, solves = [], []
-        solve = obd.projection._solve_regularized_full
+        solve = obd.projection.solve_regularized
 
         def counting_solve(*args, **kwargs):
             solves.append(args[2])
@@ -135,7 +135,7 @@ class TestBalanceRoot:
 
         monkeypatch.setattr(obd.algorithms, "project_sublevel",
                             lambda *a, **k: sublevel_calls.append(a))
-        monkeypatch.setattr(obd.projection, "_solve_regularized_full", counting_solve)
+        monkeypatch.setattr(obd.projection, "solve_regularized", counting_solve)
         for seed in range(10):
             f, x_prev = _random_quadratic(8, seed, 3.0)
             solves.clear()

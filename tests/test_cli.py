@@ -132,7 +132,86 @@ class TestUnverifiedComparators:
         assert len((out / "plot_cr_vs_dim.dat").read_text().splitlines()) == 1
 
 
+class TestTheoremAuditsWithRaisingComparator:
+    ARGS = ["--dims", "2", "--trials", "1", "--seed", "4", "--T", "10"]
+
+    @staticmethod
+    def _raise(*args, **kwargs):
+        raise RuntimeError("solver broke")
+
+    @staticmethod
+    def _rows(out):
+        import csv
+        with open(out / "results.csv") as fh:
+            return list(csv.DictReader(fh))
+
+    def test_audit_suite(self, tmp_path, monkeypatch):
+        import obd.harness
+        monkeypatch.setattr(obd.harness, "offline_opt", self._raise)
+        out = tmp_path / "a"
+        assert run_cli(["--experiment", "audit_suite", *self.ARGS, "--out", str(out)]) == 3
+        rows = self._rows(out)
+        assert rows and all(r["opt_cost"] == r["cr"] == r["audit_worst_residual"] == ""
+                            for r in rows)
+        assert len((out / "plot_audit_suite.dat").read_text().splitlines()) == 1
+
+    def test_regret_sweep(self, tmp_path, monkeypatch):
+        # offline_opt raises, and so does every budgeted solve with L > 0:
+        # the opt_move budget is skipped and the diameter budget has no regret
+        import obd.harness
+
+        def budgeted(costs, x0, L, *args, **kwargs):
+            if L > 0.0:
+                raise RuntimeError("solver broke")
+            return solve_L(costs, x0, L, *args, **kwargs)
+
+        solve_L = obd.harness.offline_opt_constrained
+        monkeypatch.setattr(obd.harness, "offline_opt", self._raise)
+        monkeypatch.setattr(obd.harness, "offline_opt_constrained", budgeted)
+        out = tmp_path / "r"
+        assert run_cli(["--experiment", "regret_sweep", *self.ARGS, "--out", str(out)]) == 3
+        rows = self._rows(out)
+        assert [r["algo"] for r in rows] == ["dual_obd(L=0)", "dual_obd(L=20)"]
+        assert [r["regret_L"] == "" for r in rows] == [False, True]
+        assert all(r["opt_cost"] == r["cr"] == "" for r in rows)
+        dat = (out / "plot_regret_sweep.dat").read_text().splitlines()
+        assert len(dat) == 2 and dat[1].split()[0] == "2.0"
+        unverified = [json.loads((out / f).read_text())["totals"]["unverified"]
+                      for f in os.listdir(out) if f.startswith("run_")]
+        assert unverified == [["opt", "opt_L:20"]]
+
+    def test_healthy_regret_sweep(self, tmp_path):
+        out = tmp_path / "h"
+        assert run_cli(["--experiment", "regret_sweep", *self.ARGS, "--out", str(out)]) == 0
+        rows = self._rows(out)
+        assert len(rows) == 3 and all(r["regret_L"] != "" for r in rows)
+        assert len((out / "plot_regret_sweep.dat").read_text().splitlines()) == 2
+        assert [f for f in os.listdir(out) if f.startswith("run_")]
+
+
+def test_cr_vs_dim_jobs_do_not_change_csv(tmp_path):
+    args = ["--experiment", "cr_vs_dim", "--dims", "2,3", "--trials", "2",
+            "--seed", "7", "--T", "10", "--family", "norm_tracking"]
+    assert run_cli(args + ["--jobs", "1", "--out", str(tmp_path / "one")]) == 0
+    assert run_cli(args + ["--jobs", "2", "--out", str(tmp_path / "two")]) == 0
+    assert (tmp_path / "one" / "results.csv").read_bytes() == \
+        (tmp_path / "two" / "results.csv").read_bytes()
+
+
 class TestSingleRun:
+    def test_unconverged_steps_exit_3(self, tmp_path):
+        # no balance residual meets 1e-300, so every balanced step is unverified
+        cfg = {"experiment": "single_run", "T": 10, "level_tol": 1e-300,
+               "out": str(tmp_path / "u")}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["--config", str(path)]) == 3
+        out = tmp_path / "u"
+        (traj,) = [f for f in os.listdir(out) if f.startswith("run_")]
+        payload = json.loads((out / traj).read_text())
+        expected = [f"step:{s['t']}" for s in payload["steps"] if not s["converged"]]
+        assert expected and payload["totals"]["unverified"] == expected
+
     def test_trajectory_schema(self, tmp_path):
         out = tmp_path / "s"
         rc = run_cli(["--experiment", "single_run", "--family", "quadratic",

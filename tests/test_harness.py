@@ -73,6 +73,13 @@ class TestRun:
         assert rep.unverified() == ["opt"]
         assert rep.to_dict()["totals"]["unverified"] == ["opt"]
 
+    def test_unconverged_steps_are_unverified(self):
+        spec = InstanceSpec(d=2, T=5, family="quadratic", seed=60)
+        cfg = PrimalConfig(0.5, euclidean_map(), level_tol=1e-300)
+        rep = run(PrimalOBD(cfg), generate_instance(spec), comparators=())
+        unconverged = [f"step:{s.t}" for s in rep.steps if not s.converged]
+        assert unconverged and rep.unverified() == unconverged
+
     def test_opt_L_monotone(self):
         spec = InstanceSpec(d=2, T=10, family="quadratic", seed=64)
         inst = generate_instance(spec)

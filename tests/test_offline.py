@@ -96,6 +96,28 @@ class TestOfflineOpt:
         dp = grid_dp_oracle(costs, np.zeros(2), feasible=ball, refine=4)
         assert sol.objective == pytest.approx(dp.objective, rel=1e-3)
 
+    def test_binding_box_matches_oracle(self):
+        # every target lies outside the box, so the rows sit on its faces
+        rng = np.random.default_rng(4)
+        box = FeasibleSet.box([-1.0, -0.5], [1.0, 1.5])
+        costs = []
+        for _ in range(4):
+            A = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
+            costs.append(make_quadratic(A, A @ rng.uniform(1.5, 3.0, 2)))
+        sol = offline_opt(costs, np.zeros(2), box)
+        assert sol.converged
+        assert all(box.contains(x, tol=0.0) for x in sol.trajectory)
+        dp = grid_dp_oracle(costs, np.zeros(2), feasible=box, refine=4)
+        assert sol.objective == pytest.approx(dp.objective, rel=1e-3)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_composite_matches_oracle(self, seed):
+        inst = generate_instance(InstanceSpec(d=2, T=5, family="composite", seed=seed))
+        sol = offline_opt(inst.costs, inst.x0)
+        assert sol.converged
+        dp = grid_dp_oracle(inst.costs, inst.x0, refine=4)
+        assert sol.objective == pytest.approx(dp.objective, rel=1e-3)
+
     @pytest.mark.parametrize("feasible", [
         FeasibleSet.simplex(2, 0.1), FeasibleSet.halfspace([1.0, 0.0], 1.0),
         FeasibleSet.hyperplane([1.0, 0.0], 0.0),

@@ -32,6 +32,19 @@ def golden_section(f, lo, hi, iters=200):
     return 0.5 * (a + b)
 
 
+UNIT_BALL = FeasibleSet.ball(np.zeros(2), 1.0)
+
+
+def _circle_minimizer(obj, n=20000):
+    """Minimizer of obj over the unit circle: a grid in the angle, then
+    golden section in the best cell."""
+    point = lambda t: np.array([math.cos(t), math.sin(t)])
+    ts = np.linspace(-math.pi, math.pi, n)
+    k = int(np.argmin([obj(point(t)) for t in ts]))
+    return point(golden_section(lambda t: obj(point(t)), ts[max(k - 1, 0)],
+                                ts[min(k + 1, n - 1)]))
+
+
 class TestSolveRegularized:
     def test_zero_eta_projects_only(self):
         f = make_quadratic(np.eye(2), np.ones(2))
@@ -72,15 +85,72 @@ class TestSolveRegularized:
         x = solve_regularized(EMAP, f, 10.0, x_prev, FeasibleSet.whole_space(2))
         np.testing.assert_allclose(x, v, atol=1e-12)
 
-    def test_composite_prox_gradient_reaches_tolerance(self):
-        # an l2 tracking norm plus a quadratic: the proximal-gradient loop
-        # must stop on its residual target, not run out its budget
+    def test_composite_newton_is_stationary(self):
+        # an l2 tracking norm plus a quadratic, away from the kink: the Newton
+        # solve must meet stationarity, x - x_prev + eta * grad f(x) = 0
         inst = generate_instance(InstanceSpec(d=2, T=10, family="composite", seed=0))
-        x, it, residual = obd.projection._solve_regularized_full(
-            EMAP, inst.costs[0], 0.234, inst.x0, FeasibleSet.whole_space(2),
-            tol=1e-10, max_iter=10000)
-        assert it < 10000
-        assert residual <= 1e-10 * (1.0 + np.linalg.norm(x))
+        f, eta = inst.costs[0], 0.234
+        x = solve_regularized(EMAP, f, eta, inst.x0, FeasibleSet.whole_space(2))
+        assert np.linalg.norm(x - f.g.minimizer) > 1e-3
+        assert np.linalg.norm(x - inst.x0 + eta * f.grad(x)) <= 1e-9
+
+    def test_tracking_on_ball_matches_circle_reference(self):
+        # the prox lands outside the unit ball, so the minimum lies on the circle
+        x_prev, eta = np.array([0.0, 0.8]), 3.0
+        f = make_norm_tracking([3.0, 0.0], Norm.l2())
+        obj = lambda y: 0.5 * (y - x_prev) @ (y - x_prev) + eta * f(y)
+        x = solve_regularized(EMAP, f, eta, x_prev, UNIT_BALL)
+        ref = _circle_minimizer(obj)
+        assert UNIT_BALL.contains(x, tol=0.0)
+        assert obj(x) <= obj(ref) * (1.0 + 1e-8)
+        assert np.linalg.norm(x - ref) <= 1e-6
+        np.testing.assert_allclose(x, [0.98421, 0.17703], atol=1e-5)
+
+    @pytest.mark.parametrize("eta", [0.5, 1.0, 3.0])
+    def test_composite_on_ball_matches_circle_reference(self, eta):
+        v = np.array([2.0, 1.0])
+        A = np.array([[1.0, 0.5], [0.0, 2.0]])
+        f = make_composite(make_norm_tracking(v, Norm.l2()), make_quadratic(A, A @ v))
+        x_prev = np.array([0.0, 0.5])
+        obj = lambda y: 0.5 * (y - x_prev) @ (y - x_prev) + eta * f(y)
+        free = solve_regularized(EMAP, f, eta, x_prev, FeasibleSet.whole_space(2))
+        assert np.linalg.norm(free) > 1.5
+        x = solve_regularized(EMAP, f, eta, x_prev, UNIT_BALL)
+        ref = _circle_minimizer(obj)
+        assert UNIT_BALL.contains(x, tol=0.0)
+        assert obj(x) <= obj(ref) * (1.0 + 1e-8)
+        assert np.linalg.norm(x - ref) <= 1e-6
+
+    def test_mahalanobis_map_tracking_stationarity(self):
+        # Q(x - x_prev) + eta * s * (x - v) / ||x - v|| = 0 away from v
+        Q = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 0.5]])
+        v = np.array([1.0, -1.0, 0.5])
+        f = make_norm_tracking(v, Norm.l2(), scale=1.5)
+        x_prev = np.array([3.0, 2.0, -1.0])
+        for eta in (0.1, 0.5, 1.0, 2.0):
+            x = solve_regularized(mahalanobis_map(Q), f, eta, x_prev,
+                                  FeasibleSet.whole_space(3))
+            u = x - v
+            assert np.linalg.norm(u) > 1e-3
+            stat = Q @ (x - x_prev) + eta * 1.5 * u / np.linalg.norm(u)
+            assert np.linalg.norm(stat) <= 1e-9
+
+    def test_pairs_without_a_solver_rejected(self):
+        f = make_norm_tracking([0.25, 0.25, 0.5], Norm.l2())
+        with pytest.raises(ValueError, match="entropy"):
+            solve_regularized(entropy_map(0.01), f, 1.0, np.full(3, 1.0 / 3.0),
+                              FeasibleSet.simplex(3, 0.01))
+        q = make_quadratic(np.eye(2), [5.0, 5.0])
+        with pytest.raises(ValueError, match="simplex"):
+            solve_regularized(EMAP, q, 1.0, [0.5, 0.5], FeasibleSet.simplex(2, 0.01))
+
+    def test_entropy_delta_bound_raises(self):
+        # the quadratic pulls the last coordinate to 0, below delta = 0.01
+        f = make_quadratic(np.eye(3), [0.7, 0.3, 0.0])
+        for eta in (200.0, 1000.0):
+            with pytest.raises(NonConvergence, match="delta"):
+                solve_regularized(entropy_map(0.01), f, eta, np.array([0.5, 0.3, 0.2]),
+                                  FeasibleSet.simplex(3, 0.01))
 
     def test_respects_feasible_set(self):
         f = make_quadratic(np.eye(2), np.array([2.0, 2.0]))
@@ -146,6 +216,12 @@ class TestProjectSet:
         p2 = project_set(ent, s, y2)
         assert p2[3] == pytest.approx(0.01, abs=1e-12)
         assert p2.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_no_closed_form_rejected(self):
+        # a Mahalanobis map on an l2 ball has no closed-form projection
+        mmap = mahalanobis_map(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        with pytest.raises(ValueError, match="l2 ball"):
+            project_set(mmap, UNIT_BALL, np.array([2.0, 1.0]))
 
     def test_l1_and_linf_balls(self):
         b1 = FeasibleSet.ball(np.zeros(3), 1.0, Norm.l1())
@@ -292,13 +368,13 @@ class TestProjectSublevel:
 
 def _count_solves(monkeypatch):
     etas = []
-    solve = obd.projection._solve_regularized_full
+    solve = obd.projection.solve_regularized
 
     def counting_solve(*args, **kwargs):
         etas.append(args[2])
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(obd.projection, "_solve_regularized_full", counting_solve)
+    monkeypatch.setattr(obd.projection, "solve_regularized", counting_solve)
     return etas
 
 
