@@ -346,7 +346,7 @@ def offline_opt(costs: Sequence[CostFunction], x0, feasible: Optional[FeasibleSe
     # can land slightly above it; never report more than these trajectories.
     for name, Y in (("stay at x0", np.tile(problem.x0, (problem.T, 1))),
                     ("jump to minimizers", minimizers)):
-        if all(problem.feasible.contains(y, tol=0.0) for y in Y) \
+        if _inside(problem.feasible, Y, 0.0).all() \
                 and sum(problem.exact_parts(Y)) < sum(problem.exact_parts(X)):
             X = Y
             notes.append(f"{name} trajectory beat the solve")
@@ -455,22 +455,78 @@ def auto_grid(costs: Sequence[CostFunction], x0, points: int = 21,
     return GridSpec(lo - pad, hi + pad, points)
 
 
-def _pairwise_norm(a: np.ndarray, b: np.ndarray, norm: Norm) -> np.ndarray:
+# matrix entries per block of a DP transition: the block's buffers stay in cache
+_BLOCK = 1 << 17
+
+
+def _min_plus(a: np.ndarray, b: np.ndarray, norm: Norm, w: float,
+              V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row minima over j of w * ||a_i - b_j|| + V_j, and their argmins.
+
+    The rows of ``a`` go in blocks of about ``_BLOCK`` entries, each built in
+    one buffer and updated in place, so no len(a) x len(b) matrix is formed.
+    l2 and Mahalanobis distances are sqrt(max((|a_i|^2 + |b_j|^2) - 2 a_i.b_j, 0)),
+    Mahalanobis after mapping both sides by the Cholesky factor of Q.
+    """
     if norm.kind == MAHALANOBIS:
         a, b = a @ norm._chol, b @ norm._chol
-    if norm.kind in (L2, MAHALANOBIS):
-        sq = (np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
-              - 2.0 * (a @ b.T))
-        return np.sqrt(np.maximum(sq, 0.0))
-    out = np.empty((a.shape[0], b.shape[0]))
-    chunk = max(1, 4_000_000 // max(1, b.shape[0] * a.shape[1]))
-    for i in range(0, a.shape[0], chunk):
-        diff = a[i:i + chunk, None, :] - b[None, :, :]
-        if norm.kind == L1:
-            out[i:i + chunk] = np.sum(np.abs(diff), axis=2)
+    gram = norm.kind in (L2, MAHALANOBIS)
+    n, m = len(a), len(b)
+    rows = min(n, max(1, _BLOCK // (m if gram else m * a.shape[1])))
+    buf = np.empty((rows, m))
+    if gram:
+        aa, bb, bt = np.sum(a * a, axis=1), np.sum(b * b, axis=1), b.T
+        cross = np.empty((rows, m))
+    else:
+        diff = np.empty((rows, m, a.shape[1]))
+        reduce = np.sum if norm.kind == L1 else np.max
+    minima, argmins = np.empty(n), np.empty(n, dtype=np.intp)
+    for i in range(0, n, rows):
+        k = min(rows, n - i)
+        D = buf[:k]
+        if gram:
+            np.add(aa[i:i + k, None], bb[None, :], out=D)
+            ab = np.matmul(a[i:i + k], bt, out=cross[:k])
+            ab *= 2.0
+            D -= ab
+            np.maximum(D, 0.0, out=D)
+            np.sqrt(D, out=D)
         else:
-            out[i:i + chunk] = np.max(np.abs(diff), axis=2)
-    return out
+            u = diff[:k]
+            np.subtract(a[i:i + k, None, :], b[None, :, :], out=u)
+            np.abs(u, out=u)
+            reduce(u, axis=2, out=D)
+        D *= w
+        D += V
+        j = np.argmin(D, axis=1)
+        argmins[i:i + k] = j
+        minima[i:i + k] = D[np.arange(k), j]
+    return minima, argmins
+
+
+def _inside(feasible: FeasibleSet, pts: np.ndarray, tol: float) -> np.ndarray:
+    """Row mask of ``feasible.contains(p, tol)`` over the rows p of pts.
+
+    Boxes and l2 or Mahalanobis balls are tested all at once.  A ball row
+    whose norm lies within rounding of the bound goes to ``contains`` itself,
+    whose norm sums in another order; other sets go one row at a time.
+    """
+    p = feasible.params
+    if feasible.kind == WHOLE:
+        return np.ones(len(pts), dtype=bool)
+    if feasible.kind == BOX:
+        return np.all((pts >= p["lo"] - tol) & (pts <= p["hi"] + tol), axis=1)
+    if feasible.kind == BALL and p["norm"].kind in (L2, MAHALANOBIS):
+        U = pts - p["center"]
+        if p["norm"].kind == MAHALANOBIS:
+            U = U @ p["norm"]._chol
+        r = np.linalg.norm(U, axis=1)
+        bound = p["radius"] + tol
+        mask = r <= bound
+        near = np.flatnonzero(np.abs(r - bound) <= 1e-12 * bound)
+        mask[near] = [feasible.contains(pts[i], tol) for i in near]
+        return mask
+    return np.array([feasible.contains(x, tol) for x in pts], dtype=bool)
 
 
 def _batch_cost_values(f: CostFunction, pts: np.ndarray) -> np.ndarray:
@@ -487,24 +543,22 @@ def _batch_cost_values(f: CostFunction, pts: np.ndarray) -> np.ndarray:
 def _dp_solve(costs, x0, norm: Norm, point_sets, move_weight: float,
               feasible: Optional[FeasibleSet]):
     T = len(costs)
-    if feasible is not None and feasible.kind != WHOLE:
-        point_sets = [pts[[feasible.contains(p) for p in pts]] for pts in point_sets]
+    if feasible is not None:
+        point_sets = [pts[_inside(feasible, pts, 1e-9)] for pts in point_sets]
         if any(len(p) == 0 for p in point_sets):
             raise ValueError("grid does not intersect the feasible set")
     values = [_batch_cost_values(f, pts) for f, pts in zip(costs, point_sets)]
-    V = values[T - 1].copy()
+    V = values[T - 1]
     choices = []
     for t in range(T - 2, -1, -1):
-        D = _pairwise_norm(point_sets[t], point_sets[t + 1], norm)
-        total = move_weight * D + V[None, :]
-        idx = np.argmin(total, axis=1)
+        best, idx = _min_plus(point_sets[t], point_sets[t + 1], norm, move_weight, V)
         choices.append(idx)
-        V = values[t] + total[np.arange(len(point_sets[t])), idx]
+        V = values[t] + best
     choices.reverse()
-    d0 = _pairwise_norm(np.asarray(x0, dtype=float)[None, :], point_sets[0], norm)[0]
-    start = int(np.argmin(move_weight * d0 + V))
-    obj = float(move_weight * d0[start] + V[start])
-    traj_idx = [start]
+    best, idx = _min_plus(np.asarray(x0, dtype=float)[None, :], point_sets[0], norm,
+                          move_weight, V)
+    obj = float(best[0])
+    traj_idx = [int(idx[0])]
     for t in range(T - 1):
         traj_idx.append(int(choices[t][traj_idx[-1]]))
     X = np.stack([point_sets[t][traj_idx[t]] for t in range(T)])
@@ -520,11 +574,16 @@ def grid_dp_oracle(costs: Sequence[CostFunction], x0,
                    cap: int = 300000) -> OfflineSolution:
     """Exact dynamic program over a discretized state space (d <= 2, short T).
 
-    After the first pass the grid zooms twice around the incumbent trajectory
-    (refine_factor x resolution within +-2 cells per round), taming
-    discretization bias.  The reported objective carries the final cell
-    diagonal as its uncertainty tag.
+    After the first pass the grid zooms ``refine`` times around the incumbent
+    trajectory (refine_factor x finer each time), taming discretization bias.
+    Each DP transition is a min-plus step taken over cache-sized blocks of
+    rows, so the distance matrix between two rounds' grids is never formed
+    whole (a 51 x 51 zoom grid's would be 54 MB).  The reported
+    objective carries the final cell diagonal as its uncertainty tag; one
+    debug line per solve gives T, d, the largest grid per round, the passes
+    and the seconds.
     """
+    started = time.perf_counter()
     x0 = np.asarray(x0, dtype=float)
     norm = norm or Norm.l2()
     if grid is None:
@@ -554,6 +613,9 @@ def grid_dp_oracle(costs: Sequence[CostFunction], x0,
             X, obj = X_new, obj_new
         diag = norm(2.0 * half / (zoom_n - 1))
         half = half / refine_factor
+    log.debug("offline oracle: T=%d d=%d points=%d passes=%d %.3fs", T, d,
+              max(grid.points ** d, zoom_n ** d if refine else 0), 1 + refine,
+              time.perf_counter() - started)
     hit = float(sum(f(X[t]) for t, f in enumerate(costs)))
     diffs = X - np.vstack([x0[None, :], X[:-1]])
     move = float(_switch_values_exact(diffs, norm).sum())

@@ -180,13 +180,24 @@ class TestTheoremAuditsWithRaisingComparator:
                       for f in os.listdir(out) if f.startswith("run_")]
         assert unverified == [["opt", "opt_L:20"]]
 
-    def test_healthy_regret_sweep(self, tmp_path):
+    def test_healthy_regret_sweep(self, tmp_path, monkeypatch):
+        import obd.cli
+        written = []
+        write = obd.cli._write_report_dict
+
+        def counting(cfg, payload):
+            written.append(payload)
+            write(cfg, payload)
+
+        monkeypatch.setattr(obd.cli, "_write_report_dict", counting)
         out = tmp_path / "h"
         assert run_cli(["--experiment", "regret_sweep", *self.ARGS, "--out", str(out)]) == 0
         rows = self._rows(out)
         assert len(rows) == 3 and all(r["regret_L"] != "" for r in rows)
         assert len((out / "plot_regret_sweep.dat").read_text().splitlines()) == 2
-        assert [f for f in os.listdir(out) if f.startswith("run_")]
+        # one report per trajectory file: the zero-budget case shares its run
+        files = [f for f in os.listdir(out) if f.startswith("run_")]
+        assert files and len(written) == len(files)
 
 
 def test_cr_vs_dim_jobs_do_not_change_csv(tmp_path):

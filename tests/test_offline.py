@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import obd.offline
 from obd.costs import InstanceSpec, generate_instance, make_norm_tracking, make_quadratic
 from obd.geometry import FeasibleSet, Norm
 from obd.offline import (
-    GridSpec, auto_grid, grid_dp_oracle, offline_opt, offline_opt_constrained,
-    static_opt,
+    GridSpec, _inside, _min_plus, auto_grid, grid_dp_oracle, offline_opt,
+    offline_opt_constrained, static_opt,
 )
 
 
@@ -145,12 +146,14 @@ class TestOfflineOpt:
         sol = offline_opt(costs, [0.0])
         offline_opt_constrained(costs, [0.0], 0.5, base=sol)
         static_opt(costs, [0.0])
+        grid_dp_oracle(costs, [0.0], GridSpec([-2.0], [3.0], 41), refine=3)
         lines = [r.getMessage() for r in caplog.records if r.name == "obd"]
         assert [line.split(":")[0] for line in lines] == [
-            "offline opt", "offline opt_L", "offline static"]
+            "offline opt", "offline opt_L", "offline static", "offline oracle"]
         assert lines[0].startswith(f"offline opt: T=2 d=1 steps={sol.iterations} "
                                    "converged=True ")
         assert sol.iterations > 0
+        assert lines[3].startswith("offline oracle: T=2 d=1 points=101 passes=4 ")
 
 
 class TestConstrained:
@@ -299,3 +302,63 @@ class TestGridOracle:
         grid = GridSpec([-1.5, -1.5], [1.5, 1.5], 7)
         dp = grid_dp_oracle(fs, np.zeros(2), grid, refine=0)
         assert dp.objective == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("norm", [
+        Norm.l2(), Norm.l1(), Norm.linf(), Norm.mahalanobis([[2.0, 0.5], [0.5, 1.0]])],
+        ids=["l2", "l1", "linf", "mahalanobis"])
+    @pytest.mark.parametrize("w", [1.0, 1.7])
+    def test_min_plus_matches_full_matrix(self, norm, w):
+        a = GridSpec([-1.0, -2.0], [2.0, 1.0], 51).mesh()
+        b = GridSpec([-1.5, -1.5], [1.5, 2.5], 37).mesh()
+        V = np.random.default_rng(5).uniform(0.0, 3.0, len(b))
+        # a block holds _BLOCK // len(b) rows for l2 and Mahalanobis, and
+        # _BLOCK // (2 len(b)) for l1 and linf: neither divides len(a)
+        assert all(len(a) % (obd.offline._BLOCK // w) for w in (len(b), 2 * len(b)))
+        if norm.kind in ("l2", "mahalanobis"):
+            L = np.eye(2) if norm.kind == "l2" else norm._chol
+            ua, ub = a @ L, b @ L
+            sq = (np.sum(ua * ua, axis=1)[:, None] + np.sum(ub * ub, axis=1)[None, :]
+                  - 2.0 * (ua @ ub.T))
+            D = np.sqrt(np.maximum(sq, 0.0))
+        else:
+            diff = np.abs(a[:, None, :] - b[None, :, :])
+            D = diff.sum(axis=2) if norm.kind == "l1" else diff.max(axis=2)
+        total = w * D + V[None, :]
+        best, idx = _min_plus(a, b, norm, w, V)
+        np.testing.assert_array_equal(idx, np.argmin(total, axis=1))
+        np.testing.assert_allclose(best, total.min(axis=1), rtol=1e-12, atol=0.0)
+
+    def test_memory_bounded(self):
+        # a full distance matrix per transition would be 54 MB on the 51 x 51 zoom grid
+        inst = generate_instance(InstanceSpec(d=2, T=4, family="norm_tracking", seed=48))
+        tracemalloc.start()
+        try:
+            grid_dp_oracle(inst.costs, inst.x0, refine=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
+
+@pytest.mark.parametrize("feasible", [
+    FeasibleSet.box([-1.0, -0.5], [1.0, 1.5]), FeasibleSet.ball(np.zeros(2), 1.5),
+    FeasibleSet.ball(np.array([0.25, -0.5]), 1.0, Norm.mahalanobis([[2.0, 0.5], [0.5, 1.0]])),
+    FeasibleSet.ball(np.zeros(2), 1.0, Norm.l1()), FeasibleSet.halfspace([1.0, 1.0], 0.5),
+    FeasibleSet.whole_space(2)], ids=["box", "l2", "mahalanobis", "l1", "halfspace", "whole"])
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_row_test_matches_contains(feasible, tol):
+    pts = [GridSpec([-2.0, -2.0], [2.0, 2.0], 41).mesh()]
+    p = feasible.params
+    if feasible.kind == "box":
+        pts.append(np.array([[-1.0, 0.0], [1.0, 1.5], [1.0 + tol, -0.5 - tol],
+                             [1.0 + 2 * tol, 0.0]]))
+    elif feasible.kind == "ball":
+        # rays scaled onto the boundary, and just inside and outside it
+        rays = np.random.default_rng(6).standard_normal((2000, 2))
+        on = np.array([p["radius"] * u / p["norm"](u) for u in rays])
+        pts += [p["center"] + on, p["center"] + (1.0 + 1e-15) * on,
+                p["center"] + (1.0 - 1e-15) * on,
+                p["center"] + np.array([[p["radius"] + tol, 0.0], [0.0, -p["radius"]]])]
+    pts = np.vstack(pts)
+    np.testing.assert_array_equal(_inside(feasible, pts, tol),
+                                  [feasible.contains(x, tol) for x in pts])
