@@ -9,12 +9,11 @@ whose level constraint has multiplier eta:
 * dual balance: the dual-space movement ||grad Phi(x(eta)) - grad Phi(x_prev)||_*
   equals cfg.eta * ||grad f(x(eta))||_* (regret setting, smooth costs).
 
-Each is one bracketed scalar root in eta (``_balance_root``, the same
-``obd.projection._multiplier_root`` that ``project_sublevel`` uses); the
-level sweeps of ``primal_balance_curve`` / ``dual_balance_curve`` check that
-no crossing is missed.  Steppers are pure functions of (previous point,
-revealed cost, config): replaying any suffix from a stored point reproduces
-it bitwise.
+Each is one bracketed scalar root in eta (``obd.projection._multiplier_root``,
+the same one ``project_sublevel`` uses); the level sweeps of
+``primal_balance_curve`` / ``dual_balance_curve`` check that no crossing is
+missed.  Steppers are pure functions of (previous point, revealed cost,
+config): replaying any suffix from a stored point reproduces it bitwise.
 """
 
 from __future__ import annotations
@@ -84,17 +83,12 @@ class PrimalConfig:
 
 @dataclass
 class DualConfig:
-    """Parameters of the dual-balance stepper; eta must be positive.
-
-    ``grad_floor`` guards the search near the cost minimizer, where the
-    gradient vanishes and the balance ratio degenerates.
-    """
+    """Parameters of the dual-balance stepper; eta must be positive."""
 
     eta: float
     mirror_map: MirrorMap
     feasible: Optional[FeasibleSet] = None
     level_tol: float = 1e-6
-    grad_floor: float = 1e-12
 
     def __post_init__(self):
         if self.eta <= 0.0:
@@ -108,20 +102,13 @@ def _indicator_step(mirror_map: MirrorMap, norm: Norm, f: IndicatorCost,
                       eta_t=0.0, branch=Branch.SET_PROJECTION)
 
 
-def _balance_root(cfg: PrimalConfig | DualConfig, f: CostFunction,
-                  x_prev: np.ndarray, balance):
-    """Multiplier root of balance(x(eta)) = 0 under the stepper's config."""
-    feasible = cfg.feasible or FeasibleSet.whole_space(x_prev.shape[0])
-    return _multiplier_root(cfg.mirror_map, f, x_prev, feasible, balance)
-
-
 def primal_obd_step(x_prev, f: CostFunction, cfg: PrimalConfig,
                     t: int = 0) -> StepRecord:
     """One primal-balance round from ``x_prev`` against the revealed cost.
 
     Moves straight to the minimizer when it is closer than beta times its
     value; otherwise finds the multiplier eta at which x(eta) moves exactly
-    beta times its hitting cost (see ``_balance_root``).  The step is
+    beta times its hitting cost (see ``_multiplier_root``).  The step is
     converged when that balance holds to level_tol * max(1, f(x)).  Indicator
     costs bypass the balance search and are projected directly.
     """
@@ -142,8 +129,9 @@ def primal_obd_step(x_prev, f: CostFunction, cfg: PrimalConfig,
         return StepRecord(t=t, x=f.minimizer.copy(), hit=fv, move=dist_to_v,
                           level=fv, eta_t=0.0, branch=Branch.MOVE_TO_MINIMIZER)
 
-    eta, x, solves = _balance_root(cfg, f, x_prev,
-                                   lambda x: norm(x - x_prev) - cfg.beta * f(x))
+    feasible = cfg.feasible or FeasibleSet.whole_space(x_prev.shape[0])
+    eta, x, solves = _multiplier_root(cfg.mirror_map, f, x_prev, feasible,
+                                      lambda x: norm(x - x_prev) - cfg.beta * f(x))
     hit, move = f(x), norm(x - x_prev)
     residual = abs(move - cfg.beta * hit)
     return StepRecord(t=t, x=x, hit=hit, move=move, level=hit, eta_t=eta,
@@ -159,8 +147,10 @@ def dual_obd_step(x_prev, f: CostFunction, cfg: DualConfig,
     Finds the multiplier eta at which the dual movement of x(eta) equals
     cfg.eta times its dual gradient norm: at eta = 0 the movement is zero,
     while toward the minimizer the gradient vanishes, so the balance changes
-    sign in between (see ``_balance_root``).  The step is converged when the
-    balance holds to level_tol relative.
+    sign in between (see ``_multiplier_root``).  The step is converged when
+    the balance holds to level_tol relative.  When the direct solve at eta =
+    cfg.eta does not balance, a dual gradient norm below 1e-12 at x_prev
+    raises ValueError: the balance ratio degenerates at the minimizer.
     """
     x_prev = np.asarray(x_prev, dtype=float)
     norm = cfg.mirror_map.norm
@@ -191,15 +181,16 @@ def dual_obd_step(x_prev, f: CostFunction, cfg: DualConfig,
     # With the constraint set inactive, stationarity makes the dual movement
     # of x(eta) exactly eta times the gradient norm, so the balanced point is
     # the regularized solve at eta = cfg.eta itself: try that first.
-    direct = solve_regularized(cfg.mirror_map, f, cfg.eta, x_prev,
-                               cfg.feasible or FeasibleSet.whole_space(x_prev.shape[0]))
+    feasible = cfg.feasible or FeasibleSet.whole_space(x_prev.shape[0])
+    direct = solve_regularized(cfg.mirror_map, f, cfg.eta, x_prev, feasible)
     rec = record(direct, cfg.eta, 1)
     if rec.converged and rec.hit <= fx:
         return rec
 
-    if norm.dual_value(f.grad(x_prev)) < cfg.grad_floor:
-        raise ValueError("cost gradient below grad_floor throughout the bracket")
-    eta, x, solves = _balance_root(cfg, f, x_prev, lambda x: np.subtract(*sides(x)))
+    if norm.dual_value(f.grad(x_prev)) < 1e-12:
+        raise ValueError("cost gradient below 1e-12 throughout the bracket")
+    eta, x, solves = _multiplier_root(cfg.mirror_map, f, x_prev, feasible,
+                                      lambda x: np.subtract(*sides(x)))
     return record(x, eta, 1 + solves)
 
 

@@ -1,7 +1,8 @@
 """Hitting-cost families, seeded instance generators, and the lower-bound adversary.
 
-Cost objects expose ``__call__`` (value), ``grad`` (gradient, or a subgradient
-where the cost is nonsmooth), the minimizer ``v`` with its value, an optional
+Cost objects expose ``__call__`` (the value at one point, or at each row of
+a stack of points (..., d)), ``grad`` (gradient, or a subgradient where the
+cost is nonsmooth), the minimizer ``v`` with its value, an optional
 linear-growth modulus ``alpha`` (f(x) - f(v) >= alpha * ||x - v|| in the
 switching norm), and a ``smooth`` flag.  The dual-balance stepper refuses
 nonsmooth costs instead of silently substituting subgradients.
@@ -70,8 +71,9 @@ class QuadraticCost(CostFunction):
         self._eig_cache: dict = {}
 
     def __call__(self, x):
-        r = self.A @ x - self.y
-        return float(r @ r)
+        r = x @ self.A.T - self.y
+        v = np.add.reduce(r * r, -1)
+        return float(v) if r.ndim == 1 else v
 
     def grad(self, x):
         return 2.0 * (self.AtA @ x - self.Aty)
@@ -124,11 +126,6 @@ class NormTrackingCost(CostFunction):
     def grad(self, x):
         u = x - self.minimizer
         kind = self.norm_a.kind
-        if kind == L2:
-            n = float(np.linalg.norm(u))
-            if n == 0.0:
-                return np.zeros_like(u)
-            return self.scale * u / n
         if kind == L1:
             return self.scale * np.sign(u)
         if kind == LINF:
@@ -140,7 +137,7 @@ class NormTrackingCost(CostFunction):
         n = self.norm_a(u)
         if n == 0.0:
             return np.zeros_like(u)
-        return self.scale * (self.norm_a.Q @ u) / n
+        return self.scale * (u if kind == L2 else self.norm_a.Q @ u) / n
 
 
 class CompositeCost(CostFunction):
@@ -193,7 +190,8 @@ class IndicatorCost(CostFunction):
         self.smooth = False
 
     def __call__(self, x):
-        return 0.0 if self.constraint.contains(x) else math.inf
+        v = np.where(self.constraint.contains(x), 0.0, math.inf)
+        return float(v) if v.ndim == 0 else v
 
     def grad(self, x):
         return np.zeros(self.dim)

@@ -12,8 +12,10 @@ comparators) is phrased in terms of the objects defined here:
                          the whole space; membership tests only (projections
                          live in ``obd.projection``).
 
-All vectors are plain 1-D float64 ``numpy`` arrays.  Objects here are
-immutable after construction and safe to share across worker processes.
+All vectors are plain 1-D float64 ``numpy`` arrays; norms and membership
+tests also take a stack of points (..., d) and treat each row exactly as
+that point alone.  Objects here are immutable after construction and safe to
+share across worker processes.
 """
 
 from __future__ import annotations
@@ -112,15 +114,24 @@ class Norm:
 
     # -- evaluation --------------------------------------------------------
 
-    def __call__(self, x) -> float:
+    def __call__(self, x):
+        """||x|| as a float for one point, or each row's norm for a stack (..., d).
+
+        The reduction runs along the last axis either way, so a row of a
+        stack and the same point alone give the same bits.  Mahalanobis maps
+        by the Cholesky factor with ``einsum``: BLAS rounds a matrix-vector
+        and a matrix-matrix product differently.
+        """
         x = np.asarray(x, dtype=float)
-        if self.kind == L2:
-            return float(np.linalg.norm(x))
         if self.kind == L1:
-            return float(np.abs(x).sum())
-        if self.kind == LINF:
-            return float(np.abs(x).max()) if x.size else 0.0
-        return float(np.linalg.norm(self._chol.T @ x))
+            n = np.add.reduce(np.abs(x), -1)
+        elif self.kind == LINF:
+            n = np.abs(x).max(-1, initial=0.0)
+        else:
+            u = x if self.kind == L2 else np.einsum("...i,ij->...j", x, self._chol)
+            n = np.add.reduce(u * u, -1)
+            return math.sqrt(n) if x.ndim == 1 else np.sqrt(n)
+        return float(n) if x.ndim == 1 else n
 
     def dual_value(self, z) -> float:
         """Value of the dual norm ||z||_* = max_{||x|| <= 1} <z, x>."""
@@ -421,21 +432,25 @@ class FeasibleSet:
     def dim(self) -> int:
         return self.params["d"]
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def contains(self, x, tol: float = 1e-9):
+        """Membership up to ``tol``: a bool for one point, a row mask for a
+        stack (..., d).  Each row is tested with that point's own arithmetic."""
         x = np.asarray(x, dtype=float)
         p = self.params
         if self.kind == WHOLE:
-            return True
+            return True if x.ndim == 1 else np.ones(x.shape[:-1], dtype=bool)
         if self.kind == BOX:
-            return bool(np.all(x >= p["lo"] - tol) and np.all(x <= p["hi"] + tol))
-        if self.kind == BALL:
-            return p["norm"](x - p["center"]) <= p["radius"] + tol
-        if self.kind == SIMPLEX:
-            return bool(abs(float(x.sum()) - 1.0) <= tol
-                        and np.all(x >= p["delta"] - tol))
-        if self.kind == HALFSPACE:
-            return float(p["a"] @ x) <= p["b"] + tol
-        return abs(float(p["a"] @ x) - p["b"]) <= tol * (1.0 + abs(p["b"]))
+            inside = np.all((x >= p["lo"] - tol) & (x <= p["hi"] + tol), axis=-1)
+        elif self.kind == BALL:
+            inside = p["norm"](x - p["center"]) <= p["radius"] + tol
+        elif self.kind == SIMPLEX:
+            inside = (abs(np.add.reduce(x, -1) - 1.0) <= tol) \
+                & np.all(x >= p["delta"] - tol, axis=-1)
+        elif self.kind == HALFSPACE:
+            inside = np.add.reduce(x * p["a"], -1) <= p["b"] + tol
+        else:
+            inside = abs(np.add.reduce(x * p["a"], -1) - p["b"]) <= tol * (1.0 + abs(p["b"]))
+        return bool(inside) if x.ndim == 1 else inside
 
     def diameter(self, norm: Optional[Norm] = None) -> float:
         """Diameter in ``norm`` (default l2); inf for unbounded kinds.

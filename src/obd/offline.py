@@ -90,17 +90,6 @@ def _smoothed_norm(U: np.ndarray, norm: Norm, eps: float):
     return r - eps, G, H
 
 
-def _switch_values_exact(diffs: np.ndarray, norm: Norm) -> np.ndarray:
-    if norm.kind == L2:
-        return np.sqrt(np.sum(diffs * diffs, axis=1))
-    if norm.kind == L1:
-        return np.sum(np.abs(diffs), axis=1)
-    if norm.kind == LINF:
-        return np.max(np.abs(diffs), axis=1) if diffs.size else np.zeros(0)
-    qd = diffs @ norm.Q
-    return np.sqrt(np.maximum(np.sum(qd * diffs, axis=1), 0.0))
-
-
 def _hit_terms(costs: Sequence[CostFunction]):
     """(X, eps) -> (total value, row gradients, row Hessians) of the smoothed
     hitting costs, vectorized over the rounds of one cost family."""
@@ -173,14 +162,15 @@ def _set_barrier(feasible: FeasibleSet):
 
 
 def _interior(feasible: FeasibleSet, X: np.ndarray) -> np.ndarray:
-    """X with every row pulled strictly inside the set, where the barrier is finite."""
+    """X with every row pulled strictly inside the set, where the barrier is
+    finite; a ball's rows are scaled by their norms, taken as one stack."""
     p = feasible.params
     if feasible.kind == BOX:
         pad = 1e-3 * (p["hi"] - p["lo"])
         return np.clip(X, p["lo"] + pad, p["hi"] - pad)
     if feasible.kind == BALL:
         U = X - p["center"]
-        n = np.maximum([p["norm"](u) for u in U], 1e-300)
+        n = np.maximum(p["norm"](U), 1e-300)
         return p["center"] + np.minimum(1.0, (1.0 - 1e-3) * p["radius"] / n)[:, None] * U
     return X
 
@@ -221,7 +211,7 @@ class _TrajectoryProblem:
         return np.diff(X, axis=0, prepend=self.x0[None])
 
     def movement(self, X: np.ndarray) -> float:
-        return float(_switch_values_exact(self.diffs(X), self.norm).sum())
+        return float(self.norm(self.diffs(X)).sum())
 
     def exact_parts(self, X: np.ndarray):
         rows = np.broadcast_to(X, (self.T, self.d))
@@ -346,7 +336,7 @@ def offline_opt(costs: Sequence[CostFunction], x0, feasible: Optional[FeasibleSe
     # can land slightly above it; never report more than these trajectories.
     for name, Y in (("stay at x0", np.tile(problem.x0, (problem.T, 1))),
                     ("jump to minimizers", minimizers)):
-        if _inside(problem.feasible, Y, 0.0).all() \
+        if problem.feasible.contains(Y, 0.0).all() \
                 and sum(problem.exact_parts(Y)) < sum(problem.exact_parts(X)):
             X = Y
             notes.append(f"{name} trajectory beat the solve")
@@ -463,28 +453,26 @@ def _min_plus(a: np.ndarray, b: np.ndarray, norm: Norm, w: float,
               V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row minima over j of w * ||a_i - b_j|| + V_j, and their argmins.
 
-    The rows of ``a`` go in blocks of about ``_BLOCK`` entries, each built in
-    one buffer and updated in place, so no len(a) x len(b) matrix is formed.
-    l2 and Mahalanobis distances are sqrt(max((|a_i|^2 + |b_j|^2) - 2 a_i.b_j, 0)),
-    Mahalanobis after mapping both sides by the Cholesky factor of Q.
+    The rows of ``a`` go in blocks of about ``_BLOCK`` entries, so no
+    len(a) x len(b) matrix is formed.  l1 and linf distances are ``norm`` of
+    each block's stack of differences.  l2 and Mahalanobis distances take the
+    Gram form sqrt(max((|a_i|^2 + |b_j|^2) - 2 a_i.b_j, 0)), Mahalanobis after
+    mapping both sides by the Cholesky factor of Q, built in one buffer and
+    updated in place.
     """
     if norm.kind == MAHALANOBIS:
         a, b = a @ norm._chol, b @ norm._chol
     gram = norm.kind in (L2, MAHALANOBIS)
     n, m = len(a), len(b)
     rows = min(n, max(1, _BLOCK // (m if gram else m * a.shape[1])))
-    buf = np.empty((rows, m))
     if gram:
         aa, bb, bt = np.sum(a * a, axis=1), np.sum(b * b, axis=1), b.T
-        cross = np.empty((rows, m))
-    else:
-        diff = np.empty((rows, m, a.shape[1]))
-        reduce = np.sum if norm.kind == L1 else np.max
+        buf, cross = np.empty((rows, m)), np.empty((rows, m))
     minima, argmins = np.empty(n), np.empty(n, dtype=np.intp)
     for i in range(0, n, rows):
         k = min(rows, n - i)
-        D = buf[:k]
         if gram:
+            D = buf[:k]
             np.add(aa[i:i + k, None], bb[None, :], out=D)
             ab = np.matmul(a[i:i + k], bt, out=cross[:k])
             ab *= 2.0
@@ -492,10 +480,7 @@ def _min_plus(a: np.ndarray, b: np.ndarray, norm: Norm, w: float,
             np.maximum(D, 0.0, out=D)
             np.sqrt(D, out=D)
         else:
-            u = diff[:k]
-            np.subtract(a[i:i + k, None, :], b[None, :, :], out=u)
-            np.abs(u, out=u)
-            reduce(u, axis=2, out=D)
+            D = norm(a[i:i + k, None, :] - b[None, :, :])
         D *= w
         D += V
         j = np.argmin(D, axis=1)
@@ -504,50 +489,14 @@ def _min_plus(a: np.ndarray, b: np.ndarray, norm: Norm, w: float,
     return minima, argmins
 
 
-def _inside(feasible: FeasibleSet, pts: np.ndarray, tol: float) -> np.ndarray:
-    """Row mask of ``feasible.contains(p, tol)`` over the rows p of pts.
-
-    Boxes and l2 or Mahalanobis balls are tested all at once.  A ball row
-    whose norm lies within rounding of the bound goes to ``contains`` itself,
-    whose norm sums in another order; other sets go one row at a time.
-    """
-    p = feasible.params
-    if feasible.kind == WHOLE:
-        return np.ones(len(pts), dtype=bool)
-    if feasible.kind == BOX:
-        return np.all((pts >= p["lo"] - tol) & (pts <= p["hi"] + tol), axis=1)
-    if feasible.kind == BALL and p["norm"].kind in (L2, MAHALANOBIS):
-        U = pts - p["center"]
-        if p["norm"].kind == MAHALANOBIS:
-            U = U @ p["norm"]._chol
-        r = np.linalg.norm(U, axis=1)
-        bound = p["radius"] + tol
-        mask = r <= bound
-        near = np.flatnonzero(np.abs(r - bound) <= 1e-12 * bound)
-        mask[near] = [feasible.contains(pts[i], tol) for i in near]
-        return mask
-    return np.array([feasible.contains(x, tol) for x in pts], dtype=bool)
-
-
-def _batch_cost_values(f: CostFunction, pts: np.ndarray) -> np.ndarray:
-    if isinstance(f, QuadraticCost):
-        res = pts @ f.A.T - f.y
-        return np.sum(res * res, axis=1)
-    if isinstance(f, NormTrackingCost):
-        return f.scale * _switch_values_exact(pts - f.minimizer, f.norm_a)
-    if isinstance(f, CompositeCost):
-        return _batch_cost_values(f.g, pts) + _batch_cost_values(f.h, pts)
-    return np.array([f(p) for p in pts])
-
-
 def _dp_solve(costs, x0, norm: Norm, point_sets, move_weight: float,
               feasible: Optional[FeasibleSet]):
     T = len(costs)
     if feasible is not None:
-        point_sets = [pts[_inside(feasible, pts, 1e-9)] for pts in point_sets]
+        point_sets = [pts[feasible.contains(pts, 1e-9)] for pts in point_sets]
         if any(len(p) == 0 for p in point_sets):
             raise ValueError("grid does not intersect the feasible set")
-    values = [_batch_cost_values(f, pts) for f, pts in zip(costs, point_sets)]
+    values = [f(pts) for f, pts in zip(costs, point_sets)]
     V = values[T - 1]
     choices = []
     for t in range(T - 2, -1, -1):
@@ -569,19 +518,18 @@ def grid_dp_oracle(costs: Sequence[CostFunction], x0,
                    grid: Optional[GridSpec] = None,
                    norm: Optional[Norm] = None,
                    feasible: Optional[FeasibleSet] = None,
-                   refine: int = 2, refine_factor: int = 4,
-                   move_weight: float = 1.0,
-                   cap: int = 300000) -> OfflineSolution:
+                   refine: int = 2,
+                   move_weight: float = 1.0) -> OfflineSolution:
     """Exact dynamic program over a discretized state space (d <= 2, short T).
 
     After the first pass the grid zooms ``refine`` times around the incumbent
-    trajectory (refine_factor x finer each time), taming discretization bias.
-    Each DP transition is a min-plus step taken over cache-sized blocks of
-    rows, so the distance matrix between two rounds' grids is never formed
-    whole (a 51 x 51 zoom grid's would be 54 MB).  The reported
-    objective carries the final cell diagonal as its uncertainty tag; one
-    debug line per solve gives T, d, the largest grid per round, the passes
-    and the seconds.
+    trajectory (4x finer each time), taming discretization bias; a first grid
+    of more than 300000 points raises ValueError.  Each DP transition is a
+    min-plus step taken over cache-sized blocks of rows, so the distance
+    matrix between two rounds' grids is never formed whole (a 51 x 51 zoom
+    grid's would be 54 MB).  The reported objective carries the final cell
+    diagonal as its uncertainty tag; one debug line per solve gives T, d, the
+    largest grid per round, the passes and the seconds.
     """
     started = time.perf_counter()
     x0 = np.asarray(x0, dtype=float)
@@ -591,7 +539,7 @@ def grid_dp_oracle(costs: Sequence[CostFunction], x0,
     T, d = len(costs), grid.d
     if d > 2 or T > 8:
         raise ValueError("oracle is restricted to d <= 2 and T <= 8")
-    if grid.points ** d > cap:
+    if grid.points ** d > 300000:
         raise ValueError("state-space size cap exceeded")
 
     pts = grid.mesh()
@@ -602,23 +550,18 @@ def grid_dp_oracle(costs: Sequence[CostFunction], x0,
     zoom_n = 101 if d == 1 else 51
     half = span / 8.0  # wide first zoom: valleys can alias the coarse pass
     for _ in range(refine):
-        point_sets = []
-        for t in range(T):
-            g = GridSpec(X[t] - half, X[t] + half, zoom_n)
-            if g.points ** d > cap:
-                raise ValueError("state-space size cap exceeded")
-            point_sets.append(g.mesh())
+        point_sets = [GridSpec(X[t] - half, X[t] + half, zoom_n).mesh() for t in range(T)]
         X_new, obj_new = _dp_solve(costs, x0, norm, point_sets, move_weight, feasible)
         if obj_new <= obj:
             X, obj = X_new, obj_new
         diag = norm(2.0 * half / (zoom_n - 1))
-        half = half / refine_factor
+        half = half / 4.0
     log.debug("offline oracle: T=%d d=%d points=%d passes=%d %.3fs", T, d,
               max(grid.points ** d, zoom_n ** d if refine else 0), 1 + refine,
               time.perf_counter() - started)
     hit = float(sum(f(X[t]) for t, f in enumerate(costs)))
     diffs = X - np.vstack([x0[None, :], X[:-1]])
-    move = float(_switch_values_exact(diffs, norm).sum())
+    move = float(norm(diffs).sum())
     return OfflineSolution(trajectory=X, total_hit=hit, total_move=move,
                            objective=hit + move_weight * move,
                            uncertainty=diag,

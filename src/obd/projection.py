@@ -144,7 +144,7 @@ def _euclidean_project(constraint: FeasibleSet, x: np.ndarray) -> np.ndarray:
     c, r, norm = p["center"], p["radius"], p["norm"]
     u = x - c
     if norm.kind == L2:
-        n = float(np.linalg.norm(u))
+        n = norm(u)
         if n <= r:
             return x.copy()
         return c + (r / n) * u
@@ -224,7 +224,7 @@ def _prox_tracking(u: np.ndarray, thr: float, norm: Norm) -> np.ndarray:
     if thr <= 0.0:
         return u.copy()
     if norm.kind == L2:
-        n = float(np.linalg.norm(u))
+        n = norm(u)
         if n <= thr:
             return np.zeros_like(u)
         return (1.0 - thr / n) * u
@@ -334,8 +334,9 @@ def solve_regularized(mirror_map: MirrorMap, f: CostFunction, eta: float,
     under the entropy map on the simplex take a KKT Newton solve.  Every
     other case under the Euclidean or a Mahalanobis map is one
     ``offline._solve`` of ``_RegularizedProblem``: quadratic, tracking or
-    composite costs on the whole space, a box, or an l2 or Mahalanobis ball.
-    Other sets and maps raise ValueError.
+    composite costs on the whole space, a box, or an l2 or Mahalanobis ball;
+    x(0) replaces its result where x(0) has a closed form and the lower
+    objective.  Other sets and maps raise ValueError.
 
     f evaluated at the result is non-increasing in eta and the divergence
     from x_prev non-decreasing, which is what ``_multiplier_root`` relies on
@@ -361,9 +362,15 @@ def solve_regularized(mirror_map: MirrorMap, f: CostFunction, eta: float,
     if x is not None and feasible.contains(x):
         return x
     Q = np.eye(x_prev.shape[0]) if euclidean else mirror_map.Q
-    X, _, _, _ = _solve(_RegularizedProblem(Q, f, eta, x_prev, feasible),
-                        _interior(feasible, x_prev[None]))
-    return X[0]
+    problem = _RegularizedProblem(Q, f, eta, x_prev, feasible)
+    X, _, _, _ = _solve(problem, _interior(feasible, x_prev[None]))
+    # the barrier stops short of each active face by about its weight over the
+    # pull there: where x(eta) stays at x(0) on the boundary, x(0) is exact
+    try:
+        pinned = project_set(mirror_map, feasible, x_prev)[None]
+    except ValueError:  # no closed-form x(0) for this map and set
+        return X[0]
+    return min((X, pinned), key=lambda Y: sum(problem.exact_parts(Y)))[0]
 
 
 # ---------------------------------------------------------------------------

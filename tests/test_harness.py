@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -79,6 +80,19 @@ class TestRun:
         rep = run(PrimalOBD(cfg), generate_instance(spec), comparators=())
         unconverged = [f"step:{s.t}" for s in rep.steps if not s.converged]
         assert unconverged and rep.unverified() == unconverged
+
+    def test_debug_line_per_round(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="obd")
+        spec = InstanceSpec(d=2, T=5, family="quadratic", seed=60)
+        rep = run(PrimalOBD(PrimalConfig(0.5, euclidean_map())), generate_instance(spec),
+                  comparators=())
+        lines = [r.getMessage() for r in caplog.records if r.name == "obd"]
+        assert len(lines) == len(rep.steps) == 5
+        for line, s in zip(lines, rep.steps):
+            assert line == (f"step primal_obd: t={s.t} branch={s.branch.value} "
+                            f"eta={s.eta_t:.6g} iterations={s.iterations} "
+                            f"residual={s.residual:.3g} converged={s.converged}")
+        assert any(s.branch.value == "balanced" and s.iterations > 0 for s in rep.steps)
 
     def test_opt_L_monotone(self):
         spec = InstanceSpec(d=2, T=10, family="quadratic", seed=64)

@@ -9,7 +9,7 @@ import obd.offline
 from obd.costs import InstanceSpec, generate_instance, make_norm_tracking, make_quadratic
 from obd.geometry import FeasibleSet, Norm
 from obd.offline import (
-    GridSpec, _inside, _min_plus, auto_grid, grid_dp_oracle, offline_opt,
+    GridSpec, _min_plus, auto_grid, grid_dp_oracle, offline_opt,
     offline_opt_constrained, static_opt,
 )
 
@@ -340,25 +340,58 @@ class TestGridOracle:
         assert peak < 32 * 2 ** 20
 
 
-@pytest.mark.parametrize("feasible", [
-    FeasibleSet.box([-1.0, -0.5], [1.0, 1.5]), FeasibleSet.ball(np.zeros(2), 1.5),
-    FeasibleSet.ball(np.array([0.25, -0.5]), 1.0, Norm.mahalanobis([[2.0, 0.5], [0.5, 1.0]])),
-    FeasibleSet.ball(np.zeros(2), 1.0, Norm.l1()), FeasibleSet.halfspace([1.0, 1.0], 0.5),
-    FeasibleSet.whole_space(2)], ids=["box", "l2", "mahalanobis", "l1", "halfspace", "whole"])
+def _set_and_boundary(kind, d, rng):
+    """A set of ``kind`` in R^d, points on its boundary, a centre the points
+    are scaled about, and the scale per unit tol that moves them onto the
+    boundary inflated by tol."""
+    U = rng.standard_normal((200, d))
+    zero = np.zeros(d)
+    if kind == "box":
+        h = 1.0 + rng.random(d)
+        return FeasibleSet.box(-h, h), np.clip(2.0 * U, -h, h), zero, 1.0 / h
+    if kind == "simplex":
+        W = rng.random((200, d)) + 1e-3
+        delta = 0.5 / d
+        on = delta + (1.0 - d * delta) * W / W.sum(axis=1, keepdims=True)
+        on[::2, 0] = delta  # on the delta face as well
+        on[::2, -1] += 1.0 - on[::2].sum(axis=1)
+        return FeasibleSet.simplex(d, delta), on, zero, 1.0
+    if kind in ("halfspace", "hyperplane"):
+        a, b = rng.standard_normal(d), 0.5 + rng.random()
+        on = U - ((U @ a - b) / (a @ a))[:, None] * a
+        if kind == "halfspace":
+            return FeasibleSet.halfspace(a, b), on, zero, 1.0 / b
+        return FeasibleSet.hyperplane(a, b), on, zero, (1.0 + b) / b
+    if kind == "whole":
+        return FeasibleSet.whole_space(d), U, zero, 0.0
+    if kind == "mahalanobis":
+        M = rng.standard_normal((d, d))
+        norm = Norm.mahalanobis(M @ M.T + d * np.eye(d))
+    else:
+        norm = Norm(kind)
+    c, r = rng.standard_normal(d), 0.5 + rng.random()
+    ball = FeasibleSet.ball(c, r, norm)
+    return ball, c + r * U / norm(U)[:, None], c, 1.0 / r
+
+
+@pytest.mark.parametrize("kind", ["box", "l2", "mahalanobis", "l1", "linf", "halfspace",
+                                  "hyperplane", "simplex", "whole"])
 @pytest.mark.parametrize("tol", [0.0, 1e-9])
-def test_row_test_matches_contains(feasible, tol):
-    pts = [GridSpec([-2.0, -2.0], [2.0, 2.0], 41).mesh()]
-    p = feasible.params
-    if feasible.kind == "box":
-        pts.append(np.array([[-1.0, 0.0], [1.0, 1.5], [1.0 + tol, -0.5 - tol],
-                             [1.0 + 2 * tol, 0.0]]))
-    elif feasible.kind == "ball":
-        # rays scaled onto the boundary, and just inside and outside it
-        rays = np.random.default_rng(6).standard_normal((2000, 2))
-        on = np.array([p["radius"] * u / p["norm"](u) for u in rays])
-        pts += [p["center"] + on, p["center"] + (1.0 + 1e-15) * on,
-                p["center"] + (1.0 - 1e-15) * on,
-                p["center"] + np.array([[p["radius"] + tol, 0.0], [0.0, -p["radius"]]])]
-    pts = np.vstack(pts)
-    np.testing.assert_array_equal(_inside(feasible, pts, tol),
-                                  [feasible.contains(x, tol) for x in pts])
+def test_row_test_matches_contains(kind, tol):
+    # each row of a stack gets the same answer as that point alone, for
+    # points on each boundary (and on it inflated by tol), and 1e-15 inside
+    # and outside it; a ball's norm gives the same bits row by row
+    rng = np.random.default_rng(6)
+    for d in (1, 2, 5, 10, 32):
+        feasible, on, c, per_tol = _set_and_boundary(kind, d, rng)
+        pts = np.vstack([c + f * (1.0 + g * tol * per_tol) * (on - c)
+                         for f in (1.0, 1.0 - 1e-15, 1.0 + 1e-15) for g in (0.0, 1.0)])
+        mask = feasible.contains(pts, tol)
+        single = [feasible.contains(x, tol) for x in pts]
+        assert all(type(v) is bool for v in single)
+        np.testing.assert_array_equal(mask, single)
+        assert 0 < mask.sum() < len(pts) or kind == "whole"
+        if feasible.kind == "ball":
+            norm = feasible.params["norm"]
+            assert type(norm(pts[0])) is float
+            np.testing.assert_array_equal(norm(pts), [norm(x) for x in pts])

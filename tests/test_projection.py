@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import obd.projection
 from obd.costs import (
@@ -60,15 +61,31 @@ class TestSolveRegularized:
         ref = golden_section(lambda u: 0.5 * (u - 3) ** 2 + u * u, -5, 5)
         assert x[0] == pytest.approx(ref, abs=1e-7)
 
-    def test_level_monotone_in_eta(self):
-        rng = np.random.default_rng(20)
-        f = make_quadratic(rng.standard_normal((2, 2)) + 2 * np.eye(2),
-                           rng.standard_normal(2))
-        x_prev = rng.standard_normal(2) * 3
-        vals = [f(solve_regularized(EMAP, f, eta, x_prev,
-                                    FeasibleSet.whole_space(2)))
-                for eta in (0.0, 0.5, 1.0, 2.0, 4.0)]
-        assert all(a >= b - 1e-10 for a, b in zip(vals, vals[1:]))
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           family=st.sampled_from(["quadratic", "l2_tracking"]),
+           kind=st.sampled_from(["whole", "ball", "box"]))
+    def test_level_monotone_in_eta(self, d, seed, family, kind):
+        # _multiplier_root relies on f(x(eta)) falling and ||x(eta) - x_prev||
+        # rising in eta; the sets make some solves leave the closed forms for
+        # the Newton path
+        rng = np.random.default_rng(seed)
+        if family == "quadratic":
+            f = make_quadratic(rng.standard_normal((d, d)) + 2 * np.eye(d),
+                               2 * rng.standard_normal(d))
+        else:
+            f = make_norm_tracking(2 * rng.standard_normal(d), Norm.l2(),
+                                   scale=rng.uniform(0.5, 3.0))
+        feasible = {"whole": FeasibleSet.whole_space(d),
+                    "ball": FeasibleSet.ball(np.zeros(d), 1.5),
+                    "box": FeasibleSet.box(-np.ones(d), np.ones(d))}[kind]
+        x_prev = 3 * rng.standard_normal(d)
+        xs = [solve_regularized(EMAP, f, eta, x_prev, feasible)
+              for eta in (0.0, 0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0)]
+        vals = [f(x) for x in xs]
+        dists = [float(np.linalg.norm(x - x_prev)) for x in xs]
+        assert all(b <= a + 1e-9 * vals[0] for a, b in zip(vals, vals[1:]))
+        assert all(b >= a - 1e-9 * dists[-1] for a, b in zip(dists, dists[1:]))
 
     def test_mahalanobis_tracking_stationarity(self):
         # x - x_prev + eta * s * Q(x - v) / ||x - v||_Q = 0 away from v, and
