@@ -15,6 +15,7 @@ reported costs are the exact, unsmoothed ones.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .costs import CompositeCost, CostFunction, NormTrackingCost, QuadraticCost
 from .geometry import (
@@ -56,8 +58,16 @@ class OfflineSolution:
 # Smoothed objective, barriers and the Newton solve
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _eye(d: int) -> np.ndarray:
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
+
+
 def _smoothed_norm(U: np.ndarray, norm: Norm, eps: float):
-    """Row-wise (values, gradients, Hessians) of the eps-smoothed ``norm``.
+    """Row-wise values of the eps-smoothed ``norm``, and a function that
+    returns their (gradients, Hessians).
 
     sqrt(||u||^2 + eps^2) - eps for l2 and Mahalanobis, the same per
     coordinate for l1, and eps * log-sum-exp of +-u/eps, shifted to vanish
@@ -65,34 +75,44 @@ def _smoothed_norm(U: np.ndarray, norm: Norm, eps: float):
     Mahalanobis), d * eps (l1) or log(2d) * eps (linf).
     """
     m, d = U.shape
-    diag = np.arange(d)
     if norm.kind == L1:
         r = np.sqrt(U * U + eps * eps)
-        H = np.zeros((m, d, d))
-        H[:, diag, diag] = eps * eps / r ** 3
-        return (r - eps).sum(axis=1), U / r, H
+
+        def l1():
+            H = np.zeros((m, d, d))
+            H[:, np.arange(d), np.arange(d)] = eps * eps / r ** 3
+            return U / r, H
+
+        return (r - eps).sum(axis=1), l1
     if norm.kind == LINF:
         Z = np.concatenate([U, -U], axis=1) / eps
         zmax = Z.max(axis=1, keepdims=True)
         E = np.exp(Z - zmax)
         s = E.sum(axis=1, keepdims=True)
-        P = E / s
-        G = P[:, :d] - P[:, d:]
-        H = -G[:, :, None] * G[:, None, :]
-        H[:, diag, diag] += P[:, :d] + P[:, d:]
-        vals = eps * (zmax[:, 0] + np.log(s[:, 0]) - math.log(2 * d))
-        return vals, G, H / eps
-    Q = np.eye(d) if norm.kind == L2 else norm.Q
-    QU = U if norm.kind == L2 else U @ Q
+
+        def linf():
+            P = E / s
+            G = P[:, :d] - P[:, d:]
+            H = -G[:, :, None] * G[:, None, :]
+            H[:, np.arange(d), np.arange(d)] += P[:, :d] + P[:, d:]
+            return G, H / eps
+
+        return eps * (zmax[:, 0] + np.log(s[:, 0]) - math.log(2 * d)), linf
+    QU = U if norm.kind == L2 else U @ norm.Q
     r = np.sqrt((QU * U).sum(axis=1) + eps * eps)
-    G = QU / r[:, None]
-    H = (Q[None] - G[:, :, None] * G[:, None, :]) / r[:, None, None]
-    return r - eps, G, H
+
+    def quadratic_form():
+        Q = _eye(d) if norm.kind == L2 else norm.Q
+        G = QU / r[:, None]
+        return G, (Q[None] - G[:, :, None] * G[:, None, :]) / r[:, None, None]
+
+    return r - eps, quadratic_form
 
 
 def _hit_terms(costs: Sequence[CostFunction]):
-    """(X, eps) -> (total value, row gradients, row Hessians) of the smoothed
-    hitting costs, vectorized over the rounds of one cost family."""
+    """(X, eps) -> (total value, a function returning the row gradients and
+    row Hessians) of the smoothed hitting costs, vectorized over the rounds
+    of one cost family."""
     if all(isinstance(f, QuadraticCost) for f in costs):
         A = np.stack([f.A for f in costs])
         Y = np.stack([f.y for f in costs])
@@ -100,7 +120,8 @@ def _hit_terms(costs: Sequence[CostFunction]):
 
         def quad(X: np.ndarray, eps: float):
             res = np.einsum("tij,tj->ti", A, X) - Y
-            return float((res * res).sum()), 2.0 * np.einsum("tji,tj->ti", A, res), H
+            return float((res * res).sum()), lambda: (
+                2.0 * np.einsum("tji,tj->ti", A, res), H)
 
         return quad
     if all(isinstance(f, NormTrackingCost) for f in costs):
@@ -112,20 +133,31 @@ def _hit_terms(costs: Sequence[CostFunction]):
         s = np.array([f.scale for f in costs])
 
         def track(X: np.ndarray, eps: float):
-            vals, G, H = _smoothed_norm(X - V, norm, eps)
-            return float(s @ vals), s[:, None] * G, s[:, None, None] * H
+            vals, derivs = _smoothed_norm(X - V, norm, eps)
+
+            def scaled():
+                G, H = derivs()
+                return s[:, None] * G, s[:, None, None] * H
+
+            return float(s @ vals), scaled
 
         return track
     if all(isinstance(f, CompositeCost) for f in costs):
         g, h = _hit_terms([f.g for f in costs]), _hit_terms([f.h for f in costs])
-        return lambda X, eps: tuple(a + b for a, b in zip(g(X, eps), h(X, eps)))
+
+        def composite(X: np.ndarray, eps: float):
+            (gv, gd), (hv, hd) = g(X, eps), h(X, eps)
+            return gv + hv, lambda: tuple(a + b for a, b in zip(gd(), hd()))
+
+        return composite
     raise ValueError("the Newton solve needs quadratic, norm-tracking or composite "
                      "costs, one family for all rounds")
 
 
 def _set_barrier(feasible: FeasibleSet):
-    """X -> (value, row gradients, row Hessians) of the set's log barrier,
-    with value inf outside its interior; None for the whole space."""
+    """X -> (value, a function returning the row gradients and row Hessians)
+    of the set's log barrier, with value inf (and no function) outside its
+    interior; None for the whole space."""
     p = feasible.params
     if feasible.kind == WHOLE:
         return None
@@ -135,26 +167,33 @@ def _set_barrier(feasible: FeasibleSet):
         def box(X: np.ndarray):
             a, b = X - lo, hi - X
             if a.min() <= 0.0 or b.min() <= 0.0:
-                return math.inf, None, None
-            d = X.shape[1]
-            H = np.zeros((X.shape[0], d, d))
-            H[:, np.arange(d), np.arange(d)] = 1.0 / (a * a) + 1.0 / (b * b)
-            return -float(np.log(a).sum() + np.log(b).sum()), 1.0 / b - 1.0 / a, H
+                return math.inf, None
+
+            def derivs():
+                d = X.shape[1]
+                H = np.zeros((X.shape[0], d, d))
+                H[:, np.arange(d), np.arange(d)] = 1.0 / (a * a) + 1.0 / (b * b)
+                return 1.0 / b - 1.0 / a, H
+
+            return -float(np.log(a).sum() + np.log(b).sum()), derivs
 
         return box
     if feasible.kind == BALL and p["norm"].kind in (L2, MAHALANOBIS):
         c, r2 = p["center"], p["radius"] ** 2
-        Q = np.eye(c.shape[0]) if p["norm"].kind == L2 else p["norm"].Q
+        Q = _eye(c.shape[0]) if p["norm"].kind == L2 else p["norm"].Q
 
         def ball(X: np.ndarray):
             U = X - c
             QU = U @ Q
             s = r2 - (QU * U).sum(axis=1)
             if s.min() <= 0.0:
-                return math.inf, None, None
-            G = 2.0 * QU / s[:, None]
-            H = 2.0 * Q[None] / s[:, None, None] + G[:, :, None] * G[:, None, :]
-            return -float(np.log(s).sum()), G, H
+                return math.inf, None
+
+            def derivs():
+                G = 2.0 * QU / s[:, None]
+                return G, 2.0 * Q[None] / s[:, None, None] + G[:, :, None] * G[:, None, :]
+
+            return -float(np.log(s).sum()), derivs
 
         return ball
     kind = f"{p['norm'].kind} ball" if feasible.kind == BALL else feasible.kind
@@ -199,16 +238,23 @@ class _TrajectoryProblem:
         self.barrier = _set_barrier(self.feasible)
         self.gap = self.rows * {L1: d, LINF: math.log(2 * d)}.get(self.norm.kind, 1.0)
         # the block-tridiagonal Hessian's lower triangle in LAPACK band storage:
-        # entry (i, j), i >= j, of the matrix sits at row i - j, column j
+        # entry (i, j), i >= j, of the matrix sits at row i - j of column j.
+        # Column j = k d + b holds D_k[b:, b], row b of C_k, then zeros, so the
+        # band, stored column by column as LAPACK reads it, is one gather from
+        # the flat [D, C, 0].
         self.bw = min(2 * d - 1, self.rows * d - 1)
-        a, b = self._lower = np.tril_indices(d)
-        starts = d * np.arange(self.rows)[:, None]
-        self._diag_at = tuple(np.broadcast_arrays(a - b, starts + b))
-        a, b = (ix.ravel() for ix in np.indices((d, d)))
-        self._off_at = tuple(np.broadcast_arrays(d + a - b, starts[:-1] + b))
+        k, b, r = np.ix_(np.arange(self.rows), np.arange(d), np.arange(self.bw + 1))
+        a, size = b + r, self.rows * d * d
+        self._band_at = np.where(
+            a < d, k * d * d + a * d + b,
+            np.where((a < 2 * d) & (k < self.rows - 1), size + k * d * d + b * d + a - d,
+                     2 * size - d * d)).reshape(self.rows * d, self.bw + 1)
 
     def diffs(self, X: np.ndarray) -> np.ndarray:
-        return np.diff(X, axis=0, prepend=self.x0[None])
+        U = np.empty_like(X)
+        np.subtract(X[:1], self.x0, out=U[:1])
+        np.subtract(X[1:], X[:-1], out=U[1:])
+        return U
 
     def movement(self, X: np.ndarray) -> float:
         return float(self.norm(self.diffs(X)).sum())
@@ -217,53 +263,89 @@ class _TrajectoryProblem:
         rows = np.broadcast_to(X, (self.T, self.d))
         return float(sum(f(rows[t]) for t, f in enumerate(self.costs))), self.movement(X)
 
-    def evaluate(self, X: np.ndarray, eps: float, mu: float):
-        """(F, gradient, diagonal blocks, off-diagonal blocks, rank-one column,
-        budget multiplier); F is inf outside the barriers' domain."""
-        F, grad, D = self.hit(np.broadcast_to(X, (self.T, self.d)), eps)
-        if self.tied:
-            grad, D = grad.sum(axis=0, keepdims=True), D.sum(axis=0, keepdims=True)
-        vals, sg, sH = _smoothed_norm(self.diffs(X), self.norm, eps)
+    def _terms(self, X: np.ndarray, eps: float, mu: float):
+        """F and its terms' derivative functions; F is inf (and the terms None)
+        outside the barriers' domain."""
+        F, hit = self.hit(np.broadcast_to(X, (self.T, self.d)) if self.tied else X, eps)
+        vals, move = _smoothed_norm(self.diffs(X), self.norm, eps)
         F += float(vals.sum())
-        w, q, lam = 1.0, None, 0.0
-        move_grad = sg.copy()
-        move_grad[:-1] -= sg[1:]
+        slack = None
         if self.budget is not None:
             slack = self.budget - float(vals.sum()) - self.gap * eps
             if slack <= 0.0:
-                return (math.inf,) * 6
-            lam = mu / slack
+                return math.inf, None
             F -= mu * math.log(slack)
+        barrier = None
+        if self.barrier is not None:
+            bv, barrier = self.barrier(X)
+            if not math.isfinite(bv):
+                return math.inf, None
+            F += mu * bv
+        return F, (hit, move, slack, barrier)
+
+    def value(self, X: np.ndarray, eps: float, mu: float) -> float:
+        """F alone, as ``evaluate`` computes it; inf outside the barriers' domain."""
+        return self._terms(X, eps, mu)[0]
+
+    def evaluate(self, X: np.ndarray, eps: float, mu: float):
+        """(F, gradient, diagonal blocks, off-diagonal blocks, rank-one column,
+        budget multiplier); F is inf outside the barriers' domain."""
+        F, terms = self._terms(X, eps, mu)
+        if terms is None:
+            return (math.inf,) * 6
+        hit, move, slack, barrier = terms
+        grad, D = hit()
+        if self.tied:
+            grad, D = grad.sum(axis=0, keepdims=True), D.sum(axis=0, keepdims=True)
+        sg, sH = move()
+        w, q, lam = 1.0, None, 0.0
+        move_grad = sg.copy()
+        move_grad[:-1] -= sg[1:]
+        if slack is not None:
+            lam = mu / slack
             w = 1.0 + lam
             q = (math.sqrt(mu) / slack) * move_grad
         grad = grad + w * move_grad
         D = D + w * sH
         D[:-1] += w * sH[1:]
-        if self.barrier is not None:
-            bv, bg, bH = self.barrier(X)
-            if not math.isfinite(bv):
-                return (math.inf,) * 6
-            F += mu * bv
-            grad = grad + mu * bg
-            D = D + mu * bH
+        if barrier is not None:
+            bg, bH = barrier()
+            grad += mu * bg
+            D += mu * bH
         return F, grad, D, -w * sH[1:], q, lam
 
     def newton_step(self, F: float, grad, D, C, q) -> np.ndarray:
         """Solve (H + ridge) step = -grad by banded Cholesky, the rank-one
         budget term by Sherman-Morrison; raises LinAlgError if H is not
-        positive definite."""
-        band = np.zeros((self.bw + 1, self.rows * self.d))
-        band[self._diag_at] = D[:, self._lower[0], self._lower[1]]
-        band[self._off_at] = C.transpose(0, 2, 1).reshape(len(C), self.d * self.d)
-        band[0] += 1e-12 * (1.0 + abs(F)) + 1e-13 * float(np.abs(band).max())
+        positive definite and ValueError if H, grad or q is not finite."""
+        band = np.take(np.concatenate((D.ravel(), C.ravel(), [0.0])), self._band_at).T
+        ridge = 1e-12 * (1.0 + abs(F)) + 1e-13 * float(np.abs(band).max())
+        if not math.isfinite(ridge):  # so is the band, or F
+            raise ValueError("array must not contain infs or NaNs")
+        band[0] += ridge
         # the lower form: OpenBLAS threads the upper one, which crawls on a busy host
-        factor = (cholesky_banded(band, lower=True), True)
-        step = -cho_solve_banded(factor, grad.ravel())
+        factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        if info > 0:
+            raise LinAlgError(f"{info}-th leading minor not positive definite")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpbtrf")
+        step = -_solve_banded(factor, grad.ravel())
         if q is not None:
             q = q.ravel()
-            z = cho_solve_banded(factor, q)
+            z = _solve_banded(factor, q)
             step -= z * (float(q @ step) / (1.0 + float(q @ z)))
         return step.reshape(grad.shape)
+
+
+def _solve_banded(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """A solve with the lower banded Cholesky ``factor``; ValueError if rhs is
+    not finite."""
+    if not np.isfinite(rhs).all():
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = dpbtrs(factor, rhs, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpbtrs")
+    return x
 
 
 def _solve(problem, X: np.ndarray):
@@ -276,8 +358,10 @@ def _solve(problem, X: np.ndarray):
     1e-8 * (1 + |F(X)|) left budgeted solves up to 3e-8 relative higher.  The
     step that passes the decrement test is still taken.  A stage whose
     smoothing leaves X outside the budget is skipped.  ``problem`` provides
-    ``exact_parts``, ``evaluate`` and ``newton_step``.  Returns (X, steps,
-    whether the last stage ended on the decrement, lam).
+    ``exact_parts``; ``value``, the objective alone, which prices each
+    Armijo trial; ``evaluate``, the objective with its derivatives, at each
+    accepted point; and ``newton_step``.  Returns (X, steps, whether the last
+    stage ended on the decrement, lam).
     """
     scale = 1.0 + abs(sum(problem.exact_parts(X)))
     steps, done, lam = 0, False, 0.0
@@ -301,22 +385,22 @@ def _solve(problem, X: np.ndarray):
                 break
             t = 1.0
             while t > 1e-12:
-                trial = problem.evaluate(X + t * step, eps, mu)
-                if trial[0] <= F + 1e-4 * t * slope:
+                if problem.value(X + t * step, eps, mu) <= F + 1e-4 * t * slope:
                     break
                 t *= 0.5
             else:
                 break
             X = X + t * step
-            F, grad, D, C, q, lam = trial
+            F, grad, D, C, q, lam = problem.evaluate(X, eps, mu)
             steps += 1
     return X, steps, done, lam
 
 
-def _solution(label: str, problem: _TrajectoryProblem, X: np.ndarray, steps: int,
+def _solution(label: str, problem: _TrajectoryProblem, X: np.ndarray, parts, steps: int,
               converged: bool, started: float, **fields) -> OfflineSolution:
-    """The exact accounting of X, logged at debug level as one line."""
-    hit, move = problem.exact_parts(X)
+    """X with its exact accounting ``parts`` (hit, move), logged at debug
+    level as one line."""
+    hit, move = parts
     log.debug("offline %s: T=%d d=%d steps=%d converged=%s %.3fs", label, problem.T,
               problem.d, steps, converged, time.perf_counter() - started)
     return OfflineSolution(trajectory=np.broadcast_to(X, (problem.T, problem.d)).copy(),
@@ -331,16 +415,18 @@ def offline_opt(costs: Sequence[CostFunction], x0, feasible: Optional[FeasibleSe
     problem = _TrajectoryProblem(costs, x0, norm, feasible)
     minimizers = np.stack([f.minimizer for f in costs])
     X, steps, converged, _ = _solve(problem, _interior(problem.feasible, minimizers))
-    notes = []
+    parts, notes = problem.exact_parts(X), []
     # Where staying put or jumping to every minimizer is optimal, the solve
     # can land slightly above it; never report more than these trajectories.
     for name, Y in (("stay at x0", np.tile(problem.x0, (problem.T, 1))),
                     ("jump to minimizers", minimizers)):
-        if problem.feasible.contains(Y, 0.0).all() \
-                and sum(problem.exact_parts(Y)) < sum(problem.exact_parts(X)):
-            X = Y
-            notes.append(f"{name} trajectory beat the solve")
-    return _solution("opt", problem, X, steps, converged, started, note="; ".join(notes))
+        if problem.feasible.contains(Y, 0.0).all():
+            Y_parts = problem.exact_parts(Y)
+            if sum(Y_parts) < sum(parts):
+                X, parts = Y, Y_parts
+                notes.append(f"{name} trajectory beat the solve")
+    return _solution("opt", problem, X, parts, steps, converged, started,
+                     note="; ".join(notes))
 
 
 def offline_opt_constrained(costs: Sequence[CostFunction], x0, L: float,
@@ -385,8 +471,10 @@ def offline_opt_constrained(costs: Sequence[CostFunction], x0, L: float,
                 hi = mid
         X = X + lo * (base.trajectory - X)
         note = "moved along a flat face to the budget"
-    converged = converged and L * (1.0 - 1e-4) <= problem.movement(X) <= L
-    return _solution("opt_L", problem, X, steps, converged, started, lam=lam, note=note)
+    parts = problem.exact_parts(X)
+    converged = converged and L * (1.0 - 1e-4) <= parts[1] <= L
+    return _solution("opt_L", problem, X, parts, steps, converged, started, lam=lam,
+                     note=note)
 
 
 def static_opt(costs: Sequence[CostFunction], x0,
@@ -397,7 +485,8 @@ def static_opt(costs: Sequence[CostFunction], x0,
     problem = _TrajectoryProblem(costs, x0, norm, feasible, tied=True)
     mean = np.mean([f.minimizer for f in costs], axis=0)[None]
     X, steps, converged, _ = _solve(problem, _interior(problem.feasible, mean))
-    return _solution("static", problem, X, steps, converged, started)
+    return _solution("static", problem, X, problem.exact_parts(X), steps, converged,
+                     started)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import brentq
 
 from .geometry import (
     BALL, BOX, HALFSPACE, HYPERPLANE, L1, L2, LINF, MAHALANOBIS, SIMPLEX, WHOLE,
@@ -302,18 +301,35 @@ class _RegularizedProblem:
         u = X[0] - self.x_prev
         return self.eta * self.f(X[0]), 0.5 * float(u @ (self.Q @ u))
 
-    def evaluate(self, X: np.ndarray, eps: float, mu: float):
-        """(F, gradient, Hessian, None, None, 0.0); F is inf outside the barrier's domain."""
+    def _terms(self, X: np.ndarray, eps: float, mu: float):
+        """F and its terms; F is inf (and the terms None) outside the barrier's domain."""
         u = X[0] - self.x_prev
         Qu = self.Q @ u
-        F, grad, H = self.hit(X, eps)
+        F, hit = self.hit(X, eps)
         F = 0.5 * float(u @ Qu) + self.eta * F
-        grad, H = Qu + self.eta * grad, self.Q + self.eta * H
+        barrier = None
         if self.barrier is not None:
-            bv, bg, bH = self.barrier(X)
+            bv, barrier = self.barrier(X)
             if not math.isfinite(bv):
-                return (math.inf,) * 6
-            F, grad, H = F + mu * bv, grad + mu * bg, H + mu * bH
+                return math.inf, None
+            F = F + mu * bv
+        return F, (Qu, hit, barrier)
+
+    def value(self, X: np.ndarray, eps: float, mu: float) -> float:
+        """F alone, as ``evaluate`` computes it; inf outside the barrier's domain."""
+        return self._terms(X, eps, mu)[0]
+
+    def evaluate(self, X: np.ndarray, eps: float, mu: float):
+        """(F, gradient, Hessian, None, None, 0.0); F is inf outside the barrier's domain."""
+        F, terms = self._terms(X, eps, mu)
+        if terms is None:
+            return (math.inf,) * 6
+        Qu, hit, barrier = terms
+        grad, H = hit()
+        grad, H = Qu + self.eta * grad, self.Q + self.eta * H
+        if barrier is not None:
+            bg, bH = barrier()
+            grad, H = grad + mu * bg, H + mu * bH
         return F, grad, H, None, None, 0.0
 
     def newton_step(self, F: float, grad, H, C, q) -> np.ndarray:
@@ -377,6 +393,59 @@ def solve_regularized(mirror_map: MirrorMap, f: CostFunction, eta: float,
 # Multiplier root and sublevel-set projection
 # ---------------------------------------------------------------------------
 
+def _brent(f: Callable[[float], float], xpre: float, xcur: float, xtol: float,
+           rtol: float, maxiter: int) -> float:
+    """Brent's root of f between xpre and xcur, where f changes sign.
+
+    The iteration of scipy's ``brentq`` (its ``brentq.c``), which evaluates
+    the same sequence of points; it returns its last point, without a word,
+    when maxiter iterations run out.  A NaN value raises ValueError.
+    """
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 \
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            if not 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                stry = None
+        if stry is None:  # bisect
+            spre = scur = sbis
+        else:  # a good short step
+            spre, scur = scur, stry
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    return xcur
+
+
 def _multiplier_root(mirror_map: MirrorMap, f: CostFunction, x_prev: np.ndarray,
                      feasible: FeasibleSet, balance: Callable):
     """Solve balance(x(eta)) = 0 over eta > 0, given balance(x(0)) < 0.
@@ -398,8 +467,7 @@ def _multiplier_root(mirror_map: MirrorMap, f: CostFunction, x_prev: np.ndarray,
     while g(hi) < 0.0 and hi < ETA_CAP:
         lo, hi = hi, 2.0 * hi
     if g(lo) < 0.0 < g(hi):
-        brentq(g, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps,
-               maxiter=100, disp=False)
+        _brent(g, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=100)
     eta = min(points, key=lambda e: (abs(points[e][0]), -e))
     return eta, points[eta][1], len(points)
 

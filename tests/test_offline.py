@@ -4,14 +4,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import LinAlgError
 
 import obd.offline
-from obd.costs import InstanceSpec, generate_instance, make_norm_tracking, make_quadratic
+from obd.costs import (
+    InstanceSpec, generate_instance, make_composite, make_norm_tracking, make_quadratic,
+)
 from obd.geometry import FeasibleSet, Norm
 from obd.offline import (
-    GridSpec, _min_plus, auto_grid, grid_dp_oracle, offline_opt,
-    offline_opt_constrained, static_opt,
+    GridSpec, _TrajectoryProblem, _interior, _min_plus, auto_grid, grid_dp_oracle,
+    offline_opt, offline_opt_constrained, static_opt,
 )
+from obd.projection import _RegularizedProblem
 
 
 def abs_cost(target):
@@ -83,13 +88,7 @@ class TestOfflineOpt:
 
     def test_binding_ball(self):
         # every target lies outside the radius-2 ball, so the rows sit on it
-        rng = np.random.default_rng(3)
-        ball = FeasibleSet.ball(np.zeros(2), 2.0)
-        costs = []
-        for _ in range(4):
-            A = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
-            v = rng.standard_normal(2)
-            costs.append(make_quadratic(A, A @ (3.5 * v / np.linalg.norm(v))))
+        costs, ball = _ball_quadratics(4)
         sol = offline_opt(costs, np.zeros(2), ball)
         radii = np.linalg.norm(sol.trajectory, axis=1)
         assert sol.converged
@@ -154,6 +153,149 @@ class TestOfflineOpt:
                                    "converged=True ")
         assert sol.iterations > 0
         assert lines[3].startswith("offline oracle: T=2 d=1 points=101 passes=4 ")
+
+
+def _ball_quadratics(T, seed=3):
+    """T quadratics on R^2 whose minimizers lie outside the radius-2 ball."""
+    rng = np.random.default_rng(seed)
+    costs = []
+    for _ in range(T):
+        A = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
+        v = rng.standard_normal(2)
+        costs.append(make_quadratic(A, A @ (3.5 * v / np.linalg.norm(v))))
+    return costs, FeasibleSet.ball(np.zeros(2), 2.0)
+
+
+class TestNewtonStep:
+    """The Newton step's contract and the solves' exact work, pinned: a
+    cheaper step must take the same iterates."""
+
+    def _parts(self, budget=None):
+        costs, ball = _ball_quadratics(4)
+        problem = _TrajectoryProblem(costs, np.zeros(2), None, ball, budget=budget)
+        X = _interior(ball, np.stack([f.minimizer for f in costs]))
+        if budget is not None:
+            X = 0.1 * X
+        return problem, problem.evaluate(X, 1e-2, 1e-2)[:5]
+
+    @pytest.mark.parametrize("budget", [None, 20.0])
+    def test_solves_positive_definite(self, budget):
+        problem, (F, grad, D, C, q) = self._parts(budget)
+        assert math.isfinite(F) and (q is None) == (budget is None)
+        step = problem.newton_step(F, grad, D, C, q)
+        assert step.shape == grad.shape and np.isfinite(step).all()
+        assert float((grad * step).sum()) < 0.0
+
+    def test_not_positive_definite_raises(self):
+        problem, (F, grad, D, C, q) = self._parts()
+        with pytest.raises(LinAlgError):
+            problem.newton_step(F, grad, D - 1e3 * np.eye(2), C, q)
+
+    @pytest.mark.parametrize("where", ["grad", "diagonal", "off-diagonal", "column"])
+    def test_nan_raises(self, where):
+        problem, (F, grad, D, C, q) = self._parts(budget=20.0)
+        parts = {"grad": grad, "diagonal": D, "off-diagonal": C, "column": q}
+        parts[where] = parts[where].copy()
+        parts[where].flat[2] = math.nan  # in the lower triangle of a diagonal block
+        with pytest.raises(ValueError):
+            problem.newton_step(F, parts["grad"], parts["diagonal"],
+                                parts["off-diagonal"], parts["column"])
+
+    def test_pinned_tracking_whole_space(self):
+        inst = generate_instance(InstanceSpec(d=3, T=20, family="norm_tracking", seed=43))
+        sol = offline_opt(inst.costs, inst.x0)
+        assert (sol.iterations, sol.objective.hex()) == (113, "0x1.1c0339c61adc3p+6")
+
+    def test_pinned_budget_in_ball(self):
+        costs, ball = _ball_quadratics(6)
+        opt = offline_opt(costs, np.zeros(2), ball)
+        assert (opt.iterations, opt.objective.hex()) == (67, "0x1.d933954f4383ap+4")
+        sol = offline_opt_constrained(costs, np.zeros(2), 0.5 * opt.total_move, ball,
+                                      base=opt)
+        assert (sol.iterations, sol.objective.hex()) == (74, "0x1.86a3689931b46p+5")
+
+    def test_pinned_static_in_ball(self):
+        costs, ball = _ball_quadratics(6)
+        sol = static_opt(costs, np.zeros(2), ball)
+        assert (sol.iterations, sol.objective.hex()) == (9, "0x1.b403919459dbep+6")
+
+
+def _spd(rng, d):
+    M = rng.standard_normal((d, d))
+    return M @ M.T + d * np.eye(d)
+
+
+def _norm(kind, rng, d):
+    return Norm.mahalanobis(_spd(rng, d)) if kind == "mahalanobis" else Norm(kind)
+
+
+def _costs(family, rng, d, T):
+    """T costs of one family; the tracking ones share one norm."""
+    norm = _norm("l2" if family in ("quadratic", "composite") else family.split()[0], rng, d)
+    costs = []
+    for _ in range(T):
+        v = 2.0 * rng.standard_normal(d)
+        A = np.eye(d) + 0.3 * rng.standard_normal((d, d))
+        track = make_norm_tracking(v, norm, 0.5 + rng.random())
+        costs.append(make_quadratic(A, A @ v) if family == "quadratic" else
+                     make_composite(track, make_quadratic(A, A @ v))
+                     if family == "composite" else track)
+    return costs
+
+
+def _set(kind, rng, d):
+    if kind == "whole":
+        return FeasibleSet.whole_space(d)
+    if kind == "box":
+        return FeasibleSet.box(-1.0 - 3.0 * rng.random(d), 1.0 + 3.0 * rng.random(d))
+    norm = Norm.mahalanobis(_spd(rng, d)) if kind == "mahalanobis ball" else Norm.l2()
+    return FeasibleSet.ball(0.1 * rng.standard_normal(d), 2.0 + 3.0 * rng.random(), norm)
+
+
+FAMILIES = ["quadratic", "l1 tracking", "l2 tracking", "linf tracking",
+            "mahalanobis tracking", "composite"]
+SETS = ["whole", "box", "l2 ball", "mahalanobis ball"]
+
+
+def _same(a: float, b: float) -> bool:
+    return float(a).hex() == float(b).hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), T=st.integers(1, 5),
+       family=st.sampled_from(FAMILIES), kind=st.sampled_from(SETS),
+       switching=st.sampled_from(["l1", "l2", "linf", "mahalanobis"]),
+       budget=st.booleans(), tied=st.booleans())
+def test_value_is_evaluate_objective(seed, d, T, family, kind, switching, budget, tied):
+    # the Armijo trials price a point by value(); the accepted point's F comes
+    # from evaluate(), and the two must agree bit for bit, inf outside the domain
+    rng = np.random.default_rng(seed)
+    costs = _costs(family, rng, d, T)
+    feasible = _set(kind, rng, d)
+    x0 = _interior(feasible, rng.standard_normal((1, d)))[0] if kind != "whole" \
+        else rng.standard_normal(d)
+    norm = _norm(switching, rng, d)
+    X = _interior(feasible, 3.0 * rng.standard_normal((1 if tied else T, d)))
+    move = _TrajectoryProblem(costs, x0, norm, feasible, tied=tied).movement(X)
+    L = (0.2 + 2.0 * rng.random()) * move + 1e-3 if budget else None
+    problem = _TrajectoryProblem(costs, x0, norm, feasible, tied=tied, budget=L)
+    for eps, mu in ((1e-2, 1e-2), (1e-8, 1e-10 * (1.0 + rng.random()))):
+        F = problem.evaluate(X, eps, mu)[0]
+        assert _same(problem.value(X, eps, mu), F)
+        assert not math.isnan(F)
+    # far outside the set, or far over the budget: inf from both
+    for Y in (X + 1e3, x0 + 1e3 * (X - x0)):
+        F = problem.evaluate(Y, 1e-2, 1e-2)
+        assert _same(problem.value(Y, 1e-2, 1e-2), F[0])
+        if not np.all(feasible.contains(Y)) or (budget and problem.movement(Y) > L):
+            assert F == (math.inf,) * 6
+    # the one-row problem behind x(eta) shares the terms
+    Q = norm.Q if switching == "mahalanobis" else np.eye(d)
+    reg = _RegularizedProblem(Q, costs[0], 0.1 + 10.0 * rng.random(), x0, feasible)
+    for Y in (X[:1], X[:1] + 1e3):
+        F = reg.evaluate(Y, 1e-3, 1e-6)[0]
+        assert _same(reg.value(Y, 1e-3, 1e-6), F)
+        assert F == math.inf if not np.all(feasible.contains(Y)) else math.isfinite(F)
 
 
 class TestConstrained:

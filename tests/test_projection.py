@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from obd.geometry import (
     mahalanobis_map,
 )
 from obd.projection import (
-    InfeasibleLevel, NonConvergence, project_set, project_sublevel,
+    InfeasibleLevel, NonConvergence, _brent, project_set, project_sublevel,
     solve_regularized,
 )
 
@@ -423,3 +426,52 @@ class TestMultiplierRoot:
                                FeasibleSet.simplex(d, 0.01))
         assert res.converged
         assert res.iterations == len(etas) <= 100
+
+
+def _bracket(rng, k):
+    """A monotone function with a sign change on the returned bracket."""
+    r = rng.uniform(-5.0, 5.0)
+    a, b = r - rng.uniform(0.01, 10.0), r + rng.uniform(0.01, 10.0)
+    p, c = rng.uniform(0.2, 5.0), rng.uniform(0.1, 3.0)
+    f = [lambda x: math.copysign(abs(x - r) ** p, x - r),
+         lambda x: math.tanh(c * (x - r)) + 1e-3 * (x - r),
+         lambda x: math.exp(c * (x - r)) - 1.0,
+         lambda x: (x - r) ** 3 + c * (x - r)][k % 4]
+    return (f if rng.random() < 0.5 else (lambda x: -f(x))), a, b
+
+
+class TestBrent:
+    """``_brent`` is scipy's brentq iteration, evaluated point for point."""
+
+    def test_same_points_as_scipy(self):
+        from scipy.optimize import brentq
+        rng = np.random.default_rng(30)
+        rtol = 4.0 * np.finfo(float).eps
+        exhausted = 0
+        for k in range(600):
+            f, a, b = _bracket(rng, k)
+            maxiter = 4 if k % 50 == 0 else 100
+            ours, theirs = [], []
+            _brent(lambda x: ours.append(x) or f(x), a, b, 1e-300, rtol, maxiter)
+            brentq(lambda x: theirs.append(x) or f(x), a, b, xtol=1e-300, rtol=rtol,
+                   maxiter=maxiter, disp=False)
+            assert ours == theirs
+            exhausted += len(ours) == maxiter + 2
+        assert exhausted >= 1  # the silent end of the iteration budget is covered
+
+    def test_nan_and_same_sign_raise(self):
+        with pytest.raises(ValueError):
+            _brent(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, 1e-12, 1e-15, 100)
+        with pytest.raises(ValueError):
+            _brent(lambda x: x + 2.0, 0.0, 1.0, 1e-12, 1e-15, 100)
+
+    def test_import_leaves_out_scipy_optimize(self):
+        # scipy.optimize costs about 0.25 s and 20 MB at import, for no use
+        src = os.path.dirname(os.path.dirname(obd.projection.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = ("import sys, obd, obd.cli, obd.harness; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
