@@ -425,7 +425,7 @@ def _brent(f: Callable[[float], float], xpre: float, xcur: float, xtol: float,
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
-        stry = None
+        good = False  # bisect, unless interpolation takes a good short step
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:  # interpolate
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
@@ -434,12 +434,8 @@ def _brent(f: Callable[[float], float], xpre: float, xcur: float, xtol: float,
                 dblk = (fblk - fcur) / (xblk - xcur)
                 stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
             bound = 3 * abs(sbis) - delta
-            if not 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
-                stry = None
-        if stry is None:  # bisect
-            spre = scur = sbis
-        else:  # a good short step
-            spre, scur = scur, stry
+            good = 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound)
+        spre, scur = (scur, stry) if good else (sbis, sbis)
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = value(xcur)
