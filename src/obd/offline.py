@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
@@ -263,7 +264,7 @@ class _TrajectoryProblem:
         rows = np.broadcast_to(X, (self.T, self.d))
         return float(sum(f(rows[t]) for t, f in enumerate(self.costs))), self.movement(X)
 
-    def _terms(self, X: np.ndarray, eps: float, mu: float):
+    def terms(self, X: np.ndarray, eps: float, mu: float):
         """F and its terms' derivative functions; F is inf (and the terms None)
         outside the barriers' domain."""
         F, hit = self.hit(np.broadcast_to(X, (self.T, self.d)) if self.tied else X, eps)
@@ -285,12 +286,13 @@ class _TrajectoryProblem:
 
     def value(self, X: np.ndarray, eps: float, mu: float) -> float:
         """F alone, as ``evaluate`` computes it; inf outside the barriers' domain."""
-        return self._terms(X, eps, mu)[0]
+        return self.terms(X, eps, mu)[0]
 
-    def evaluate(self, X: np.ndarray, eps: float, mu: float):
+    def evaluate(self, X: np.ndarray, eps: float, mu: float, trial=None):
         """(F, gradient, diagonal blocks, off-diagonal blocks, rank-one column,
-        budget multiplier); F is inf outside the barriers' domain."""
-        F, terms = self._terms(X, eps, mu)
+        budget multiplier); F is inf outside the barriers' domain.  ``trial``
+        is ``terms``'s result at X, when already computed."""
+        F, terms = trial or self.terms(X, eps, mu)
         if terms is None:
             return (math.inf,) * 6
         hit, move, slack, barrier = terms
@@ -358,10 +360,11 @@ def _solve(problem, X: np.ndarray):
     1e-8 * (1 + |F(X)|) left budgeted solves up to 3e-8 relative higher.  The
     step that passes the decrement test is still taken.  A stage whose
     smoothing leaves X outside the budget is skipped.  ``problem`` provides
-    ``exact_parts``; ``value``, the objective alone, which prices each
-    Armijo trial; ``evaluate``, the objective with its derivatives, at each
-    accepted point; and ``newton_step``.  Returns (X, steps, whether the last
-    stage ended on the decrement, lam).
+    ``exact_parts``; ``terms``, the objective with its terms' derivative
+    functions not yet called, which prices each Armijo trial; ``evaluate``,
+    the objective with its derivatives, built from the accepted trial's
+    terms; and ``newton_step``.  Returns (X, steps, whether the last stage
+    ended on the decrement, lam).
     """
     scale = 1.0 + abs(sum(problem.exact_parts(X)))
     steps, done, lam = 0, False, 0.0
@@ -385,13 +388,15 @@ def _solve(problem, X: np.ndarray):
                 break
             t = 1.0
             while t > 1e-12:
-                if problem.value(X + t * step, eps, mu) <= F + 1e-4 * t * slope:
+                Y = X + t * step
+                trial = problem.terms(Y, eps, mu)
+                if trial[0] <= F + 1e-4 * t * slope:
                     break
                 t *= 0.5
             else:
                 break
-            X = X + t * step
-            F, grad, D, C, q, lam = problem.evaluate(X, eps, mu)
+            X = Y
+            F, grad, D, C, q, lam = problem.evaluate(X, eps, mu, trial)
             steps += 1
     return X, steps, done, lam
 
@@ -513,15 +518,6 @@ class GridSpec:
     def d(self) -> int:
         return self.lo.shape[0]
 
-    def mesh(self) -> np.ndarray:
-        axes = [np.linspace(self.lo[i], self.hi[i], self.points)
-                for i in range(self.d)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
-
-    def cell_diagonal(self, norm: Norm) -> float:
-        return norm((self.hi - self.lo) / (self.points - 1))
-
 
 def auto_grid(costs: Sequence[CostFunction], x0, points: int = 21,
               margin: float = 1.0) -> GridSpec:
@@ -534,73 +530,61 @@ def auto_grid(costs: Sequence[CostFunction], x0, points: int = 21,
     return GridSpec(lo - pad, hi + pad, points)
 
 
-# matrix entries per block of a DP transition: the block's buffers stay in cache
-_BLOCK = 1 << 17
+def _transition(norm: Norm, w: float, step: np.ndarray, offset: np.ndarray, n: int,
+                V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """min_q w * ||step * (offset + p - q)|| + V[q] for every p in [0, n)^d, and
+    the first argmin q, both in the flat (C) order of the window.
 
-
-def _min_plus(a: np.ndarray, b: np.ndarray, norm: Norm, w: float,
-              V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row minima over j of w * ||a_i - b_j|| + V_j, and their argmins.
-
-    The rows of ``a`` go in blocks of about ``_BLOCK`` entries, so no
-    len(a) x len(b) matrix is formed.  l1 and linf distances are ``norm`` of
-    each block's stack of differences.  l2 and Mahalanobis distances take the
-    Gram form sqrt(max((|a_i|^2 + |b_j|^2) - 2 a_i.b_j, 0)), Mahalanobis after
-    mapping both sides by the Cholesky factor of Q, built in one buffer and
-    updated in place.
+    On one lattice the distance depends on p - q alone, so a transition is a
+    min-plus convolution with one table K over the (2n - 1)^d lags
+    (Felzenszwalb & Huttenlocher, Distance Transforms of Sampled Functions,
+    2012).  With K indexed by q - p + n - 1, p's row is the sliding window of
+    K at n - 1 - p; the windows go one p_1 row at a time through one
+    n^(2d - 1) buffer.
     """
-    if norm.kind == MAHALANOBIS:
-        a, b = a @ norm._chol, b @ norm._chol
-    gram = norm.kind in (L2, MAHALANOBIS)
-    n, m = len(a), len(b)
-    rows = min(n, max(1, _BLOCK // (m if gram else m * a.shape[1])))
-    if gram:
-        aa, bb, bt = np.sum(a * a, axis=1), np.sum(b * b, axis=1), b.T
-        buf, cross = np.empty((rows, m)), np.empty((rows, m))
-    minima, argmins = np.empty(n), np.empty(n, dtype=np.intp)
-    for i in range(0, n, rows):
-        k = min(rows, n - i)
-        if gram:
-            D = buf[:k]
-            np.add(aa[i:i + k, None], bb[None, :], out=D)
-            ab = np.matmul(a[i:i + k], bt, out=cross[:k])
-            ab *= 2.0
-            D -= ab
-            np.maximum(D, 0.0, out=D)
-            np.sqrt(D, out=D)
-        else:
-            D = norm(a[i:i + k, None, :] - b[None, :, :])
-        D *= w
-        D += V
-        j = np.argmin(D, axis=1)
-        argmins[i:i + k] = j
-        minima[i:i + k] = D[np.arange(k), j]
-    return minima, argmins
+    d = len(step)
+    lags = np.moveaxis(np.indices((2 * n - 1,) * d), 0, -1) - (n - 1)
+    K = w * norm(step * (offset - lags))
+    windows = sliding_window_view(K, (n,) * d)[(slice(None, None, -1),) * d]
+    V = V.reshape((n,) * d)
+    buf = np.empty(windows.shape[1:])
+    rows = buf.size // V.size
+    minima, argmins = np.empty((n, rows)), np.empty((n, rows), dtype=np.intp)
+    for i in range(n):
+        B = np.add(windows[i], V, out=buf).reshape(rows, -1)
+        argmins[i] = B.argmin(axis=1)
+        minima[i] = B[np.arange(rows), argmins[i]]
+    return minima.ravel(), argmins.ravel()
 
 
-def _dp_solve(costs, x0, norm: Norm, point_sets, move_weight: float,
+def _dp_solve(costs, x0, norm: Norm, origin, step, corners, n: int, move_weight: float,
               feasible: Optional[FeasibleSet]):
-    T = len(costs)
+    """The cheapest path through the windows origin + step * (corners[t] + k),
+    k in [0, n)^d, of one lattice, and its objective; a point outside the
+    feasible set is priced inf."""
+    T, d = corners.shape
+    k = np.indices((n,) * d).reshape(d, -1).T
+    point_sets = [origin + step * (c + k) for c in corners]
+    values = [np.array(f(pts), dtype=float) for f, pts in zip(costs, point_sets)]
     if feasible is not None:
-        point_sets = [pts[feasible.contains(pts, 1e-9)] for pts in point_sets]
-        if any(len(p) == 0 for p in point_sets):
-            raise ValueError("grid does not intersect the feasible set")
-    values = [f(pts) for f, pts in zip(costs, point_sets)]
+        for pts, v in zip(point_sets, values):
+            inside = feasible.contains(pts, 1e-9)
+            if not inside.any():
+                raise ValueError("grid does not intersect the feasible set")
+            v[~inside] = math.inf
     V = values[T - 1]
     choices = []
     for t in range(T - 2, -1, -1):
-        best, idx = _min_plus(point_sets[t], point_sets[t + 1], norm, move_weight, V)
+        best, idx = _transition(norm, move_weight, step, corners[t] - corners[t + 1], n, V)
         choices.append(idx)
         V = values[t] + best
     choices.reverse()
-    best, idx = _min_plus(np.asarray(x0, dtype=float)[None, :], point_sets[0], norm,
-                          move_weight, V)
-    obj = float(best[0])
-    traj_idx = [int(idx[0])]
+    row = move_weight * norm(x0 - point_sets[0]) + V
+    traj_idx = [int(np.argmin(row))]
     for t in range(T - 1):
         traj_idx.append(int(choices[t][traj_idx[-1]]))
     X = np.stack([point_sets[t][traj_idx[t]] for t in range(T)])
-    return X, obj
+    return X, float(row[traj_idx[0]])
 
 
 def grid_dp_oracle(costs: Sequence[CostFunction], x0,
@@ -613,12 +597,16 @@ def grid_dp_oracle(costs: Sequence[CostFunction], x0,
 
     After the first pass the grid zooms ``refine`` times around the incumbent
     trajectory (4x finer each time), taming discretization bias; a first grid
-    of more than 300000 points raises ValueError.  Each DP transition is a
-    min-plus step taken over cache-sized blocks of rows, so the distance
-    matrix between two rounds' grids is never formed whole (a 51 x 51 zoom
-    grid's would be 54 MB).  The reported objective carries the final cell
-    diagonal as its uncertainty tag; one debug line per solve gives T, d, the
-    largest grid per round, the passes and the seconds.
+    of more than 300000 points raises ValueError.  Every pass lays each
+    round's grid out as a window on one lattice: the first pass's grid is
+    ``grid`` in every round, and a zoom pass's lattice has step 2 half /
+    (zoom_n - 1) and origin x_0 - half, with round t's window the n^d
+    lattice points nearest the box x_t +- half.  Each DP transition is then
+    a min-plus convolution with one table of distances over the lattice
+    offsets, which serves every norm.  A zoom pass that does not lower the
+    objective is dropped.  The reported objective carries the cell diagonal
+    of the pass it came from as its uncertainty tag; one debug line per solve
+    gives T, d, the largest grid per round, the passes and the seconds.
     """
     started = time.perf_counter()
     x0 = np.asarray(x0, dtype=float)
@@ -631,19 +619,21 @@ def grid_dp_oracle(costs: Sequence[CostFunction], x0,
     if grid.points ** d > 300000:
         raise ValueError("state-space size cap exceeded")
 
-    pts = grid.mesh()
-    point_sets = [pts] * T
-    X, obj = _dp_solve(costs, x0, norm, point_sets, move_weight, feasible)
     span = grid.hi - grid.lo
-    diag = grid.cell_diagonal(norm)
+    step = span / (grid.points - 1)
+    X, obj = _dp_solve(costs, x0, norm, grid.lo, step, np.zeros((T, d)), grid.points,
+                       move_weight, feasible)
+    diag = norm(step)
     zoom_n = 101 if d == 1 else 51
     half = span / 8.0  # wide first zoom: valleys can alias the coarse pass
     for _ in range(refine):
-        point_sets = [GridSpec(X[t] - half, X[t] + half, zoom_n).mesh() for t in range(T)]
-        X_new, obj_new = _dp_solve(costs, x0, norm, point_sets, move_weight, feasible)
+        step = 2.0 * half / (zoom_n - 1)
+        origin = X[0] - half
+        corners = np.rint((X - half - origin) / np.where(step > 0.0, step, 1.0))
+        X_new, obj_new = _dp_solve(costs, x0, norm, origin, step, corners, zoom_n,
+                                   move_weight, feasible)
         if obj_new <= obj:
-            X, obj = X_new, obj_new
-        diag = norm(2.0 * half / (zoom_n - 1))
+            X, obj, diag = X_new, obj_new, norm(step)
         half = half / 4.0
     log.debug("offline oracle: T=%d d=%d points=%d passes=%d %.3fs", T, d,
               max(grid.points ** d, zoom_n ** d if refine else 0), 1 + refine,

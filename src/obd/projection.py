@@ -301,7 +301,7 @@ class _RegularizedProblem:
         u = X[0] - self.x_prev
         return self.eta * self.f(X[0]), 0.5 * float(u @ (self.Q @ u))
 
-    def _terms(self, X: np.ndarray, eps: float, mu: float):
+    def terms(self, X: np.ndarray, eps: float, mu: float):
         """F and its terms; F is inf (and the terms None) outside the barrier's domain."""
         u = X[0] - self.x_prev
         Qu = self.Q @ u
@@ -317,11 +317,12 @@ class _RegularizedProblem:
 
     def value(self, X: np.ndarray, eps: float, mu: float) -> float:
         """F alone, as ``evaluate`` computes it; inf outside the barrier's domain."""
-        return self._terms(X, eps, mu)[0]
+        return self.terms(X, eps, mu)[0]
 
-    def evaluate(self, X: np.ndarray, eps: float, mu: float):
-        """(F, gradient, Hessian, None, None, 0.0); F is inf outside the barrier's domain."""
-        F, terms = self._terms(X, eps, mu)
+    def evaluate(self, X: np.ndarray, eps: float, mu: float, trial=None):
+        """(F, gradient, Hessian, None, None, 0.0); F is inf outside the barrier's
+        domain.  ``trial`` is ``terms``'s result at X, when already computed."""
+        F, terms = trial or self.terms(X, eps, mu)
         if terms is None:
             return (math.inf,) * 6
         Qu, hit, barrier = terms

@@ -13,7 +13,7 @@ from obd.costs import (
 )
 from obd.geometry import FeasibleSet, Norm
 from obd.offline import (
-    GridSpec, _TrajectoryProblem, _interior, _min_plus, auto_grid, grid_dp_oracle,
+    GridSpec, _TrajectoryProblem, _interior, _transition, auto_grid, grid_dp_oracle,
     offline_opt, offline_opt_constrained, static_opt,
 )
 from obd.projection import _RegularizedProblem
@@ -401,6 +401,12 @@ class TestStatic:
         np.testing.assert_allclose(sol.trajectory[0], v, atol=1e-6)
 
 
+def _grid_norm(kind, d):
+    if kind == "mahalanobis":
+        return Norm.mahalanobis(np.array([[2.0, 0.5], [0.5, 1.0]])[:d, :d])
+    return Norm(kind)
+
+
 class TestGridOracle:
     def test_single_round(self):
         f = abs_cost(1.0)
@@ -445,30 +451,95 @@ class TestGridOracle:
         dp = grid_dp_oracle(fs, np.zeros(2), grid, refine=0)
         assert dp.objective == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
-    @pytest.mark.parametrize("norm", [
-        Norm.l2(), Norm.l1(), Norm.linf(), Norm.mahalanobis([[2.0, 0.5], [0.5, 1.0]])],
-        ids=["l2", "l1", "linf", "mahalanobis"])
+    @pytest.mark.parametrize("kind", ["l2", "l1", "linf", "mahalanobis"])
     @pytest.mark.parametrize("w", [1.0, 1.7])
-    def test_min_plus_matches_full_matrix(self, norm, w):
-        a = GridSpec([-1.0, -2.0], [2.0, 1.0], 51).mesh()
-        b = GridSpec([-1.5, -1.5], [1.5, 2.5], 37).mesh()
-        V = np.random.default_rng(5).uniform(0.0, 3.0, len(b))
-        # a block holds _BLOCK // len(b) rows for l2 and Mahalanobis, and
-        # _BLOCK // (2 len(b)) for l1 and linf: neither divides len(a)
-        assert all(len(a) % (obd.offline._BLOCK // w) for w in (len(b), 2 * len(b)))
-        if norm.kind in ("l2", "mahalanobis"):
-            L = np.eye(2) if norm.kind == "l2" else norm._chol
-            ua, ub = a @ L, b @ L
-            sq = (np.sum(ua * ua, axis=1)[:, None] + np.sum(ub * ub, axis=1)[None, :]
-                  - 2.0 * (ua @ ub.T))
-            D = np.sqrt(np.maximum(sq, 0.0))
-        else:
-            diff = np.abs(a[:, None, :] - b[None, :, :])
-            D = diff.sum(axis=2) if norm.kind == "l1" else diff.max(axis=2)
-        total = w * D + V[None, :]
-        best, idx = _min_plus(a, b, norm, w, V)
-        np.testing.assert_array_equal(idx, np.argmin(total, axis=1))
-        np.testing.assert_allclose(best, total.min(axis=1), rtol=1e-12, atol=0.0)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_transition_matches_full_matrix(self, kind, w, d):
+        # two windows of one lattice, offset by positive, negative and
+        # nonoverlapping corners; a tenth of the points are priced inf
+        norm = _grid_norm(kind, d)
+        rng = np.random.default_rng(5)
+        n = 23 if d == 2 else 61
+        origin, step = np.array([-1.0, 0.5])[:d], np.array([0.13, 0.07])[:d]
+        k = np.indices((n,) * d).reshape(d, -1).T
+        for ca, cb in (([0, 0], [0, 0]), ([2, -3], [-4, 1]), ([-5, 7], [30, -28])):
+            ca, cb = np.array(ca[:d], dtype=float), np.array(cb[:d], dtype=float)
+            a, b = origin + step * (ca + k), origin + step * (cb + k)
+            V = rng.uniform(0.0, 3.0, len(b))
+            V[rng.random(len(b)) < 0.1] = math.inf
+            total = w * norm(a[:, None, :] - b[None, :, :]) + V[None, :]
+            best, idx = _transition(norm, w, step, ca - cb, n, V)
+            np.testing.assert_array_equal(idx, np.argmin(total, axis=1))
+            np.testing.assert_allclose(best, total.min(axis=1), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["l2", "l1", "linf", "mahalanobis"])
+    @pytest.mark.parametrize("w", [1.0, 1.7])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("region", ["whole", "ball", "box"])
+    def test_first_pass_is_best_grid_path(self, kind, w, d, region):
+        # refine=0 returns the cheapest of all paths over the grid, every
+        # path priced on its own; a point outside the set is no state
+        norm = _grid_norm(kind, d)
+        rng = np.random.default_rng([d, int(10 * w), len(kind), len(region)])
+        for case in range(4):
+            T, m = int(rng.integers(1, 4)), int(rng.integers(2, 6))
+            lo = rng.uniform(-2.0, 0.0, d)
+            hi = lo + rng.uniform(0.5, 3.0, d)
+            axes = [np.linspace(lo[i], hi[i], m) for i in range(d)]
+            pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+            targets = rng.uniform(lo - 1.0, hi + 1.0, (T, d))
+            costs = [make_norm_tracking(v, _grid_norm(kind, d), 0.5 + rng.random())
+                     if case % 2 else make_quadratic(np.eye(d) + 0.3 * rng.standard_normal((d, d)), v)
+                     for v in targets]
+            x0 = rng.uniform(lo - 0.5, hi + 0.5)
+            c = pts[rng.integers(len(pts))]
+            feasible = {"whole": None,
+                        "ball": FeasibleSet.ball(c, rng.uniform(0.2, 1.5), norm),
+                        "box": FeasibleSet.box(c - rng.uniform(0.1, 1.0, d),
+                                               c + rng.uniform(0.1, 1.0, d))}[region]
+            priced = [np.array([f(p) for p in pts]) for f in costs]
+            if feasible is not None:
+                for v in priced:
+                    v[~np.array([feasible.contains(p, 1e-9) for p in pts])] = math.inf
+            # total[i_0, ..., i_t]: the cost of every path through rounds 0..t
+            total = w * np.array([norm(x0 - p) for p in pts]) + priced[0]
+            moves = np.array([[norm(p - q) for q in pts] for p in pts])
+            for v in priced[1:]:
+                total = total[..., None] + w * moves + v
+            dp = grid_dp_oracle(costs, x0, GridSpec(lo, hi, m), norm=norm,
+                                feasible=feasible, refine=0, move_weight=w)
+            assert dp.objective == pytest.approx(total.min(), rel=1e-12, abs=0.0)
+
+    def test_zero_span_axis(self):
+        # a grid flat along one axis stays on it through the zoom passes
+        costs = [make_norm_tracking(np.array([0.3, 0.5]), Norm.l2())] * 3
+        coarse = grid_dp_oracle(costs, np.zeros(2), GridSpec([0.0, -1.0], [0.0, 1.0], 5),
+                                refine=0)
+        dp = grid_dp_oracle(costs, np.zeros(2), GridSpec([0.0, -1.0], [0.0, 1.0], 5))
+        assert np.all(dp.trajectory[:, 0] == 0.0)
+        assert dp.objective < coarse.objective
+
+    def test_uncertainty_is_that_of_returned_pass(self, monkeypatch):
+        # a zoom pass that does not lower the objective is dropped, and so is
+        # its finer cell diagonal
+        inst = generate_instance(InstanceSpec(d=2, T=3, family="norm_tracking", seed=48))
+        coarse = grid_dp_oracle(inst.costs, inst.x0, refine=0)
+        once = grid_dp_oracle(inst.costs, inst.x0, refine=1)
+        assert once.uncertainty < coarse.uncertainty
+        solve, calls = obd.offline._dp_solve, []
+
+        def reject(*args):
+            X, obj = solve(*args)
+            calls.append(obj)
+            return X, obj + (1.0 if len(calls) in rejected else 0.0)
+
+        monkeypatch.setattr(obd.offline, "_dp_solve", reject)
+        for rejected, expected in (({2, 3}, coarse), ({3}, once)):
+            calls.clear()
+            dp = grid_dp_oracle(inst.costs, inst.x0, refine=2)
+            assert len(calls) == 3
+            assert dp.uncertainty == expected.uncertainty
+            np.testing.assert_array_equal(dp.trajectory, expected.trajectory)
 
     def test_memory_bounded(self):
         # a full distance matrix per transition would be 54 MB on the 51 x 51 zoom grid
