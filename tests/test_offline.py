@@ -487,10 +487,11 @@ class TestGridOracle:
             hi = lo + rng.uniform(0.5, 3.0, d)
             axes = [np.linspace(lo[i], hi[i], m) for i in range(d)]
             pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-            targets = rng.uniform(lo - 1.0, hi + 1.0, (T, d))
-            costs = [make_norm_tracking(v, _grid_norm(kind, d), 0.5 + rng.random())
-                     if case % 2 else make_quadratic(np.eye(d) + 0.3 * rng.standard_normal((d, d)), v)
-                     for v in targets]
+            costs = []
+            for v in rng.uniform(lo - 1.0, hi + 1.0, (T, d)):
+                A = np.eye(d) + 0.3 * rng.standard_normal((d, d))
+                costs.append(make_norm_tracking(v, norm, 0.5 + rng.random()) if case % 2
+                             else make_quadratic(A, v))
             x0 = rng.uniform(lo - 0.5, hi + 0.5)
             c = pts[rng.integers(len(pts))]
             feasible = {"whole": None,
