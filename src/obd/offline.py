@@ -10,7 +10,10 @@ barrier weight together.  The Hessian is block tridiagonal in the rounds, so
 each Newton step is one banded Cholesky factorization.  ``static_opt`` ties
 every round to one point; ``offline_opt_constrained`` adds a barrier row on
 an upper bound of the movement, so the exact movement never exceeds L.  The
-reported costs are the exact, unsmoothed ones.
+reported costs are the exact, unsmoothed ones.  ``offline_opt`` first prices
+staying at x0 and jumping to every minimizer: a jump whose dual point proves
+it optimal (Lagrange duality, ibid. 5.5.3) is returned without a solve, and
+otherwise the solve starts from the cheaper of the two.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ class OfflineSolution:
 
     ``iterations`` counts Newton steps; ``converged`` says whether the last
     stage met its Newton-decrement test (and a binding budget its window).
+    A jump to the minimizers certified optimal by its dual point takes no
+    solve: ``iterations`` 0, ``converged`` True.
     """
 
     trajectory: np.ndarray  # (T, d)
@@ -236,6 +241,11 @@ class _TrajectoryProblem:
         self.tied, self.budget = tied, budget
         self.rows = 1 if tied else self.T
         self.hit = _hit_terms(self.costs)
+        # a norm-tracking family's (norm, minimizers, scales), priced as one stack
+        self.tracking = None
+        if all(isinstance(f, NormTrackingCost) for f in self.costs):
+            self.tracking = (self.costs[0].norm_a, np.stack([f.minimizer for f in self.costs]),
+                             np.array([f.scale for f in self.costs]))
         self.barrier = _set_barrier(self.feasible)
         self.gap = self.rows * {L1: d, LINF: math.log(2 * d)}.get(self.norm.kind, 1.0)
         # the block-tridiagonal Hessian's lower triangle in LAPACK band storage:
@@ -261,8 +271,16 @@ class _TrajectoryProblem:
         return float(self.norm(self.diffs(X)).sum())
 
     def exact_parts(self, X: np.ndarray):
+        """(hit, move) of X, exact.  Each round's hit is the bits of its own
+        cost call, summed in round order; norm-tracking costs take them as one
+        stack, since a norm gives a row of a stack the bits of the row alone."""
         rows = np.broadcast_to(X, (self.T, self.d))
-        return float(sum(f(rows[t]) for t, f in enumerate(self.costs))), self.movement(X)
+        if self.tracking is None:
+            hits = [f(rows[t]) for t, f in enumerate(self.costs)]
+        else:
+            norm, V, s = self.tracking
+            hits = (s * norm(rows - V)).tolist()
+        return float(sum(hits)), self.movement(X)
 
     def terms(self, X: np.ndarray, eps: float, mu: float):
         """F and its terms' derivative functions; F is inf (and the terms None)
@@ -350,8 +368,9 @@ def _solve_banded(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _solve(problem, X: np.ndarray):
-    """Damped Newton path following from the interior point X.
+def _solve(problem, X: np.ndarray, price: Optional[float] = None):
+    """Damped Newton path following from the interior point X, whose exact
+    objective is ``price`` when already known.
 
     Stage k = 2, ..., 10 smooths with eps = 10^-min(k, 8) under barrier
     weight mu = 10^-k * (1 + |F(X)|), for at most 200 Armijo-damped steps,
@@ -366,7 +385,7 @@ def _solve(problem, X: np.ndarray):
     terms; and ``newton_step``.  Returns (X, steps, whether the last stage
     ended on the decrement, lam).
     """
-    scale = 1.0 + abs(sum(problem.exact_parts(X)))
+    scale = 1.0 + abs(sum(problem.exact_parts(X)) if price is None else price)
     steps, done, lam = 0, False, 0.0
     for k in range(2, 11):
         eps, mu = 10.0 ** -min(k, 8), 10.0 ** -k * scale
@@ -413,23 +432,63 @@ def _solution(label: str, problem: _TrajectoryProblem, X: np.ndarray, parts, ste
                            converged=converged, iterations=steps, **fields)
 
 
+def _jump_certified(problem: _TrajectoryProblem) -> bool:
+    """Whether Lagrange duality (Boyd & Vandenberghe 5.5.3) proves the jump to
+    every minimizer v_t optimal, for norm-tracking costs s_t ||x - v_t||_a
+    under an l2 or Mahalanobis switching norm, the jump inside the set.
+
+    Write the switching norm as max nu' u over ||nu||_* <= 1 and take nu_t its
+    gradient at the jump's move u_t = v_t - v_{t-1} (v_0 = x_0), nu_{T+1} = 0.
+    Where ||nu_t - nu_{t+1}||_a* <= s_t, round t's Lagrangian term is least at
+    v_t, so OPT >= sum_t nu_t' u_t = sum_t ||u_t||, the jump's cost.  A zero
+    move has no gradient, and l1 and linf have no unique one.
+    """
+    if problem.tracking is None or problem.norm.kind not in (L2, MAHALANOBIS):
+        return False
+    norm_a, V, s = problem.tracking
+    U = problem.diffs(V)
+    n = problem.norm(U)
+    if not n.all():
+        return False
+    nu = (U if problem.norm.kind == L2 else U @ problem.norm.Q) / n[:, None]
+    nu[:-1] -= nu[1:]
+    return bool((norm_a.dual()(nu) <= s * (1.0 - 1e-12)).all())
+
+
 def offline_opt(costs: Sequence[CostFunction], x0, feasible: Optional[FeasibleSet] = None,
                 norm: Optional[Norm] = None) -> OfflineSolution:
-    """Dynamic offline optimum of sum_t f_t(x_t) + ||x_t - x_{t-1}||."""
+    """Dynamic offline optimum of sum_t f_t(x_t) + ||x_t - x_{t-1}||.
+
+    Staying at x0 and jumping to every minimizer are priced first.  A jump
+    that ``_jump_certified`` proves optimal is returned without a solve;
+    otherwise the solve starts from the cheaper of the two when both lie in
+    the set, else from the minimizers, and never reports more than either.
+    """
     started = time.perf_counter()
     problem = _TrajectoryProblem(costs, x0, norm, feasible)
     minimizers = np.stack([f.minimizer for f in costs])
-    X, steps, converged, _ = _solve(problem, _interior(problem.feasible, minimizers))
+    paths = {name: (Y, problem.exact_parts(Y))
+             for name, Y in (("stay at x0", np.tile(problem.x0, (problem.T, 1))),
+                             ("jump to minimizers", minimizers))
+             if problem.feasible.contains(Y, 0.0).all()}
+    if "jump to minimizers" in paths and _jump_certified(problem):
+        return _solution("opt", problem, minimizers, paths["jump to minimizers"][1], 0, True,
+                         started, note="jump to minimizers trajectory certified optimal "
+                                       "by its dual point")
+    Y, price = minimizers, None
+    if len(paths) == 2:
+        Y, parts = min(paths.values(), key=lambda path: sum(path[1]))
+        price = sum(parts)
+    start = _interior(problem.feasible, Y)
+    X, steps, converged, _ = _solve(problem, start,
+                                    price if np.array_equal(start, Y) else None)
     parts, notes = problem.exact_parts(X), []
     # Where staying put or jumping to every minimizer is optimal, the solve
     # can land slightly above it; never report more than these trajectories.
-    for name, Y in (("stay at x0", np.tile(problem.x0, (problem.T, 1))),
-                    ("jump to minimizers", minimizers)):
-        if problem.feasible.contains(Y, 0.0).all():
-            Y_parts = problem.exact_parts(Y)
-            if sum(Y_parts) < sum(parts):
-                X, parts = Y, Y_parts
-                notes.append(f"{name} trajectory beat the solve")
+    for name, (Y, Y_parts) in paths.items():
+        if sum(Y_parts) < sum(parts):
+            X, parts = Y, Y_parts
+            notes.append(f"{name} trajectory beat the solve")
     return _solution("opt", problem, X, parts, steps, converged, started,
                      note="; ".join(notes))
 
@@ -530,6 +589,11 @@ def auto_grid(costs: Sequence[CostFunction], x0, points: int = 21,
     return GridSpec(lo - pad, hi + pad, points)
 
 
+# entries of ``_transition``'s buffer (2 MB): a 51 x 51 zoom pass still takes
+# each p_1 row of windows, 51^3 entries, in one chunk
+_CHUNK = 2 ** 18
+
+
 def _transition(norm: Norm, w: float, step: np.ndarray, offset: np.ndarray, n: int,
                 V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """min_q w * ||step * (offset + p - q)|| + V[q] for every p in [0, n)^d, and
@@ -539,21 +603,27 @@ def _transition(norm: Norm, w: float, step: np.ndarray, offset: np.ndarray, n: i
     min-plus convolution with one table K over the (2n - 1)^d lags
     (Felzenszwalb & Huttenlocher, Distance Transforms of Sampled Functions,
     2012).  With K indexed by q - p + n - 1, p's row is the sliding window of
-    K at n - 1 - p; the windows go one p_1 row at a time through one
-    n^(2d - 1) buffer.
+    K at n - 1 - p.  With d <= 2 each (p_1, p_2) is one row of windows; they
+    go through one buffer of about ``_CHUNK`` entries, at least one row, a
+    chunk of p_2 rows at a time.
     """
     d = len(step)
     lags = np.moveaxis(np.indices((2 * n - 1,) * d), 0, -1) - (n - 1)
     K = w * norm(step * (offset - lags))
     windows = sliding_window_view(K, (n,) * d)[(slice(None, None, -1),) * d]
+    m = n ** (d - 1)  # rows of windows per p_1, one per p_2
+    windows = windows.reshape((n, m) + (n,) * d)  # a view for d <= 2
     V = V.reshape((n,) * d)
-    buf = np.empty(windows.shape[1:])
-    rows = buf.size // V.size
-    minima, argmins = np.empty((n, rows)), np.empty((n, rows), dtype=np.intp)
+    chunk = max(1, _CHUNK // V.size)
+    buf = np.empty((min(chunk, m),) + V.shape)
+    minima, argmins = np.empty((n, m)), np.empty((n, m), dtype=np.intp)
     for i in range(n):
-        B = np.add(windows[i], V, out=buf).reshape(rows, -1)
-        argmins[i] = B.argmin(axis=1)
-        minima[i] = B[np.arange(rows), argmins[i]]
+        for j in range(0, m, chunk):
+            W = windows[i, j:j + chunk]
+            B = np.add(W, V, out=buf[:len(W)]).reshape(len(W), -1)
+            best = B.argmin(axis=1)
+            argmins[i, j:j + len(W)] = best
+            minima[i, j:j + len(W)] = B[np.arange(len(W)), best]
     return minima.ravel(), argmins.ravel()
 
 

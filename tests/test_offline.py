@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import LinAlgError
 
 import obd.offline
@@ -70,6 +70,9 @@ class TestOfflineOpt:
         assert sol.objective <= jump
         assert "jump to minimizers" in sol.note
         np.testing.assert_array_equal(sol.trajectory, V)
+        # l2 tracking of scale >= 2: the jump's dual point proves it, no solve
+        assert "certified optimal" in sol.note
+        assert (sol.iterations, sol.converged) == (0, True)
 
     def test_first_order_residual_flag(self):
         spec = InstanceSpec(d=2, T=10, family="quadratic", seed=44)
@@ -202,9 +205,11 @@ class TestNewtonStep:
                                 parts["off-diagonal"], parts["column"])
 
     def test_pinned_tracking_whole_space(self):
+        # started from the cheaper of staying put and jumping (here staying),
+        # the solve takes 71 steps where the minimizers took 113, to the same bits
         inst = generate_instance(InstanceSpec(d=3, T=20, family="norm_tracking", seed=43))
         sol = offline_opt(inst.costs, inst.x0)
-        assert (sol.iterations, sol.objective.hex()) == (113, "0x1.1c0339c61adc3p+6")
+        assert (sol.iterations, sol.objective.hex()) == (71, "0x1.1c0339c61adc3p+6")
 
     def test_pinned_budget_in_ball(self):
         costs, ball = _ball_quadratics(6)
@@ -296,6 +301,93 @@ def test_value_is_evaluate_objective(seed, d, T, family, kind, switching, budget
         F = reg.evaluate(Y, 1e-3, 1e-6)[0]
         assert _same(reg.value(Y, 1e-3, 1e-6), F)
         assert F == math.inf if not np.all(feasible.contains(Y)) else math.isfinite(F)
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2", "linf", "mahalanobis"])
+def test_tracking_parts_are_per_round_calls(kind):
+    # norm-tracking hits are priced as one stack, with each round's bits and
+    # the per-round sum's order
+    rng = np.random.default_rng(len(kind))
+    for d, T, tied in ((1, 1, False), (2, 7, False), (5, 50, False), (10, 50, False),
+                       (3, 6, True)):
+        norm = _norm(kind, rng, d)
+        costs = [make_norm_tracking(v, norm, 0.5 + 3.0 * rng.random())
+                 for v in rng.standard_normal((T, d))]
+        problem = _TrajectoryProblem(costs, rng.standard_normal(d), None, None, tied=tied)
+        X = 3.0 * rng.standard_normal((1 if tied else T, d))
+        rows = np.broadcast_to(X, (T, d))
+        assert _same(problem.exact_parts(X)[0],
+                     sum(f(rows[t]) for t, f in enumerate(costs)))
+
+
+def _dual_bound(costs, x0, V):
+    """The Lagrangian bound -nu_1'x_0 + sum_t (nu_t - nu_{t+1})'v_t of l2
+    switching at the jump's dual point nu_t = u_t / ||u_t||, nu_{T+1} = 0, and
+    whether every round's dual constraint ||nu_t - nu_{t+1}||_a* <= s_t holds."""
+    U = np.diff(np.vstack([x0, V]), axis=0)
+    nu = np.vstack([U / np.linalg.norm(U, axis=1)[:, None], np.zeros((1, len(x0)))])
+    c = nu[:-1] - nu[1:]
+    feasible = all(f.norm_a.dual_value(ct) <= f.scale for f, ct in zip(costs, c))
+    return -nu[0] @ x0 + sum(ct @ v for ct, v in zip(c, V)), feasible
+
+
+def _is_certified(sol) -> bool:
+    return "certified optimal" in sol.note
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 2), T=st.integers(2, 5),
+       kind=st.sampled_from(["l1", "l2", "linf"]), ball=st.booleans())
+@example(seed=12, d=2, T=3, kind="l2", ball=False)  # only the last round's s_t < 1
+@example(seed=2, d=2, T=3, kind="linf", ball=False)  # ||c||_2 <= s_t < ||c||_1 somewhere
+def test_certified_jump_is_optimal(seed, d, T, kind, ball):
+    # whenever the dual point certifies the jump, the jump is a valid bound:
+    # every dual constraint holds, the bound meets the objective, and the
+    # grid oracle finds nothing cheaper
+    rng = np.random.default_rng(seed)
+    V, x0 = rng.uniform(-2.0, 2.0, (T, d)), rng.uniform(-2.0, 2.0, d)
+    costs = [make_norm_tracking(v, Norm(kind), s) for v, s in zip(V, rng.uniform(0.5, 4.0, T))]
+    feasible = None
+    if ball:  # it holds a ball of radius >= 0.5 about each minimizer, so grid points
+        c = 0.5 * rng.standard_normal(d)
+        feasible = FeasibleSet.ball(c, float(np.linalg.norm(V - c, axis=1).max())
+                                    + rng.uniform(0.5, 2.0))
+    sol = offline_opt(costs, x0, feasible)
+    if not _is_certified(sol):
+        assert sol.iterations > 0
+        return
+    assert (sol.iterations, sol.converged) == (0, True)
+    np.testing.assert_array_equal(sol.trajectory, V)
+    bound, dual_feasible = _dual_bound(costs, x0, V)
+    assert dual_feasible
+    assert bound == pytest.approx(sol.objective, rel=1e-12, abs=0.0)
+    dp = grid_dp_oracle(costs, x0, feasible=feasible, refine=0)
+    assert sol.objective <= dp.objective * (1.0 + 1e-12)
+
+
+class TestCertificateFallsBack:
+    """Where the jump's dual point proves nothing, the Newton solve runs."""
+
+    @staticmethod
+    def _solve(V, x0, scale=2.0, feasible=None):
+        costs = [make_norm_tracking(v, Norm.l2(), scale) for v in np.asarray(V, dtype=float)]
+        sol = offline_opt(costs, np.asarray(x0, dtype=float), feasible)
+        assert not _is_certified(sol) and sol.iterations > 0
+        return sol
+
+    def test_reversal(self):
+        # u_2 = -u_1 at s = 2: ||nu_1 - nu_2|| = 2 = s_1, on the edge of the dual ball
+        sol = self._solve([[1.0, 0.5], [0.0, 0.0], [0.5, 1.0]], [0.0, 0.0])
+        assert sol.objective <= 3.0 * math.sqrt(1.25)  # the jump, by the guard
+
+    def test_zero_difference(self):
+        self._solve([[1.0, 0.0], [1.0, 0.0], [1.0, 1.0]], [0.0, 0.0], scale=4.0)
+
+    def test_jump_outside_ball(self):
+        sol = self._solve([[1.0, 0.0], [3.0, 0.0]], [0.0, 0.0], scale=4.0,
+                          feasible=FeasibleSet.ball(np.zeros(2), 2.0))
+        assert "jump to minimizers" not in sol.note
+        assert np.linalg.norm(sol.trajectory, axis=1).max() <= 2.0
 
 
 class TestConstrained:
@@ -454,9 +546,10 @@ class TestGridOracle:
     @pytest.mark.parametrize("kind", ["l2", "l1", "linf", "mahalanobis"])
     @pytest.mark.parametrize("w", [1.0, 1.7])
     @pytest.mark.parametrize("d", [1, 2])
-    def test_transition_matches_full_matrix(self, kind, w, d):
+    def test_transition_matches_full_matrix(self, kind, w, d, monkeypatch):
         # two windows of one lattice, offset by positive, negative and
-        # nonoverlapping corners; a tenth of the points are priced inf
+        # nonoverlapping corners; a tenth of the points are priced inf.  The
+        # buffer takes one p_2 row, five (the last chunk three) or all 23.
         norm = _grid_norm(kind, d)
         rng = np.random.default_rng(5)
         n = 23 if d == 2 else 61
@@ -468,9 +561,11 @@ class TestGridOracle:
             V = rng.uniform(0.0, 3.0, len(b))
             V[rng.random(len(b)) < 0.1] = math.inf
             total = w * norm(a[:, None, :] - b[None, :, :]) + V[None, :]
-            best, idx = _transition(norm, w, step, ca - cb, n, V)
-            np.testing.assert_array_equal(idx, np.argmin(total, axis=1))
-            np.testing.assert_allclose(best, total.min(axis=1), rtol=1e-12, atol=0.0)
+            for chunk in (1, 5 * n ** d, 2 ** 18):
+                monkeypatch.setattr(obd.offline, "_CHUNK", chunk)
+                best, idx = _transition(norm, w, step, ca - cb, n, V)
+                np.testing.assert_array_equal(idx, np.argmin(total, axis=1))
+                np.testing.assert_allclose(best, total.min(axis=1), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("kind", ["l2", "l1", "linf", "mahalanobis"])
     @pytest.mark.parametrize("w", [1.0, 1.7])
@@ -552,6 +647,20 @@ class TestGridOracle:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
+
+    def test_transition_buffer_in_chunks(self):
+        # a whole p_1 row of windows is 151^3 doubles on a 151 x 151 grid, a
+        # 30.1 MB peak; chunks of p_2 rows hold the buffer near 2 MB, same bits
+        inst = generate_instance(InstanceSpec(d=2, T=2, family="norm_tracking", seed=48))
+        grid = auto_grid(inst.costs, inst.x0, points=151)
+        tracemalloc.start()
+        try:
+            dp = grid_dp_oracle(inst.costs, inst.x0, grid, refine=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
+        assert dp.objective.hex() == "0x1.01d1e28c0c43fp+3"  # as with whole rows
 
 
 def _set_and_boundary(kind, d, rng):
