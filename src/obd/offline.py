@@ -227,18 +227,24 @@ class _TrajectoryProblem:
     rounds.  ``budget`` L adds the barrier row -mu * log(L - sum_t m_t), m_t
     the smoothed norm of x_t - x_{t-1} plus its largest gap, an upper bound
     on the norm; its multiplier mu / slack is ``lam``.
+
+    With ``Q`` it is the one-row problem behind x(eta) in
+    ``projection.solve_regularized``: one cost f, x0 = x_prev, the map's
+    divergence 1/2 (x - x_prev)'Q(x - x_prev) as the movement term in place
+    of the switching norm, and the hit term weighted by ``eta``.
     """
 
     def __init__(self, costs: Sequence[CostFunction], x0, norm: Optional[Norm],
                  feasible: Optional[FeasibleSet], tied: bool = False,
-                 budget: Optional[float] = None):
+                 budget: Optional[float] = None, Q: Optional[np.ndarray] = None,
+                 eta: float = 1.0):
         self.costs = list(costs)
         self.x0 = np.asarray(x0, dtype=float)
         self.T, self.d = len(self.costs), self.x0.shape[0]
         d = self.d
         self.norm = norm or Norm.l2()
         self.feasible = feasible or FeasibleSet.whole_space(d)
-        self.tied, self.budget = tied, budget
+        self.tied, self.budget, self.Q, self.eta = tied, budget, Q, eta
         self.rows = 1 if tied else self.T
         self.hit = _hit_terms(self.costs)
         # a norm-tracking family's (norm, minimizers, scales), priced as one stack
@@ -267,27 +273,38 @@ class _TrajectoryProblem:
         np.subtract(X[1:], X[:-1], out=U[1:])
         return U
 
+    def moves(self, U: np.ndarray, eps: float):
+        """Row values of the movement term at the moves U, and a function that
+        returns their (gradients, Hessians): the eps-smoothed switching norm,
+        or the divergence 1/2 u'Qu, which is smooth."""
+        if self.Q is None:
+            return _smoothed_norm(U, self.norm, eps)
+        QU = U @ self.Q
+        return 0.5 * (QU * U).sum(axis=1), lambda: (QU, self.Q[None])
+
     def movement(self, X: np.ndarray) -> float:
-        return float(self.norm(self.diffs(X)).sum())
+        U = self.diffs(X)
+        return float((self.norm(U) if self.Q is None else self.moves(U, 0.0)[0]).sum())
 
     def exact_parts(self, X: np.ndarray):
-        """(hit, move) of X, exact.  Each round's hit is the bits of its own
-        cost call, summed in round order; norm-tracking costs take them as one
-        stack, since a norm gives a row of a stack the bits of the row alone."""
+        """(hit, move) of X, exact, the hit weighted by eta.  Each round's hit
+        is the bits of its own cost call, summed in round order; norm-tracking
+        costs take them as one stack, since a norm gives a row of a stack the
+        bits of the row alone."""
         rows = np.broadcast_to(X, (self.T, self.d))
         if self.tracking is None:
             hits = [f(rows[t]) for t, f in enumerate(self.costs)]
         else:
             norm, V, s = self.tracking
             hits = (s * norm(rows - V)).tolist()
-        return float(sum(hits)), self.movement(X)
+        return self.eta * float(sum(hits)), self.movement(X)
 
     def terms(self, X: np.ndarray, eps: float, mu: float):
         """F and its terms' derivative functions; F is inf (and the terms None)
         outside the barriers' domain."""
         F, hit = self.hit(np.broadcast_to(X, (self.T, self.d)) if self.tied else X, eps)
-        vals, move = _smoothed_norm(self.diffs(X), self.norm, eps)
-        F += float(vals.sum())
+        vals, move = self.moves(self.diffs(X), eps)
+        F = self.eta * F + float(vals.sum())
         slack = None
         if self.budget is not None:
             slack = self.budget - float(vals.sum()) - self.gap * eps
@@ -317,6 +334,8 @@ class _TrajectoryProblem:
         grad, D = hit()
         if self.tied:
             grad, D = grad.sum(axis=0, keepdims=True), D.sum(axis=0, keepdims=True)
+        if self.eta != 1.0:  # the x(eta) form; the comparators skip the product
+            grad, D = self.eta * grad, self.eta * D
         sg, sH = move()
         w, q, lam = 1.0, None, 0.0
         move_grad = sg.copy()

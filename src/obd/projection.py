@@ -13,8 +13,9 @@ Each x(eta) comes from ``solve_regularized``: a closed form where one exists
 (quadratic costs under quadratic-form maps, norm-tracking costs under the
 Euclidean map) and lands in the set, a KKT Newton solve for quadratic costs
 under the entropy map on the simplex, and otherwise the damped-Newton barrier
-solve of ``obd.offline`` on a one-row problem.  Pairs none of these covers
-raise ValueError; there is no first-order fallback.
+solve of ``obd.offline`` on the one-row form of its trajectory problem.  Pairs
+none of these covers raise ValueError; there is no first-order fallback.  The
+scalars of the ellipsoid and entropy-simplex projections are Brent roots too.
 
 Everything here is stateless given its inputs.
 """
@@ -26,16 +27,17 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .geometry import (
     BALL, BOX, HALFSPACE, HYPERPLANE, L1, L2, LINF, MAHALANOBIS, SIMPLEX, WHOLE,
     FeasibleSet, MirrorMap, Norm,
 )
 from .costs import CostFunction, NormTrackingCost, QuadraticCost
-from .offline import _hit_terms, _interior, _set_barrier, _solve
+from .offline import _TrajectoryProblem, _interior, _solve
 
 ETA_CAP = 2.0 ** 60
+# Brent's method (``_brent``) run to machine precision in its root
+_BRENT = dict(xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=100)
 
 
 class InfeasibleLevel(ValueError):
@@ -102,20 +104,13 @@ def _ellipsoid_project(x: np.ndarray, center: np.ndarray, Q: np.ndarray,
         s = w / (1.0 + mu * q)
         return float(np.sum(q * s * s)) - radius * radius
 
-    hi = 1.0
+    lo, hi = 0.0, 1.0
     while excess(hi) > 0.0:
-        hi *= 2.0
+        lo, hi = hi, 2.0 * hi
         if hi > 1e18:
             raise NonConvergence("ellipsoid projection bracket blew up")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    s = w / (1.0 + hi * q)
-    return center + V @ s
+    mu = _brent(excess, lo, hi, **_BRENT) if excess(lo) > 0.0 else lo
+    return center + V @ (w / (1.0 + mu * q))
 
 
 def _euclidean_project(constraint: FeasibleSet, x: np.ndarray) -> np.ndarray:
@@ -156,24 +151,16 @@ def _euclidean_project(constraint: FeasibleSet, x: np.ndarray) -> np.ndarray:
 
 def _entropy_simplex_project(x: np.ndarray, delta: float) -> np.ndarray:
     """KL projection onto {sum = 1, x_i >= delta}: x -> max(delta, c*x)."""
-    d = x.size
+    def excess(c: float) -> float:
+        return float(np.maximum(delta, c * x).sum()) - 1.0
 
-    def total(c: float) -> float:
-        return float(np.maximum(delta, c * x).sum())
-
-    hi = 1.0
-    while total(hi) < 1.0:
-        hi *= 2.0
+    lo, hi = 0.0, 1.0
+    while excess(hi) < 0.0:
+        lo, hi = hi, 2.0 * hi
         if hi > 1e18:
             raise NonConvergence("entropy projection scale blew up")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if total(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    out = np.maximum(delta, hi * x)
+    c = _brent(excess, lo, hi, **_BRENT) if excess(lo) < 0.0 else lo
+    out = np.maximum(delta, c * x)
     return out / out.sum()
 
 
@@ -286,61 +273,6 @@ def _quad_regularized_solve(mirror_map: MirrorMap, f: QuadraticCost,
     return W @ ((zp + 2.0 * eta * (W.T @ f.Aty)) / (1.0 + 2.0 * eta * w))
 
 
-class _RegularizedProblem:
-    """x(eta)'s objective 1/2 (x - x_prev)'Q(x - x_prev) + eta * f(x) as a
-    one-row problem for ``offline._solve``: f smoothed and the set a log
-    barrier, exactly as the offline comparators smooth and bound them."""
-
-    def __init__(self, Q: np.ndarray, f: CostFunction, eta: float,
-                 x_prev: np.ndarray, feasible: FeasibleSet):
-        self.Q, self.f, self.eta, self.x_prev = Q, f, eta, x_prev
-        self.hit = _hit_terms([f])
-        self.barrier = _set_barrier(feasible)
-
-    def exact_parts(self, X: np.ndarray):
-        u = X[0] - self.x_prev
-        return self.eta * self.f(X[0]), 0.5 * float(u @ (self.Q @ u))
-
-    def terms(self, X: np.ndarray, eps: float, mu: float):
-        """F and its terms; F is inf (and the terms None) outside the barrier's domain."""
-        u = X[0] - self.x_prev
-        Qu = self.Q @ u
-        F, hit = self.hit(X, eps)
-        F = 0.5 * float(u @ Qu) + self.eta * F
-        barrier = None
-        if self.barrier is not None:
-            bv, barrier = self.barrier(X)
-            if not math.isfinite(bv):
-                return math.inf, None
-            F = F + mu * bv
-        return F, (Qu, hit, barrier)
-
-    def value(self, X: np.ndarray, eps: float, mu: float) -> float:
-        """F alone, as ``evaluate`` computes it; inf outside the barrier's domain."""
-        return self.terms(X, eps, mu)[0]
-
-    def evaluate(self, X: np.ndarray, eps: float, mu: float, trial=None):
-        """(F, gradient, Hessian, None, None, 0.0); F is inf outside the barrier's
-        domain.  ``trial`` is ``terms``'s result at X, when already computed."""
-        F, terms = trial or self.terms(X, eps, mu)
-        if terms is None:
-            return (math.inf,) * 6
-        Qu, hit, barrier = terms
-        grad, H = hit()
-        grad, H = Qu + self.eta * grad, self.Q + self.eta * H
-        if barrier is not None:
-            bg, bH = barrier()
-            grad, H = grad + mu * bg, H + mu * bH
-        return F, grad, H, None, None, 0.0
-
-    def newton_step(self, F: float, grad, H, C, q) -> np.ndarray:
-        """Solve (H + ridge) step = -grad by dense Cholesky, with the ridge of
-        ``_TrajectoryProblem``; raises LinAlgError if H is not positive definite."""
-        ridge = 1e-12 * (1.0 + abs(F)) + 1e-13 * float(np.abs(H).max())
-        H = H[0] + ridge * np.eye(H.shape[-1])
-        return -cho_solve(cho_factor(H), grad[0])[None]
-
-
 def solve_regularized(mirror_map: MirrorMap, f: CostFunction, eta: float,
                       x_prev, feasible: FeasibleSet) -> np.ndarray:
     """x(eta): minimize D_Phi(x, x_prev) + eta * f(x) over the feasible set.
@@ -350,8 +282,9 @@ def solve_regularized(mirror_map: MirrorMap, f: CostFunction, eta: float,
     map have closed forms, used when they land in the set; quadratic costs
     under the entropy map on the simplex take a KKT Newton solve.  Every
     other case under the Euclidean or a Mahalanobis map is one
-    ``offline._solve`` of ``_RegularizedProblem``: quadratic, tracking or
-    composite costs on the whole space, a box, or an l2 or Mahalanobis ball;
+    ``offline._solve`` of the one-row ``offline._TrajectoryProblem`` with the
+    map's Q (the identity for the Euclidean map) and eta: quadratic, tracking
+    or composite costs on the whole space, a box, or an l2 or Mahalanobis ball;
     x(0) replaces its result where x(0) has a closed form and the lower
     objective.  Other sets and maps raise ValueError.
 
@@ -379,7 +312,7 @@ def solve_regularized(mirror_map: MirrorMap, f: CostFunction, eta: float,
     if x is not None and feasible.contains(x):
         return x
     Q = np.eye(x_prev.shape[0]) if euclidean else mirror_map.Q
-    problem = _RegularizedProblem(Q, f, eta, x_prev, feasible)
+    problem = _TrajectoryProblem([f], x_prev, None, feasible, Q=Q, eta=eta)
     X, _, _, _ = _solve(problem, _interior(feasible, x_prev[None]))
     # the barrier stops short of each active face by about its weight over the
     # pull there: where x(eta) stays at x(0) on the boundary, x(0) is exact
@@ -464,7 +397,7 @@ def _multiplier_root(mirror_map: MirrorMap, f: CostFunction, x_prev: np.ndarray,
     while g(hi) < 0.0 and hi < ETA_CAP:
         lo, hi = hi, 2.0 * hi
     if g(lo) < 0.0 < g(hi):
-        _brent(g, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=100)
+        _brent(g, lo, hi, **_BRENT)
     eta = min(points, key=lambda e: (abs(points[e][0]), -e))
     return eta, points[eta][1], len(points)
 

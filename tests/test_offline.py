@@ -16,7 +16,6 @@ from obd.offline import (
     GridSpec, _TrajectoryProblem, _interior, _transition, auto_grid, grid_dp_oracle,
     offline_opt, offline_opt_constrained, static_opt,
 )
-from obd.projection import _RegularizedProblem
 
 
 def abs_cost(target):
@@ -294,13 +293,20 @@ def test_value_is_evaluate_objective(seed, d, T, family, kind, switching, budget
         assert _same(problem.value(Y, 1e-2, 1e-2), F[0])
         if not np.all(feasible.contains(Y)) or (budget and problem.movement(Y) > L):
             assert F == (math.inf,) * 6
-    # the one-row problem behind x(eta) shares the terms
+    # the one-row problem behind x(eta) under the Euclidean or a Mahalanobis
+    # map shares the terms; its exact parts are (eta f(x), 1/2 u'Qu), which
+    # solve_regularized's x(0) guard compares
     Q = norm.Q if switching == "mahalanobis" else np.eye(d)
-    reg = _RegularizedProblem(Q, costs[0], 0.1 + 10.0 * rng.random(), x0, feasible)
+    eta = 0.1 + 10.0 * rng.random()
+    reg = _TrajectoryProblem([costs[0]], x0, None, feasible, Q=Q, eta=eta)
     for Y in (X[:1], X[:1] + 1e3):
         F = reg.evaluate(Y, 1e-3, 1e-6)[0]
         assert _same(reg.value(Y, 1e-3, 1e-6), F)
         assert F == math.inf if not np.all(feasible.contains(Y)) else math.isfinite(F)
+        u = Y[0] - x0
+        hit, move = reg.exact_parts(Y)
+        assert _same(hit, eta * costs[0](Y[0]))
+        assert move == pytest.approx(0.5 * float(u @ (Q @ u)), rel=1e-14)
 
 
 @pytest.mark.parametrize("kind", ["l1", "l2", "linf", "mahalanobis"])

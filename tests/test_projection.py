@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import obd.projection
 from obd.costs import (
@@ -250,6 +250,64 @@ class TestProjectSet:
         binf = FeasibleSet.ball(np.zeros(3), 1.0, Norm.linf())
         pinf = project_set(EMAP, binf, np.array([2.0, 0.5, -3.0]))
         np.testing.assert_allclose(pinf, [1.0, 0.5, -1.0])
+
+
+class TestBrentProjections:
+    """The two projections whose scalar is a Brent root, checked against their
+    optimality conditions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8),
+           log_cond=st.floats(0.0, 4.0), scale=st.floats(0.05, 5.0))
+    @example(seed=0, d=6, log_cond=2.0, scale=1.0)  # on the boundary, to rounding
+    @example(seed=0, d=3, log_cond=1.0, scale=1.0)
+    def test_ellipsoid(self, seed, d, log_cond, scale):
+        rng = np.random.default_rng(seed)
+        V, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        Q = (V * np.geomspace(1.0, 10.0 ** log_cond, d)) @ V.T
+        c, r = rng.standard_normal(d), 0.5 + 2.0 * rng.random()
+        u = rng.standard_normal(d)
+        x = c + (scale * r / math.sqrt(float(u @ (Q @ u)))) * u
+        y = obd.projection._ellipsoid_project(x, c, Q, r)
+        if float((x - c) @ (Q @ (x - c))) <= r * r:
+            np.testing.assert_array_equal(y, x)
+            return
+        assert abs(math.sqrt(float((y - c) @ (Q @ (y - c)))) - r) <= 1e-11 * r
+        # KKT: x - y = mu Q (y - c) with mu >= 0, to 1e-10 of ||x - c||, which
+        # bounds ||x - y|| since c is in the set
+        g, step = Q @ (y - c), x - y
+        mu = float(step @ g) / float(g @ g)
+        tol = 1e-10 * np.linalg.norm(x - c)
+        assert mu * np.linalg.norm(g) >= -tol
+        assert np.linalg.norm(step - mu * g) <= tol
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8),
+           share=st.floats(0.0, 0.99), spread=st.floats(0.0, 6.0))
+    def test_entropy_simplex(self, seed, d, share, spread):
+        rng = np.random.default_rng(seed)
+        delta = max(share, 1e-6) / d
+        x = rng.random(d) * 10.0 ** rng.uniform(-spread, spread, d) + 1e-300
+        y = obd.projection._entropy_simplex_project(x, delta)
+        assert abs(float(y.sum()) - 1.0) <= 1e-15
+        assert y.min() >= delta - 1e-15
+
+    def test_no_sign_change_at_zero(self):
+        # rounding can leave the scalar's function without a sign change on
+        # [0, hi]: just outside an ellipsoid, its eigenbasis form can read the
+        # point as inside, and 93 copies of the delta just below 1/93 sum
+        # above 1; both projections then take the scalar 0
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            d = int(rng.integers(1, 9))
+            M = rng.standard_normal((d, d))
+            Q, z = M @ M.T + 0.1 * np.eye(d), rng.standard_normal(d)
+            r = np.nextafter(math.sqrt(float(z @ (Q @ z))), 0.0)
+            y = obd.projection._ellipsoid_project(z, np.zeros(d), Q, r)
+            np.testing.assert_allclose(y, z, rtol=0.0, atol=1e-12 * np.abs(z).max())
+        delta = np.nextafter(1.0 / 93, 0.0)
+        y = obd.projection._entropy_simplex_project(rng.random(93) + 0.5, delta)
+        assert abs(float(y.sum()) - 1.0) <= 1e-15 and y.min() >= delta - 1e-15
 
 
 class TestProjectSublevel:
