@@ -8,7 +8,18 @@ switching norm), and a ``smooth`` flag.  The dual-balance stepper refuses
 nonsmooth costs instead of silently substituting subgradients.
 
 Instance generation is a pure function of an ``InstanceSpec``: the same spec
-always produces bitwise-identical cost parameters.
+always produces bitwise-identical cost parameters.  Each round draws its
+random numbers in a fixed order: a composite's target v_t, then the two d x d
+normal blocks of A_t's orthogonal factors (none for d = 1, where A_t = 1),
+then a quadratic's target y_t.  The rest runs once over the (T, d, d) and (T, d)
+stacks: one QR factorization, one product (U diag(sigma)) V', and one rank
+check, A'A, A'y and minimizer solve, the same path ``QuadraticCost(A, y)``
+takes as a one-round stack.  Each round's cost holds views into the stacks.
+
+A quadratic is priced by ``quadratic_value``, which multiplies A by each
+point on its own (``A @ x[..., None]``, one BLAS gemv per row), so a row of a
+stack of points, a round of a family and the point alone get the same bits;
+``X @ A'`` would run one gemm over a stack, which rounds differently.
 """
 
 from __future__ import annotations
@@ -54,26 +65,12 @@ class QuadraticCost(CostFunction):
         y = as_point(y, name="y")
         if A.ndim != 2 or A.shape[0] != y.shape[0]:
             raise ValueError(f"A has shape {A.shape}, incompatible with y of length {y.shape[0]}")
-        sv = np.linalg.svd(A, compute_uv=False)
-        if sv[-1] <= 1e-12 * sv[0]:
-            raise ValueError("A is rank deficient")
-        self.A = A
-        self.y = y
-        self.AtA = A.T @ A
-        self.Aty = A.T @ y
-        if A.shape[0] == A.shape[1]:
-            self.minimizer = np.linalg.solve(A, y)
-        else:
-            self.minimizer = np.linalg.lstsq(A, y, rcond=None)[0]
-        self.min_value = float(self(self.minimizer))
-        self.alpha = None
-        self.smooth = True
-        self._eig_cache: dict = {}
+        # the one-round case of the family construction
+        vars(self).update(vars(_quadratic_rounds(A[None], y[None])[0]))
 
     def __call__(self, x):
-        r = x @ self.A.T - self.y
-        v = np.add.reduce(r * r, -1)
-        return float(v) if r.ndim == 1 else v
+        v = quadratic_value(self.A, self.y, np.asarray(x))
+        return float(v) if v.ndim == 0 else v
 
     def grad(self, x):
         return 2.0 * (self.AtA @ x - self.Aty)
@@ -195,6 +192,47 @@ class IndicatorCost(CostFunction):
 
     def grad(self, x):
         return np.zeros(self.dim)
+
+
+def quadratic_value(A: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """||A x - y||^2 for A (..., m, d), y (..., m) and x (..., d), broadcast
+    over the leading axes: a point, a stack of points, or a family's rounds.
+
+    Each x is multiplied as a (d, 1) column, so BLAS runs one gemv per row,
+    with the arguments of ``x @ A.T`` for the point alone, and every row gets
+    that point's bits.
+    """
+    r = (A @ x[..., None])[..., 0] - y
+    return np.add.reduce(r * r, -1)
+
+
+def _quadratic_rounds(A: np.ndarray, y: np.ndarray) -> list[QuadraticCost]:
+    """One ``QuadraticCost`` per round of the stacks A (T, m, d) and y (T, m).
+
+    The rank check, A'A, A'y, the minimizers and their values are computed
+    once over the stack, each round with the bits of its own 2-D call; every
+    cost holds views into these stacks.  Raises ValueError if any round's A
+    is rank deficient.
+    """
+    sv = np.linalg.svd(A, compute_uv=False)
+    if np.any(sv[:, -1] <= 1e-12 * sv[:, 0]):
+        raise ValueError("A is rank deficient")
+    At = A.swapaxes(-1, -2)
+    AtA = At @ A
+    Aty = (At @ y[..., None])[..., 0]
+    if A.shape[1] == A.shape[2]:
+        V = np.linalg.solve(A, y[..., None])[..., 0]
+    else:
+        V = np.stack([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(A, y)])
+    min_values = quadratic_value(A, y, V).tolist()
+    rounds = []
+    for t, min_value in enumerate(min_values):
+        f = QuadraticCost.__new__(QuadraticCost)
+        f.A, f.y, f.AtA, f.Aty = A[t], y[t], AtA[t], Aty[t]
+        f.minimizer, f.min_value = V[t], min_value
+        f.alpha, f.smooth, f._eig_cache = None, True, {}
+        rounds.append(f)
+    return rounds
 
 
 def _any_member(s: FeasibleSet) -> np.ndarray:
@@ -353,11 +391,15 @@ class Instance:
         return self.costs[t - 1]
 
 
-def _canonical_orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((d, d)))
-    s = np.sign(np.diag(r))
+def _canonical_orthogonal(G: np.ndarray) -> np.ndarray:
+    """The orthogonal QR factor of each matrix of the stack G (..., d, d),
+    each column's sign set so that R's diagonal is non-negative."""
+    q, r = np.linalg.qr(G)
+    s = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    del r
     s[s == 0] = 1.0
-    return q * s
+    q *= s[..., None, :]
+    return q
 
 
 def _uniform_in_ball(rng: np.random.Generator, d: int, radius: float) -> np.ndarray:
@@ -369,15 +411,14 @@ def _uniform_in_ball(rng: np.random.Generator, d: int, radius: float) -> np.ndar
     return (r / n) * u
 
 
-def _random_conditioned(rng: np.random.Generator, d: int, cond: float) -> np.ndarray:
-    """A = U diag(sigma) V' with seeded orthogonal factors and singular values
-    log-spaced in [1, cond]; for d = 1 the matrix is the 1x1 identity."""
-    if d == 1:
-        return np.ones((1, 1))
-    u = _canonical_orthogonal(rng, d)
-    v = _canonical_orthogonal(rng, d)
-    sigma = np.geomspace(1.0, cond, d)
-    return (u * sigma) @ v.T
+def _random_conditioned(G: np.ndarray, cond: float) -> np.ndarray:
+    """A_t = U_t diag(sigma) V_t' for each round of the normal blocks G
+    (T, 2, d, d): U_t and V_t are the canonical orthogonal factors of G[t, 0]
+    and G[t, 1], and the singular values are log-spaced in [1, cond]."""
+    q = _canonical_orthogonal(G)
+    u = q[:, 0]
+    u *= np.geomspace(1.0, cond, G.shape[-1])
+    return u @ q[:, 1].swapaxes(-1, -2)
 
 
 def _feasible_from_spec(spec: InstanceSpec) -> FeasibleSet:
@@ -405,27 +446,37 @@ def generate_instance(spec: InstanceSpec) -> Instance:
         return Instance(spec, None, feasible, sw, x0, alpha=None)
 
     radius = 0.5 * spec.diameter
-    costs: list[CostFunction] = []
-    for _ in range(T):
-        if spec.family == QUADRATIC:
-            A = _random_conditioned(rng, d, spec.cond)
-            y = _uniform_in_ball(rng, d, radius)
-            cost: CostFunction = QuadraticCost(A, y)
-        elif spec.family == NORM_TRACKING:
-            v = _uniform_in_ball(rng, d, radius)
-            cost = NormTrackingCost(v, Norm(spec.tracking_norm),
-                                    scale=spec.tracking_scale, switching_norm=sw)
-        else:  # composite: polyhedral tracking part plus aligned quadratic
-            v = _uniform_in_ball(rng, d, radius)
-            g = NormTrackingCost(v, Norm(spec.tracking_norm),
-                                 scale=spec.tracking_scale, switching_norm=sw)
-            A = _random_conditioned(rng, d, spec.cond)
-            h = QuadraticCost(A, A @ v)
-            cost = CompositeCost(g, h)
-        if not feasible.contains(cost.minimizer):
-            raise ValueError(
-                "generated minimizer falls outside the feasible set; enlarge "
-                "feasible_radius (needs at least diameter/2)")
-        costs.append(cost)
+    if spec.family == NORM_TRACKING:
+        costs: list[CostFunction] = [
+            NormTrackingCost(_uniform_in_ball(rng, d, radius), Norm(spec.tracking_norm),
+                             scale=spec.tracking_scale, switching_norm=sw)
+            for _ in range(T)]
+    else:  # quadratic, or composite: polyhedral tracking part plus aligned quadratic
+        composite = spec.family == COMPOSITE
+        targets = np.empty((T, d))
+        G = np.empty((T, 2, d, d)) if d > 1 else None
+        for t in range(T):
+            if composite:
+                targets[t] = _uniform_in_ball(rng, d, radius)
+            if G is not None:
+                G[t, 0] = rng.standard_normal((d, d))
+                G[t, 1] = rng.standard_normal((d, d))
+            if not composite:
+                targets[t] = _uniform_in_ball(rng, d, radius)
+        A = np.ones((T, 1, 1)) if G is None else _random_conditioned(G, spec.cond)
+        del G
+        # a composite's quadratic part ||A_t x - A_t v_t||^2 is least at v_t
+        quadratics = _quadratic_rounds(
+            A, (A @ targets[..., None])[..., 0] if composite else targets)
+        costs = quadratics
+        if composite:
+            costs = [CompositeCost(NormTrackingCost(v, Norm(spec.tracking_norm),
+                                                    scale=spec.tracking_scale,
+                                                    switching_norm=sw), h)
+                     for v, h in zip(targets, quadratics)]
+    if not feasible.contains(np.stack([f.minimizer for f in costs])).all():
+        raise ValueError(
+            "generated minimizer falls outside the feasible set; enlarge "
+            "feasible_radius (needs at least diameter/2)")
     alpha = costs[0].alpha if spec.family in (NORM_TRACKING, COMPOSITE) else None
     return Instance(spec, costs, feasible, sw, x0, alpha)

@@ -30,7 +30,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .costs import CompositeCost, CostFunction, NormTrackingCost, QuadraticCost
+from .costs import (
+    CompositeCost, CostFunction, NormTrackingCost, QuadraticCost, quadratic_value,
+)
 from .geometry import (
     BALL, BOX, L1, L2, LINF, MAHALANOBIS, WHOLE,
     FeasibleSet, Norm,
@@ -115,10 +117,12 @@ def _smoothed_norm(U: np.ndarray, norm: Norm, eps: float):
     return r - eps, quadratic_form
 
 
-def _hit_terms(costs: Sequence[CostFunction]):
-    """(X, eps) -> (total value, a function returning the row gradients and
-    row Hessians) of the smoothed hitting costs, vectorized over the rounds
-    of one cost family."""
+def _family_terms(costs: Sequence[CostFunction]):
+    """One cost family's parameters, stacked once over the rounds, as two
+    functions: (X, eps) -> (total value, a function returning the row
+    gradients and row Hessians) of the smoothed hitting costs, vectorized
+    over the rounds; and R -> each round's exact cost at its row of R, with
+    the bits of that round's own cost call."""
     if all(isinstance(f, QuadraticCost) for f in costs):
         A = np.stack([f.A for f in costs])
         Y = np.stack([f.y for f in costs])
@@ -129,7 +133,7 @@ def _hit_terms(costs: Sequence[CostFunction]):
             return float((res * res).sum()), lambda: (
                 2.0 * np.einsum("tji,tj->ti", A, res), H)
 
-        return quad
+        return quad, lambda R: quadratic_value(A, Y, R)
     if all(isinstance(f, NormTrackingCost) for f in costs):
         norm = costs[0].norm_a
         if any(f.norm_a.kind != norm.kind or not np.array_equal(f.norm_a.Q, norm.Q)
@@ -147,15 +151,16 @@ def _hit_terms(costs: Sequence[CostFunction]):
 
             return float(s @ vals), scaled
 
-        return track
+        return track, lambda R: s * norm(R - V)
     if all(isinstance(f, CompositeCost) for f in costs):
-        g, h = _hit_terms([f.g for f in costs]), _hit_terms([f.h for f in costs])
+        (g, g_price), (h, h_price) = (_family_terms([f.g for f in costs]),
+                                      _family_terms([f.h for f in costs]))
 
         def composite(X: np.ndarray, eps: float):
             (gv, gd), (hv, hd) = g(X, eps), h(X, eps)
             return gv + hv, lambda: tuple(a + b for a, b in zip(gd(), hd()))
 
-        return composite
+        return composite, lambda R: g_price(R) + h_price(R)
     raise ValueError("the Newton solve needs quadratic, norm-tracking or composite "
                      "costs, one family for all rounds")
 
@@ -246,8 +251,8 @@ class _TrajectoryProblem:
         self.feasible = feasible or FeasibleSet.whole_space(d)
         self.tied, self.budget, self.Q, self.eta = tied, budget, Q, eta
         self.rows = 1 if tied else self.T
-        self.hit = _hit_terms(self.costs)
-        # a norm-tracking family's (norm, minimizers, scales), priced as one stack
+        self.hit, self.price = _family_terms(self.costs)
+        # a norm-tracking family's (norm, minimizers, scales), for the jump certificate
         self.tracking = None
         if all(isinstance(f, NormTrackingCost) for f in self.costs):
             self.tracking = (self.costs[0].norm_a, np.stack([f.minimizer for f in self.costs]),
@@ -287,16 +292,10 @@ class _TrajectoryProblem:
         return float((self.norm(U) if self.Q is None else self.moves(U, 0.0)[0]).sum())
 
     def exact_parts(self, X: np.ndarray):
-        """(hit, move) of X, exact, the hit weighted by eta.  Each round's hit
-        is the bits of its own cost call, summed in round order; norm-tracking
-        costs take them as one stack, since a norm gives a row of a stack the
-        bits of the row alone."""
-        rows = np.broadcast_to(X, (self.T, self.d))
-        if self.tracking is None:
-            hits = [f(rows[t]) for t, f in enumerate(self.costs)]
-        else:
-            norm, V, s = self.tracking
-            hits = (s * norm(rows - V)).tolist()
+        """(hit, move) of X, exact, the hit weighted by eta.  The rounds are
+        priced as one stack, each with the bits of its own cost call, and
+        summed in round order."""
+        hits = self.price(np.broadcast_to(X, (self.T, self.d))).tolist()
         return self.eta * float(sum(hits)), self.movement(X)
 
     def terms(self, X: np.ndarray, eps: float, mu: float):

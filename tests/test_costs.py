@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obd.costs import (
-    InstanceSpec, adversary_step, generate_instance, make_composite,
-    make_norm_tracking, make_quadratic,
+    InstanceSpec, QuadraticCost, _quadratic_rounds, adversary_step, generate_instance,
+    make_composite, make_norm_tracking, make_quadratic,
 )
 from obd.geometry import Norm, euclidean_map
 from obd.projection import project_set
@@ -72,6 +75,21 @@ class TestQuadratic:
     def test_rank_deficient_rejected(self):
         with pytest.raises(ValueError):
             make_quadratic(np.array([[1.0, 1.0], [1.0, 1.0]]), np.zeros(2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(family=st.sampled_from(["quadratic", "composite"]), d=st.integers(1, 32),
+           n=st.integers(1, 9), m=st.integers(1, 4), norm=st.sampled_from(["l1", "l2", "linf"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stack_rows_take_point_bits(self, family, d, n, m, norm, seed):
+        # a row of a stack (n, d) or (m, n, d) is priced with the point's bits
+        f = generate_instance(InstanceSpec(d=d, T=1, family=family, seed=seed,
+                                           tracking_norm=norm)).costs[0]
+        rng = np.random.default_rng(seed)
+        X = 4.0 * rng.standard_normal((n, d))
+        assert [v.hex() for v in f(X).tolist()] == [f(x).hex() for x in X]
+        Z = 4.0 * rng.standard_normal((m, n, d))
+        assert [[v.hex() for v in row] for row in f(Z).tolist()] == \
+            [[v.hex() for v in f(Y).tolist()] for Y in Z]
 
     def test_rectangular_with_positive_min(self):
         # overdetermined least squares leaves a positive minimum value
@@ -188,7 +206,86 @@ class TestAdversary:
         assert np.linalg.norm(target) == 2.0
 
 
+def _parameters(f):
+    """Every parameter a generated cost carries, as arrays and floats."""
+    if isinstance(f, QuadraticCost):
+        return [f.A, f.y, f.AtA, f.Aty, f.minimizer, f.min_value]
+    if hasattr(f, "h"):  # composite
+        return _parameters(f.h) + [f.g.minimizer, f.g.scale, f.g.alpha, f.min_value]
+    return [f.minimizer, f.scale, f.alpha]
+
+
+# SHA-256 of every generated cost's parameters over T in (1, 7, 50), on the
+# whole space and on a ball.  These are the LAPACK/BLAS output of one build
+# (numpy 2.4.6 with its bundled OpenBLAS, x86-64); another BLAS may round
+# differently.
+_PARAMETER_DIGESTS = {
+    ("quadratic", 1): "a2a792ca26f318ecc339f1402463cdfee48ceff717c13726f2124a07ad639550",
+    ("quadratic", 2): "8abe9ee045f2d2ad0359f2b7603ad1f9a9c1141c4c5cb96de43659e3309279be",
+    ("quadratic", 3): "c70a64b7739cdc1d2fea4cb0d6ea2e581b8f410ff39814cb37b66805ee4491ca",
+    ("quadratic", 5): "e16f66b275f9c1f9f25d5b681f487da9a7a2af173d42a02d6296bd4e8336b79b",
+    ("quadratic", 8): "ab885f748fd2df7111f820e3468e08665cb49b75059ad89ebffe8853d18828cf",
+    ("quadratic", 32): "e4495f833569608789dc42eb07795f63febd9dcb914d940ade693b7f7961c7d2",
+    ("composite", 1): "cbdf7f9a04b5b2a42cbf8e069a5b2b353b60fd809ada3fa8099ae54f9cca4b35",
+    ("composite", 2): "d99e69df2adb3c9bcaf007d15a0a0a1ac4a2f127b4de571670c03d99d57d72bb",
+    ("composite", 3): "ac4bfbedc580195392a625d7a0cbf6b8d9910ecde66db7a15868456badab733c",
+    ("composite", 5): "9a250fee8863dbcc7e1ae8f6398f53dc60c88e659c4425f6637b224536ff9ffb",
+    ("composite", 8): "79c49ac1f7588601961ec98b1fc6eabb839f5f4e8c505bc7167f76a10346ce3c",
+    ("composite", 32): "6db7dde70202de205cbd5a13865fe780ecde810f0696e500f397599c3e70011e",
+    ("norm_tracking", 1): "22193d702a3169ccd7e21173e140a1fef98b4470e31f68f00c6c5053a7898418",
+    ("norm_tracking", 2): "500a9b507aa3b42bdfa4d444cdb68cc8eb748805c911125e5ff4f8a3c358fd97",
+    ("norm_tracking", 3): "2dc00507d38dae97f4909abaa688e7650b5529dcdcdd2ff8a6222f024a89f956",
+    ("norm_tracking", 5): "27b38f0ccc66fe68b79d55f0920f450605bed5ed96ad834fd655bb926aca2b97",
+    ("norm_tracking", 8): "ba290de80850bebda4220257a1ce03ac4d0a2b3bd93bf160fa36d4b4b1b21e65",
+    ("norm_tracking", 32): "752a8794f89f38f5484e6b1682421ae27f80450f6113b1ea27a27c4b924467a6",
+}
+
+
+def _instances(family, d):
+    for T in (1, 7, 50):
+        for kind in ("whole", "ball"):
+            yield generate_instance(InstanceSpec(d=d, T=T, family=family, seed=100 * d + T,
+                                                 feasible_kind=kind, feasible_radius=5.0))
+
+
 class TestInstanceGeneration:
+    @pytest.mark.parametrize("family, d", sorted(_PARAMETER_DIGESTS))
+    def test_generated_parameters_pinned(self, family, d):
+        h = hashlib.sha256()
+        for inst in _instances(family, d):
+            for f in inst.costs:
+                for a in _parameters(f):
+                    h.update(np.asarray(a, dtype=float).tobytes())
+        assert h.hexdigest() == _PARAMETER_DIGESTS[family, d]
+
+    @pytest.mark.parametrize("family", ["quadratic", "composite"])
+    @pytest.mark.parametrize("d", [1, 2, 5, 32])
+    def test_rounds_match_the_single_constructor(self, family, d):
+        # every round, built with the family's stacks, is bit for bit the
+        # quadratic built alone from its A_t and y_t, and a view into them
+        for inst in _instances(family, d):
+            quadratics = [f.h if family == "composite" else f for f in inst.costs]
+            for f in quadratics:
+                alone = QuadraticCost(f.A, f.y)
+                assert vars(alone).keys() == vars(f).keys()
+                for a, b in zip(_parameters(alone), _parameters(f)):
+                    assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                assert (alone.alpha, alone.smooth) == (f.alpha, f.smooth)
+            for field in ("A", "y", "AtA", "Aty", "minimizer"):
+                views = [getattr(f, field) for f in quadratics]
+                assert views[0].base is not None
+                assert all(v.base is views[0].base for v in views)
+
+    def test_one_singular_round_rejects_the_stack(self):
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((5, 3, 3))
+        A[2, :, 0] = A[2, :, 1]
+        with pytest.raises(ValueError, match="A is rank deficient"):
+            _quadratic_rounds(A, rng.standard_normal((5, 3)))
+        with pytest.raises(ValueError, match="A is rank deficient"):
+            QuadraticCost(A[2], np.zeros(3))
+        assert len(_quadratic_rounds(np.delete(A, 2, axis=0), np.zeros((4, 3)))) == 4
+
     def test_deterministic(self):
         spec = InstanceSpec(d=3, T=4, family="quadratic", seed=99)
         a = generate_instance(spec)

@@ -326,6 +326,21 @@ def test_tracking_parts_are_per_round_calls(kind):
                      sum(f(rows[t]) for t, f in enumerate(costs)))
 
 
+
+@pytest.mark.parametrize("family", ["quadratic", "composite"])
+def test_quadratic_parts_are_per_round_calls(family):
+    # quadratic and composite hits are priced as one stack too, with each
+    # round's bits and the per-round sum's order
+    rng = np.random.default_rng(len(family))
+    for d, T, tied in ((1, 1, False), (2, 7, False), (5, 100, False), (8, 50, False),
+                       (32, 50, False), (3, 6, True)):
+        costs = generate_instance(InstanceSpec(d=d, T=T, family=family, seed=d * T)).costs
+        problem = _TrajectoryProblem(costs, rng.standard_normal(d), None, None, tied=tied)
+        X = 3.0 * rng.standard_normal((1 if tied else T, d))
+        rows = np.broadcast_to(X, (T, d))
+        assert _same(problem.exact_parts(X)[0],
+                     sum(f(rows[t]) for t, f in enumerate(costs)))
+
 def _dual_bound(costs, x0, V):
     """The Lagrangian bound -nu_1'x_0 + sum_t (nu_t - nu_{t+1})'v_t of l2
     switching at the jump's dual point nu_t = u_t / ||u_t||, nu_{T+1} = 0, and
