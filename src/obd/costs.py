@@ -9,12 +9,13 @@ nonsmooth costs instead of silently substituting subgradients.
 
 Instance generation is a pure function of an ``InstanceSpec``: the same spec
 always produces bitwise-identical cost parameters.  Each round draws its
-random numbers in a fixed order: a composite's target v_t, then the two d x d
-normal blocks of A_t's orthogonal factors (none for d = 1, where A_t = 1),
-then a quadratic's target y_t.  The rest runs once over the (T, d, d) and (T, d)
-stacks: one QR factorization, one product (U diag(sigma)) V', and one rank
-check, A'A, A'y and minimizer solve, the same path ``QuadraticCost(A, y)``
-takes as a one-round stack.  Each round's cost holds views into the stacks.
+random numbers in a fixed order: a composite's target v_t, then the two
+d x d normal blocks of A_t's orthogonal factors (none for d = 1, where
+A_t = 1), then a quadratic's target y_t.  The rest runs once over the
+(T, d, d) and (T, d) stacks: one QR factorization, one product
+(U diag(sigma)) V', and one rank check, A'A, A'y and minimizer solve, the
+same path ``QuadraticCost(A, y)`` takes as a one-round stack.  Each round's
+cost holds views into the stacks.
 
 A quadratic is priced by ``quadratic_value``, which multiplies A by each
 point on its own (``A @ x[..., None]``, one BLAS gemv per row), so a row of a
