@@ -1,17 +1,18 @@
 """Command-line entry point: parse config, dispatch experiments, emit data files.
 
-Exit codes: 0 success with all audited bounds holding, 2 when an audited
-bound is violated beyond slack, 3 when a result could not be verified (a
-comparator's solve raised or did not converge, or an online step did not
-converge; the trajectory JSON lists the comparator's label or ``step:<t>``
-under ``totals.unverified``), 1 on usage or I/O errors; 2 wins over 3.  Every
-output file is written atomically (temp file plus rename).  Diagnostics go
-to stderr, gated by the OBD_LOG environment variable (off | info | debug).
+Every experiment writes one ``run_<hash>.json`` payload per run, and the
+exit code is read from those payloads alone: 2 when an audit in some run's
+``totals.audits`` did not pass, else 3 when some run's ``totals.unverified``
+is non-empty (a comparator's solve raised or did not converge, or an online
+step did not converge), else 0; 1 on usage or I/O errors.  Every output file
+is written atomically (temp file plus rename).  Diagnostics go to stderr,
+gated by the OBD_LOG environment variable (off | info | debug).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import math
@@ -181,12 +182,10 @@ def _merge_config(args: argparse.Namespace) -> Config:
 
 def _write_table(cfg: Config, table: ResultTable) -> None:
     path = os.path.join(cfg.out, "results.csv")
-    if cfg.format == "csv":
-        table.write_csv(path)
-    else:
-        payload = json.dumps(table.sorted().rows, indent=1, sort_keys=True)
-        atomic_write_text(os.path.join(cfg.out, "results.json"), payload)
-        table.write_csv(path)
+    if cfg.format == "json":
+        atomic_write_text(os.path.join(cfg.out, "results.json"),
+                          json.dumps(table.sorted().rows, sort_keys=True))
+    table.write_csv(path)
     log.info("wrote %s", path)
 
 
@@ -197,82 +196,72 @@ def _write_dat(cfg: Config, name: str, header: str, rows) -> None:
     atomic_write_text(os.path.join(cfg.out, f"plot_{name}.dat"), "\n".join(lines) + "\n")
 
 
-def _write_trajectory(cfg: Config, report) -> None:
-    _write_report_dict(cfg, report.to_dict())
-
-
 def _write_report_dict(cfg: Config, payload_dict: dict) -> None:
-    import hashlib
-    payload = json.dumps(payload_dict, indent=1, sort_keys=True)
+    payload = json.dumps(payload_dict, sort_keys=True)
     digest = hashlib.sha256(payload.encode()).hexdigest()[:12]
     atomic_write_text(os.path.join(cfg.out, f"run_{digest}.json"), payload)
 
 
-def _exit_status(violated: bool, unverified: Sequence[Sequence[str]]) -> int:
-    """2 for a violated bound, else 3 when a run has an unverified comparator or step."""
-    return 2 if violated else 3 if any(unverified) else 0
+def _dim_stats(table: ResultTable, column: str, top: str) -> list[tuple]:
+    """Plot rows (d, mean, min of ``column``, max of ``top``) per d, over the
+    rows whose ``column`` is set (blank: the comparator raised)."""
+    rows = [r for r in table.rows if r[column] != ""]
+    stats = []
+    for d in sorted(set(r["d"] for r in rows)):
+        values = [r[column] for r in rows if r["d"] == d]
+        stats.append((d, float(np.mean(values)), min(values),
+                      max(r[top] for r in rows if r["d"] == d)))
+    return stats
 
 
-def _cr_vs_dim(cfg: Config) -> int:
+def _exit_status(payloads: Sequence[dict]) -> int:
+    """2 when a run's audit failed, else 3 when a run lists an unverified
+    comparator or step, else 0; read from each payload's ``totals``."""
+    totals = [p["totals"] for p in payloads]
+    if any(not a["passed"] for t in totals for a in t["audits"]):
+        return 2
+    return 3 if any(t["unverified"] for t in totals) else 0
+
+
+def _cr_vs_dim(cfg: Config) -> list[dict]:
     beta = cfg.beta if cfg.beta is not None else 0.5
-    table, reports = experiment_cr_vs_dim(
+    table, payloads = experiment_cr_vs_dim(
         cfg.family, cfg.dims, cfg.trials, cfg.seed, beta=beta, T=cfg.T,
         cond=cfg.cond, diameter=cfg.diameter,
-        tracking_scale=cfg.tracking_scale, jobs=cfg.jobs, return_reports=True)
-    for rep in reports:
-        _write_report_dict(cfg, rep)
+        tracking_scale=cfg.tracking_scale, jobs=cfg.jobs)
     _write_table(cfg, table)
-    stats = []
-    for d in sorted(set(int(r["d"]) for r in table.rows)):
-        crs = [float(r["cr"]) for r in table.rows if int(r["d"]) == d and r["cr"] != ""]
-        if crs:
-            stats.append((d, float(np.mean(crs)), min(crs), max(crs)))
-    _write_dat(cfg, "cr_vs_dim", "d mean_cr min_cr max_cr", stats)
-    worst = max((float(r["audit_worst_residual"]) for r in table.rows
-                 if r["audit_worst_residual"] != ""), default=-math.inf)
-    return _exit_status(worst > 1e-3, [rep["totals"]["unverified"] for rep in reports])
+    _write_dat(cfg, "cr_vs_dim", "d mean_cr min_cr max_cr", _dim_stats(table, "cr", "cr"))
+    return payloads
 
 
-def _lower_bound(cfg: Config) -> int:
-    table, dat = experiment_lower_bound(cfg.dims)
+def _lower_bound(cfg: Config) -> list[dict]:
+    table, payloads = experiment_lower_bound(cfg.dims)
     _write_table(cfg, table)
-    _write_dat(cfg, "lower_bound", "d online_cost offline_cost ratio", dat)
-    worst = max(abs(float(r["audit_worst_residual"])) for r in table.rows)
-    return 2 if worst > 1e-9 else 0
+    _write_dat(cfg, "lower_bound", "d online_cost offline_cost ratio",
+               [(r["d"], r["total_cost"], r["opt_cost"], r["cr"]) for r in table.rows])
+    return payloads
 
 
-def _regret_sweep(cfg: Config) -> int:
-    table, reports = experiment_regret_sweep(cfg.dims, cfg.trials, cfg.seed,
-                                             T=cfg.T, diameter=cfg.diameter,
-                                             jobs=cfg.jobs, return_reports=True)
-    for rep in reports:
-        _write_report_dict(cfg, rep)
+def _regret_sweep(cfg: Config) -> list[dict]:
+    table, payloads = experiment_regret_sweep(cfg.dims, cfg.trials, cfg.seed,
+                                              T=cfg.T, diameter=cfg.diameter,
+                                              jobs=cfg.jobs)
     _write_table(cfg, table)
-    rows = [r for r in table.rows if r["regret_L"] != ""]  # blank: comparator raised
-    stats = []
-    for d in sorted(set(int(r["d"]) for r in rows)):
-        rs = [float(r["regret_L"]) for r in rows if int(r["d"]) == d]
-        bs = [float(r["bound"]) for r in rows if int(r["d"]) == d]
-        stats.append((d, float(np.mean(rs)), min(rs), max(bs)))
-    _write_dat(cfg, "regret_sweep", "d mean_regret min_regret max_bound", stats)
-    violated = any(
-        float(r["regret_L"]) > float(r["bound"])
-        + 1e-4 * max(1.0, float(r["bound"])) for r in rows)
-    return _exit_status(violated, [rep["totals"]["unverified"] for rep in reports])
+    _write_dat(cfg, "regret_sweep", "d mean_regret min_regret max_bound",
+               _dim_stats(table, "regret_L", "bound"))
+    return payloads
 
 
-def _audit_suite(cfg: Config) -> int:
+def _audit_suite(cfg: Config) -> list[dict]:
     specs = theorem1_suite(cfg.seed, count=min(50, 12 * cfg.trials),
                            dims=tuple(d for d in cfg.dims if d <= 10) or (2, 5),
                            T=min(cfg.T, 50))
     table = ResultTable()
     dat = []
-    failures = 0
-    unverified = []
+    payloads = []
     for i, spec in enumerate(specs):
         report, audits = run_theorem1_case(spec)
-        unverified.append(report.unverified())
-        failures += 0 if all(a.passed for a in audits) else 1
+        payloads.append(report.to_dict())
         bound = 3.0 + 8.0 / report.instance.alpha
         opt = report.comparators["opt"]
         worst = max((a.worst_residual for a in audits), default="")  # blank: no audit
@@ -287,7 +276,7 @@ def _audit_suite(cfg: Config) -> int:
                      i, report.cr, bound, worst)
     _write_table(cfg, table)
     _write_dat(cfg, "audit_suite", "case cr bound worst_residual", dat)
-    return _exit_status(failures > 0, unverified)
+    return payloads
 
 
 def _build_algorithm(cfg: Config, instance):
@@ -319,7 +308,7 @@ def _build_algorithm(cfg: Config, instance):
             "projection": lambda: SetProjectionResponder(emap)}[cfg.algo]()
 
 
-def _single_run(cfg: Config) -> int:
+def _single_run(cfg: Config) -> list[dict]:
     spec = InstanceSpec(d=cfg.d, T=cfg.T, family=cfg.family, seed=cfg.seed,
                         cond=cfg.cond, diameter=cfg.diameter,
                         tracking_norm=cfg.tracking_norm,
@@ -331,7 +320,6 @@ def _single_run(cfg: Config) -> int:
     algorithm = _build_algorithm(cfg, instance)
     comparators = () if instance.adaptive else ("opt", "static")
     report = run(algorithm, instance, comparators=comparators)
-    _write_trajectory(cfg, report)
     table = ResultTable()
     table.append(family=spec.family, d=spec.d, trial=0, seed=spec.seed,
                  algo=report.algo, total_cost=report.total_cost,
@@ -341,7 +329,7 @@ def _single_run(cfg: Config) -> int:
     _write_table(cfg, table)
     _write_dat(cfg, "single_run", "t hit move",
                [(s.t, s.hit, s.move) for s in report.steps])
-    return _exit_status(False, [report.unverified()])
+    return [report.to_dict()]
 
 
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:
@@ -361,7 +349,10 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         dispatch = {"cr_vs_dim": _cr_vs_dim, "lower_bound": _lower_bound,
                     "regret_sweep": _regret_sweep, "audit_suite": _audit_suite,
                     "single_run": _single_run}
-        return dispatch[cfg.experiment](cfg)
+        payloads = dispatch[cfg.experiment](cfg)
+        for payload in payloads:
+            _write_report_dict(cfg, payload)
+        return _exit_status(payloads)
     except (ValueError, OSError) as exc:
         print(f"obd: error: {exc}", file=sys.stderr)
         return 1

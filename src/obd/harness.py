@@ -18,7 +18,7 @@ import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -90,6 +90,7 @@ class RunReport:
                 "comparators": {k: (v.objective if v is not None else None)
                                 for k, v in self.comparators.items()},
                 "unverified": self.unverified(),
+                "audits": [asdict(a) for a in self.audits],
             },
         }
 
@@ -374,8 +375,12 @@ def derive_seed(base_seed: int, *key: int) -> int:
 def _cr_trial(spec_dict: dict, beta: float) -> tuple[dict, dict]:
     spec = InstanceSpec.from_dict(spec_dict)
     instance = generate_instance(spec)
-    cfg = PrimalConfig(beta=beta, mirror_map=euclidean_map())
-    report = run(PrimalOBD(cfg), instance, comparators=("opt",))
+    choice = choose_beta(instance.alpha) if instance.alpha is not None else None
+    if choice is not None and beta == choice.beta:
+        report, _ = run_theorem1_case(spec)
+    else:
+        cfg = PrimalConfig(beta=beta, mirror_map=euclidean_map())
+        report = run(PrimalOBD(cfg), instance, comparators=("opt",))
     opt = report.comparators.get("opt")
     row = {
         "family": spec.family, "d": spec.d, "trial": -1, "seed": spec.seed,
@@ -384,10 +389,9 @@ def _cr_trial(spec_dict: dict, beta: float) -> tuple[dict, dict]:
         "cr": report.cr if report.cr is not None else "",
         "regret_L": "", "bound": "", "audit_worst_residual": "",
     }
-    choice = choose_beta(instance.alpha) if instance.alpha is not None else None
-    if choice and report.cr is not None and math.isclose(beta, choice.beta):
+    if report.audits:
         row["bound"] = choice.competitive_ratio
-        row["audit_worst_residual"] = report.cr - choice.competitive_ratio
+        row["audit_worst_residual"] = report.worst_audit_residual()
     return row, report.to_dict()
 
 
@@ -395,13 +399,15 @@ def experiment_cr_vs_dim(family: str, dims: Sequence[int], trials: int,
                          seed: int, beta: float = 0.5, T: int = 50,
                          cond: float = 10.0, diameter: float = 10.0,
                          tracking_scale: float = 1.0, jobs: int = 1,
-                         return_reports: bool = False):
-    """Competitive ratio of the primal stepper as dimension grows.
+                         ) -> tuple[ResultTable, list[dict]]:
+    """Competitive ratio of the primal stepper as dimension grows: the table
+    and one run payload (``RunReport.to_dict()``) per trial.
 
     Defaults mirror the reference sweep: beta = 0.5, condition number 10,
-    target-set diameter 10, 10 seeded trials per dimension.  A row carries
-    the bound 3 + 8/alpha and its residual only when beta is the
-    ``choose_beta(alpha)`` value the bound is proven for.
+    target-set diameter 10, 10 seeded trials per dimension.  Only when beta
+    is the ``choose_beta(alpha)`` value the bound 3 + 8/alpha is proven for
+    does a trial run as ``run_theorem1_case``; its row then carries the
+    bound and the worst residual of the theorem-1 audits.
     """
     tasks = []
     for di, d in enumerate(dims):
@@ -413,9 +419,7 @@ def experiment_cr_vs_dim(family: str, dims: Sequence[int], trials: int,
             tasks.append((spec.to_dict(), beta, d, trial))
     results = _map_tasks(_cr_task, tasks, jobs)
     table = ResultTable([row for row, _ in results]).sorted()
-    if return_reports:
-        return table, [rep for _, rep in results]
-    return table
+    return table, [rep for _, rep in results]
 
 
 def _cr_task(task) -> tuple[dict, dict]:
@@ -432,12 +436,13 @@ def _map_tasks(fn, tasks, jobs: int):
         return list(pool.map(fn, tasks))
 
 
-def lower_bound_run(d: int) -> tuple[float, float, float]:
-    """Adversary vs Euclidean projection responder: (online, offline, ratio).
+def _lower_bound_case(d: int) -> tuple[RunReport, float]:
+    """Adversary vs Euclidean projection responder: the run and the offline cost.
 
     The responder is forced to move one unit per round for d rounds; the
     offline play moves once to the intersection of the drawn hyperplanes at
-    cost ||(+-1, ..., +-1)||_2 = sqrt(d).
+    cost ||(+-1, ..., +-1)||_2 = sqrt(d).  The report's one audit checks
+    the ratio online / offline against sqrt(d).
     """
     spec = InstanceSpec(d=d, T=d, family=HYPERPLANE_CHASE, seed=0)
     instance = generate_instance(spec)
@@ -448,20 +453,33 @@ def lower_bound_run(d: int) -> tuple[float, float, float]:
         a, b = f.constraint.params["a"], f.constraint.params["b"]
         target[t] = b * a[t]
     offline = float(np.linalg.norm(target - instance.x0))
+    ratio = report.total_cost / offline
+    gap = ratio - math.sqrt(d)
+    report.audits = [AuditResult("lower_bound_ratio", abs(gap) <= 1e-9, gap,
+                                 f"ratio={ratio!r} sqrt(d)={math.sqrt(d)!r}")]
+    return report, offline
+
+
+def lower_bound_run(d: int) -> tuple[float, float, float]:
+    """Adversary vs Euclidean projection responder: (online, offline, ratio)."""
+    report, offline = _lower_bound_case(d)
     return report.total_cost, offline, report.total_cost / offline
 
 
-def experiment_lower_bound(dims: Sequence[int]) -> tuple[ResultTable, list[tuple]]:
+def experiment_lower_bound(dims: Sequence[int]) -> tuple[ResultTable, list[dict]]:
+    """The sqrt(d) lower-bound construction per d: the table and one run
+    payload per d."""
     table = ResultTable()
-    dat = []
+    payloads = []
     for d in dims:
-        online, offline, ratio = lower_bound_run(d)
+        report, offline = _lower_bound_case(d)
         table.append(family=HYPERPLANE_CHASE, d=d, trial=0, seed=0,
-                     algo="projection", total_cost=online, opt_cost=offline,
-                     cr=ratio, bound=math.sqrt(d),
-                     audit_worst_residual=ratio - math.sqrt(d))
-        dat.append((d, online, offline, ratio))
-    return table, dat
+                     algo="projection", total_cost=report.total_cost,
+                     opt_cost=offline, cr=report.total_cost / offline,
+                     bound=math.sqrt(d),
+                     audit_worst_residual=report.worst_audit_residual())
+        payloads.append(report.to_dict())
+    return table, payloads
 
 
 def theorem1_suite(seed: int, count: int = 50,
@@ -521,8 +539,9 @@ def run_theorem3_case(spec: InstanceSpec,
 
     Budgets name the comparator's movement allowance: the dynamic optimum's
     own movement, the feasible diameter, or zero.  Positive budgets re-run
-    the stepper with eta = sqrt(2*G*L*m/T); the zero budget reuses the
-    smallest positive-eta run, whose bound T*eta/(2m) is valid for any eta.
+    the stepper with eta = sqrt(2*G*L*m/T); the zero budget is solved in the
+    smallest positive-budget run (eta grows with L, so its eta is the
+    smallest), whose bound T*eta/(2m) is valid for any eta.
     ``opt`` and ``static`` are solved once, guarded as in ``run``: one that
     raises is None in every report and listed by its ``unverified()``; the
     opt_move budget is then skipped, and a budget whose comparator raised
@@ -538,43 +557,32 @@ def run_theorem3_case(spec: InstanceSpec,
     _solve_guarded(shared, errors, "static", lambda: static_opt(
         list(instance.costs), instance.x0, instance.feasible, instance.switching_norm))
     opt = shared["opt"]
-    named = {"opt_move": opt.total_move if opt else None, "diameter": D, "zero": 0.0}
+    named = {"opt_move": opt.total_move if opt else None, "diameter": D}
+    positive = [(name, named[name]) for name in budgets
+                if name != "zero" and named[name] is not None]
+    smallest = min(range(len(positive)), key=lambda i: positive[i][1], default=None)
     cases = []
-    smallest_eta_rep = None
-    for name in budgets:
-        if name == "zero" or named[name] is None:
-            continue
-        L = named[name]
+    for i, (name, L) in enumerate(positive):
         eta = choose_eta(G, L, m, instance.T).eta
+        budget_Ls = (L, 0.0) if "zero" in budgets and i == smallest else (L,)
         cfg = DualConfig(eta=eta, mirror_map=euclidean_map())
         rep = run(DualOBD(cfg), instance, comparators=("opt", "static"),
-                  opt_L=(L,), precomputed=dict(shared))
+                  opt_L=budget_Ls, precomputed=dict(shared))
         rep.comparator_errors.update(errors)
-        sol = rep.comparators[f"opt_L:{L:g}"]
-        if sol is not None:
-            rep.audits = audit_theorem3(rep, G, L, m, eta,
-                                        diameter=D if name == "diameter" else None)
-        bound = G * L / eta + instance.T * eta / (2.0 * m)
-        cases.append(RegretCase(L=L, eta=eta, bound=bound, report=rep,
-                                regret=rep.total_cost - sol.objective if sol else None))
-        if smallest_eta_rep is None or eta < smallest_eta_rep[0]:
-            smallest_eta_rep = (eta, rep)
-    if "zero" in budgets and smallest_eta_rep is not None:
-        eta, rep = smallest_eta_rep
-        pinned = offline_opt_constrained(rep.revealed_costs, instance.x0, 0.0,
-                                         instance.feasible, instance.switching_norm)
-        rep.comparators["opt_L:0"] = pinned
-        rep.audits += audit_theorem3(rep, G, 0.0, m, eta)
-        bound = instance.T * eta / (2.0 * m)
-        cases.append(RegretCase(L=0.0, eta=eta,
-                                regret=rep.total_cost - pinned.objective,
-                                bound=bound, report=rep))
+        for B in budget_Ls:
+            sol = rep.comparators[f"opt_L:{B:g}"]
+            if sol is not None:
+                rep.audits += audit_theorem3(rep, G, B, m, eta,
+                                             diameter=D if name == "diameter" else None)
+            bound = G * B / eta + instance.T * eta / (2.0 * m)
+            cases.append(RegretCase(L=B, eta=eta, bound=bound, report=rep,
+                                    regret=rep.regrets.get(f"opt_L:{B:g}")))
     return cases
 
 
 def experiment_regret_sweep(dims: Sequence[int], trials: int, seed: int,
                             T: int = 100, diameter: float = 10.0,
-                            jobs: int = 1, return_reports: bool = False):
+                            jobs: int = 1) -> tuple[ResultTable, list[dict]]:
     tasks = []
     for di, d in enumerate(dims):
         for trial in range(trials):
@@ -585,9 +593,7 @@ def experiment_regret_sweep(dims: Sequence[int], trials: int, seed: int,
             tasks.append((spec.to_dict(), trial))
     results = _map_tasks(_regret_task, tasks, jobs)
     table = ResultTable([r for rows, _ in results for r in rows]).sorted()
-    if return_reports:
-        return table, [rep for _, reps in results for rep in reps]
-    return table
+    return table, [rep for _, reps in results for rep in reps]
 
 
 def _regret_task(task) -> tuple[list[dict], list[dict]]:

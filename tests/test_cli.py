@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from obd.algorithms import choose_beta
 from obd.cli import Config, run_cli
 
 
@@ -234,6 +235,10 @@ class TestSingleRun:
         assert len(traj_files) == 1
         payload = json.loads((out / traj_files[0]).read_text())
         assert set(payload) == {"spec", "algo", "steps", "totals"}
+        assert set(payload["totals"]) == {
+            "total_cost", "total_hit", "total_move", "cr", "regrets",
+            "static_regret", "comparators", "unverified", "audits"}
+        assert payload["totals"]["audits"] == []
         step = payload["steps"][0]
         assert set(step) == {"t", "x", "hit", "move", "level", "eta_t", "branch",
                              "residual", "converged", "iterations"}
@@ -254,6 +259,67 @@ class TestSingleRun:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg))
         assert run_cli(["--config", str(path)]) == 0
+
+
+def _cut_objective(module, name):
+    """Patch ``module.name`` to report 1% of its solution's objective."""
+    import dataclasses
+    solve = getattr(module, name)
+
+    def cut(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        return dataclasses.replace(sol, objective=0.01 * sol.objective)
+
+    return cut
+
+
+def _inflated_run(module, name):
+    """Patch ``module.name`` (``run``) to report 1% more online cost."""
+    play = getattr(module, name)
+
+    def inflated(*args, **kwargs):
+        report = play(*args, **kwargs)
+        report.total_cost *= 1.01
+        return report
+
+    return inflated
+
+
+SMALL = ["--dims", "2", "--trials", "1", "--seed", "4", "--T", "10"]
+
+
+@pytest.mark.parametrize("args, target, broken, audit", [
+    (["--experiment", "cr_vs_dim", "--family", "norm_tracking",
+      "--beta", repr(choose_beta(1.0).beta)], "offline_opt", _cut_objective,
+     "theorem1_cr"),
+    (["--experiment", "regret_sweep"], "static_opt", _cut_objective,
+     "opt_diameter_below_static"),
+    (["--experiment", "audit_suite"], "offline_opt", _cut_objective, "theorem1_cr"),
+    (["--experiment", "lower_bound"], "run", _inflated_run, "lower_bound_ratio"),
+], ids=["cr_vs_dim", "regret_sweep", "audit_suite", "lower_bound"])
+def test_failed_audit_exits_2(tmp_path, monkeypatch, args, target, broken, audit):
+    # one broken result per experiment; the exit status is read from the
+    # failed audit in the run files the experiment writes
+    import obd.harness
+    monkeypatch.setattr(obd.harness, target, broken(obd.harness, target))
+    out = tmp_path / "x"
+    assert run_cli(args + SMALL + ["--out", str(out)]) == 2
+    failed = [a["name"] for f in os.listdir(out) if f.startswith("run_")
+              for a in json.loads((out / f).read_text())["totals"]["audits"]
+              if not a["passed"]]
+    assert audit in failed
+
+
+def test_every_experiment_writes_run_files(tmp_path):
+    for experiment in ("cr_vs_dim", "regret_sweep", "audit_suite", "lower_bound",
+                       "single_run"):
+        out = tmp_path / experiment
+        assert run_cli(["--experiment", experiment, *SMALL, "--out", str(out)]) == 0
+        runs = [f for f in os.listdir(out) if f.startswith("run_")]
+        assert runs, experiment
+        for f in runs:
+            totals = json.loads((out / f).read_text())["totals"]
+            assert all(a["passed"] for a in totals["audits"]) and not totals["unverified"]
 
 
 def test_audit_suite_exit_code(tmp_path):

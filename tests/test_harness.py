@@ -155,21 +155,45 @@ class TestAudits:
             assert audits[0].passed
 
     def test_theorem3_case_solves_offline_opt_once(self, monkeypatch):
+        # one opt and one static solve shared by both runs, and one budgeted
+        # solve per budget, the zero budget included
         import obd.harness
         import obd.offline
         calls = []
-        solve = obd.offline.offline_opt
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
+        def counting(name):
+            solve = getattr(obd.offline, name)
 
-        monkeypatch.setattr(obd.harness, "offline_opt", counting)
-        monkeypatch.setattr(obd.offline, "offline_opt", counting)
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return solve(*args, **kwargs)
+            return counted
+
+        for name in ("offline_opt", "offline_opt_constrained", "static_opt"):
+            counted = counting(name)
+            monkeypatch.setattr(obd.harness, name, counted)
+            monkeypatch.setattr(obd.offline, name, counted)
         spec = theorem3_suite(seed=71, count=1, dims=(2,), T=20)[0]
         cases = run_theorem3_case(spec)
         assert sorted(c.L == 0.0 for c in cases) == [False, False, True]
-        assert len(calls) == 1
+        assert sorted(calls) == ["offline_opt", "offline_opt_constrained",
+                                 "offline_opt_constrained", "offline_opt_constrained",
+                                 "static_opt"]
+
+    def test_theorem3_zero_budget_in_shared_report(self):
+        # the zero budget is solved inside the smallest-budget run, so its
+        # regret is in that report's regrets and payload, not only its comparators
+        spec = theorem3_suite(seed=71, count=1, dims=(2,), T=10)[0]
+        cases = run_theorem3_case(spec)
+        (zero,) = [c for c in cases if c.L == 0.0]
+        (shared,) = [c for c in cases if c.L > 0.0 and c.report is zero.report]
+        assert shared.L == min(c.L for c in cases if c.L > 0.0)
+        assert zero.report.regrets["opt_L:0"] == zero.regret
+        totals = zero.report.to_dict()["totals"]
+        assert set(totals["regrets"]) == {"opt_L:0", f"opt_L:{shared.L:g}"}
+        assert totals["regrets"]["opt_L:0"] == zero.regret
+        assert "(L=0)" in [a for a in totals["audits"]
+                           if a["name"] == "theorem3_regret"][-1]["detail"]
 
     def test_theorem3_zero_budget_reduction(self):
         spec = theorem3_suite(seed=70, count=1, dims=(2,), T=30)[0]
@@ -217,19 +241,27 @@ class TestResultTable:
         assert [r["d"] for r in s.rows] == [2, 4]
 
     def test_experiment_table_deterministic(self):
-        a = experiment_cr_vs_dim("norm_tracking", (2,), 2, seed=71, T=10)
-        b = experiment_cr_vs_dim("norm_tracking", (2,), 2, seed=71, T=10)
+        a, _ = experiment_cr_vs_dim("norm_tracking", (2,), 2, seed=71, T=10)
+        b, _ = experiment_cr_vs_dim("norm_tracking", (2,), 2, seed=71, T=10)
         assert a.to_csv_text() == b.to_csv_text()
 
     def test_cr_vs_dim_bound_only_at_its_beta(self):
         # 3 + 8/alpha is proven for beta = choose_beta(alpha).beta alone
-        off = experiment_cr_vs_dim("norm_tracking", (2,), 1, seed=71, beta=0.5, T=10)
+        off, (payload,) = experiment_cr_vs_dim("norm_tracking", (2,), 1, seed=71,
+                                               beta=0.5, T=10)
         assert [(r["bound"], r["audit_worst_residual"]) for r in off.rows] == [("", "")]
-        on = experiment_cr_vs_dim("norm_tracking", (2,), 1, seed=71,
-                                  beta=choose_beta(1.0).beta, T=10)
+        assert payload["totals"]["audits"] == []
+        on, (payload,) = experiment_cr_vs_dim("norm_tracking", (2,), 1, seed=71,
+                                              beta=choose_beta(1.0).beta, T=10)
         row = on.rows[0]
+        audits = payload["totals"]["audits"]
         assert row["bound"] == pytest.approx(11.0)
-        assert row["audit_worst_residual"] == pytest.approx(row["cr"] - 11.0)
+        # the theorem-1 audits of run_theorem1_case, as in audit_suite
+        assert [a["name"] for a in audits] == [
+            "theorem1_cr", "theorem1_step", "theorem1_potential_decrease"]
+        assert all(a["passed"] for a in audits)
+        assert audits[0]["worst_residual"] == pytest.approx(row["cr"] - 11.0)
+        assert row["audit_worst_residual"] == max(a["worst_residual"] for a in audits)
 
     def test_derive_seed_stable(self):
         assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
