@@ -262,7 +262,7 @@ def _audit_suite(cfg: Config) -> list[dict]:
     for i, spec in enumerate(specs):
         report, audits = run_theorem1_case(spec)
         payloads.append(report.to_dict())
-        bound = 3.0 + 8.0 / report.instance.alpha
+        bound = choose_beta(report.instance.alpha).competitive_ratio
         opt = report.comparators["opt"]
         worst = max((a.worst_residual for a in audits), default="")  # blank: no audit
         table.append(family=spec.family, d=spec.d, trial=i, seed=spec.seed,

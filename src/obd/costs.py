@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (
-    FeasibleSet, Norm, as_point, pair_growth_constant, L1, L2, LINF,
+    FeasibleSet, Norm, as_point, generalized_eigh, pair_growth_constant, L1, L2, LINF,
 )
 
 
@@ -88,11 +88,10 @@ class QuadraticCost(CostFunction):
         hit = self._eig_cache.get(key)
         if hit is not None:
             return hit
-        from scipy.linalg import eigh
         if Q is None:
             w, W = np.linalg.eigh(self.AtA)
         else:
-            w, W = eigh(self.AtA, Q)
+            w, W = generalized_eigh(self.AtA, Q)
         w = np.maximum(w, 0.0)
         self._eig_cache[key] = (w, W)
         return w, W

@@ -24,7 +24,6 @@ import math
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 
 class DimensionMismatch(ValueError):
@@ -68,8 +67,9 @@ class Norm:
 
     Supported kinds: ``l1``, ``l2``, ``linf`` and ``mahalanobis`` with a
     symmetric positive definite matrix Q (||x||_Q = sqrt(x' Q x)).  The
-    Mahalanobis constructor factors Q once (Cholesky) so evaluation and dual
-    evaluation are O(d^2); singular Q is rejected there, not at call time.
+    Mahalanobis constructor factors Q once (Cholesky), and evaluation and
+    dual evaluation use the factor; singular Q is rejected there, not at
+    call time.
     """
 
     def __init__(self, kind: str, Q: Optional[np.ndarray] = None):
@@ -143,7 +143,7 @@ class Norm:
         if self.kind == LINF:
             return float(np.abs(z).sum())
         # ||z||_{Q^{-1}} = ||L^{-1} z||_2 with Q = L L'
-        w = solve_triangular(self._chol, z, lower=True)
+        w = np.linalg.solve(self._chol, z)
         return float(np.linalg.norm(w))
 
     def dual(self) -> "Norm":
@@ -197,6 +197,20 @@ def norm_equivalence_constants(norm: Norm, d: int) -> tuple[float, float]:
     return 1.0 / math.sqrt(hi), 1.0 / math.sqrt(lo)
 
 
+def generalized_eigh(A: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w (ascending) and vectors W of the symmetric pencil (A, Q),
+    Q positive definite: W' Q W = I and W' A W = diag(w).
+
+    Reduces by Q's Cholesky factor L, C = L^-1 A L^-T, and takes C's
+    eigendecomposition C = V diag(w) V', so W = L^-T V; raises LinAlgError
+    if Q is not positive definite.
+    """
+    L = np.linalg.cholesky(Q)
+    C = np.linalg.solve(L, np.linalg.solve(L, A).T)
+    w, V = np.linalg.eigh(C)
+    return w, np.linalg.solve(L.T, V)
+
+
 def pair_growth_constant(norm_a: Norm, norm_b: Norm, d: int) -> float:
     """Largest c with ||x||_a >= c * ||x||_b for all x in R^d.
 
@@ -215,8 +229,7 @@ def pair_growth_constant(norm_a: Norm, norm_b: Norm, d: int) -> float:
         return exact[key]
     if norm_a.kind == MAHALANOBIS and norm_b.kind == MAHALANOBIS:
         # min x'Qx / x'Px = smallest generalized eigenvalue of (Q, P)
-        from scipy.linalg import eigh
-        lam = eigh(norm_a.Q, norm_b.Q, eigvals_only=True)
+        lam = generalized_eigh(norm_a.Q, norm_b.Q)[0]
         return float(math.sqrt(max(lam[0], 0.0)))
     # chain through l2: ||x||_a >= c_a ||x||_2 and ||x||_2 >= c_2b ||x||_b
     def vs_l2_lower(n: Norm) -> float:
@@ -301,13 +314,12 @@ def euclidean_map() -> MirrorMap:
 def mahalanobis_map(Q) -> MirrorMap:
     """Phi(x) = x'Qx / 2: gradient Qx, m = M = 1 in the Q-weighted norm."""
     norm = Norm.mahalanobis(Q)
-    Qm = norm.Q
-    factor = cho_factor(Qm)
+    Qm, L = norm.Q, norm._chol
     return MirrorMap(
         "mahalanobis",
         phi=lambda x: 0.5 * float(x @ (Qm @ x)),
         grad=lambda x: Qm @ x,
-        inv_grad=lambda z: cho_solve(factor, z),
+        inv_grad=lambda z: np.linalg.solve(L.T, np.linalg.solve(L, z)),
         m=1.0, M=1.0, norm=norm, Q=Qm,
     )
 

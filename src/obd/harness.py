@@ -275,7 +275,9 @@ def audit_theorem3(report: RunReport, G: float, L: float, m: float, eta: float,
 
     Checks the movement-budgeted regret against G*L/eta + T*eta/(2m) (valid
     for every eta), the optimized form sqrt(2*G*L*T/m) when eta matches the
-    optimizing choice, and the static specialization at L = diameter.
+    optimizing choice, and the static specialization at L = diameter.  The
+    regret audit is named after the comparator it checks, as in
+    ``theorem3_regret[opt_L:20]``, so one report can carry one per budget.
     """
     inst = report.instance
     if float(np.linalg.norm(inst.x0)) > 1e-12:
@@ -288,7 +290,7 @@ def audit_theorem3(report: RunReport, G: float, L: float, m: float, eta: float,
     rho = report.total_cost - sol.objective
     bound = G * L / eta + T * eta / (2.0 * m) if L > 0 else T * eta / (2.0 * m)
     slack = rel_slack * max(1.0, bound)
-    results = [AuditResult("theorem3_regret", rho <= bound + slack, rho - bound,
+    results = [AuditResult(f"theorem3_regret[{label}]", rho <= bound + slack, rho - bound,
                            f"rho={rho:.6f} bound={bound:.6f} (L={L:g})")]
     if L > 0:
         opt_eta, cor_bound = choose_eta(G, L, m, T)

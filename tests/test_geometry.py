@@ -5,8 +5,8 @@ import pytest
 
 from obd.geometry import (
     DomainError, FeasibleSet, Norm, SingularMatrixError, bregman_divergence,
-    check_divergence_sandwich, entropy_map, euclidean_map, mahalanobis_map,
-    norm_equivalence_constants, pair_growth_constant,
+    check_divergence_sandwich, entropy_map, euclidean_map, generalized_eigh,
+    mahalanobis_map, norm_equivalence_constants, pair_growth_constant,
 )
 from obd.projection import project_set
 
@@ -128,6 +128,35 @@ class TestEquivalenceConstants:
                     ratios.append(na(x) / nb(x))
                 assert min(ratios) >= c * (1 - 1e-12)
                 assert min(ratios) <= c * 1.05  # tight up to sampling slack
+
+
+class TestGeneralizedEigh:
+    def test_reduces_both_forms_and_matches_scipy(self):
+        from scipy.linalg import eigh
+        rng = np.random.default_rng(8)
+        for d in range(1, 9):
+            for _ in range(25):
+                A = rng.standard_normal((d, d)) + 2.0 * np.eye(d)
+                AtA = A.T @ A
+                B = rng.standard_normal((d, d))
+                Q = B @ B.T + 0.5 * np.eye(d)
+                w, W = generalized_eigh(AtA, Q)
+                scale = np.abs(w).max()
+                assert np.abs(W.T @ Q @ W - np.eye(d)).max() <= 1e-12
+                assert np.abs(W.T @ AtA @ W - np.diag(w)).max() <= 1e-12 * scale
+                assert np.abs(w - eigh(AtA, Q, eigvals_only=True)).max() <= 1e-13 * scale
+
+    def test_pair_growth_is_smallest_eigenvalue(self):
+        # min ||x||_a / ||x||_b over x is attained at the first generalized eigenvector
+        Qa = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 0.5]])
+        Qb = np.diag([1.0, 4.0, 0.25])
+        c = pair_growth_constant(Norm.mahalanobis(Qa), Norm.mahalanobis(Qb), 3)
+        x = generalized_eigh(Qa, Qb)[1][:, 0]
+        assert Norm.mahalanobis(Qa)(x) / Norm.mahalanobis(Qb)(x) == pytest.approx(c, rel=1e-13)
+
+    def test_rejects_indefinite_q(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            generalized_eigh(np.eye(2), np.diag([1.0, -1.0]))
 
 
 class TestMirrorMaps:

@@ -192,8 +192,8 @@ class TestAudits:
         totals = zero.report.to_dict()["totals"]
         assert set(totals["regrets"]) == {"opt_L:0", f"opt_L:{shared.L:g}"}
         assert totals["regrets"]["opt_L:0"] == zero.regret
-        assert "(L=0)" in [a for a in totals["audits"]
-                           if a["name"] == "theorem3_regret"][-1]["detail"]
+        names = [a["name"] for a in totals["audits"] if a["name"].startswith("theorem3_regret")]
+        assert names == [f"theorem3_regret[opt_L:{shared.L:g}]", "theorem3_regret[opt_L:0]"]
 
     def test_theorem3_zero_budget_reduction(self):
         spec = theorem3_suite(seed=70, count=1, dims=(2,), T=30)[0]

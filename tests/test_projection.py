@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -522,14 +519,3 @@ class TestBrent:
             _brent(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, 1e-12, 1e-15, 100)
         with pytest.raises(ValueError):
             _brent(lambda x: x + 2.0, 0.0, 1.0, 1e-12, 1e-15, 100)
-
-    def test_import_leaves_out_scipy_optimize(self):
-        # scipy.optimize costs about 0.25 s and 20 MB at import, for no use
-        src = os.path.dirname(os.path.dirname(obd.projection.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        code = ("import sys, obd, obd.cli, obd.harness; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
