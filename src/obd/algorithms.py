@@ -10,10 +10,19 @@ whose level constraint has multiplier eta:
   equals cfg.eta * ||grad f(x(eta))||_* (regret setting, smooth costs).
 
 Each is one bracketed scalar root in eta (``obd.projection._multiplier_root``,
-the same one ``project_sublevel`` uses); the level sweeps of
-``primal_balance_curve`` / ``dual_balance_curve`` check that no crossing is
-missed.  Steppers are pure functions of (previous point, revealed cost,
-config): replaying any suffix from a stored point reproduces it bitwise.
+the same one ``project_sublevel`` uses) along the step's x(eta) path
+(``obd.projection._Path``).  The primal balance reads its two sides, the
+move and f, from the path: in closed form for quadratics under the Euclidean
+or a Mahalanobis map and for l2 tracking costs under the Euclidean map, on
+the whole space, and otherwise from the built point.  x is built at the
+chosen eta, and a step is converged only if the Newton solve behind that x
+(where there is one) converged too.  The level sweeps of ``primal_balance_curve`` /
+``dual_balance_curve`` check that no crossing is missed.  Steppers are pure
+functions of (previous point, revealed cost, config): replaying any suffix
+from a stored point reproduces it bitwise.
+
+``solve_regularized`` and ``project_sublevel`` are importable from here,
+where ``obdbench/tracing.py`` looks them up.
 """
 
 from __future__ import annotations
@@ -27,8 +36,8 @@ import numpy as np
 
 from .costs import CostFunction, IndicatorCost
 from .geometry import FeasibleSet, MirrorMap, Norm
-from .projection import (
-    _euclidean_project, _multiplier_root, project_set, project_sublevel,
+from .projection import (  # noqa: F401  (solve_regularized: see above)
+    _Path, _euclidean_project, _multiplier_root, project_set, project_sublevel,
     solve_regularized,
 )
 
@@ -130,14 +139,19 @@ def primal_obd_step(x_prev, f: CostFunction, cfg: PrimalConfig,
                           level=fv, eta_t=0.0, branch=Branch.MOVE_TO_MINIMIZER)
 
     feasible = cfg.feasible or FeasibleSet.whole_space(x_prev.shape[0])
-    eta, x, solves = _multiplier_root(cfg.mirror_map, f, x_prev, feasible,
-                                      lambda x: norm(x - x_prev) - cfg.beta * f(x))
+    path = _Path(cfg.mirror_map, f, x_prev, feasible)
+
+    def gap(eta):
+        move, hit = path.sides(eta)
+        return move - cfg.beta * hit
+
+    eta, x, solved, evals = _multiplier_root(path, gap)
     hit, move = f(x), norm(x - x_prev)
     residual = abs(move - cfg.beta * hit)
     return StepRecord(t=t, x=x, hit=hit, move=move, level=hit, eta_t=eta,
                       branch=Branch.BALANCED, residual=residual,
-                      converged=residual <= cfg.level_tol * max(1.0, hit),
-                      iterations=solves)
+                      converged=solved and residual <= cfg.level_tol * max(1.0, hit),
+                      iterations=evals)
 
 
 def dual_obd_step(x_prev, f: CostFunction, cfg: DualConfig,
@@ -171,27 +185,27 @@ def dual_obd_step(x_prev, f: CostFunction, cfg: DualConfig,
         return (norm.dual_value(cfg.mirror_map.grad(x) - grad_phi_prev),
                 cfg.eta * norm.dual_value(f.grad(x)))
 
-    def record(x, eta, solves):
+    def record(eta, x, solved, solves):
         lhs, rhs = sides(x)
         rel = abs(lhs - rhs) / max(lhs, rhs, 1e-30)
         return StepRecord(t=t, x=x, hit=f(x), move=norm(x - x_prev), level=f(x),
                           eta_t=eta, branch=Branch.BALANCED, residual=rel,
-                          converged=rel <= cfg.level_tol, iterations=solves)
+                          converged=solved and rel <= cfg.level_tol, iterations=solves)
 
     # With the constraint set inactive, stationarity makes the dual movement
     # of x(eta) exactly eta times the gradient norm, so the balanced point is
     # the regularized solve at eta = cfg.eta itself: try that first.
     feasible = cfg.feasible or FeasibleSet.whole_space(x_prev.shape[0])
-    direct = solve_regularized(cfg.mirror_map, f, cfg.eta, x_prev, feasible)
-    rec = record(direct, cfg.eta, 1)
-    if rec.converged and rec.hit <= fx:
+    path = _Path(cfg.mirror_map, f, x_prev, feasible)
+    rec = record(cfg.eta, *path.point(cfg.eta), 1)
+    if rec.residual <= cfg.level_tol and rec.hit <= fx:
         return rec
 
     if norm.dual_value(f.grad(x_prev)) < 1e-12:
         raise ValueError("cost gradient below 1e-12 throughout the bracket")
-    eta, x, solves = _multiplier_root(cfg.mirror_map, f, x_prev, feasible,
-                                      lambda x: np.subtract(*sides(x)))
-    return record(x, eta, 1 + solves)
+    eta, x, solved, evals = _multiplier_root(
+        path, lambda eta: np.subtract(*sides(path.point(eta)[0])))
+    return record(eta, x, solved, 1 + evals)
 
 
 # ---------------------------------------------------------------------------

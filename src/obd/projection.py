@@ -9,15 +9,19 @@ multiplier eta of the level constraint -- f evaluated at
 is non-increasing in eta, so the eta with f(x(eta)) = l brackets cleanly.
 ``_multiplier_root`` finds it with Brent's method; the balanced-descent
 steppers of ``obd.algorithms`` find their balanced points with the same root.
-Each x(eta) comes from ``solve_regularized``: a closed form where one exists
-(quadratic costs under quadratic-form maps, norm-tracking costs under the
-Euclidean map) and lands in the set, a KKT Newton solve for quadratic costs
-under the entropy map on the simplex, and otherwise the damped-Newton barrier
-solve of ``obd.offline`` on the one-row form of its trajectory problem.  Pairs
-none of these covers raise ValueError; there is no first-order fallback.  The
-scalars of the ellipsoid and entropy-simplex projections are Brent roots too.
+The root runs along a ``_Path``, built once per (map, cost, x_prev, set).
+On the whole space, for quadratic costs under quadratic-form maps and l2
+tracking costs under the Euclidean map, the path prices both balance sides,
+the move and f, in closed form without building x, and x is built once, at
+the root.  Each x(eta) is a closed form where one exists (quadratic costs
+under quadratic-form maps, norm-tracking costs under the Euclidean map) and
+lands in the set, a KKT Newton solve for quadratic costs under the entropy
+map on the simplex, and otherwise the damped-Newton barrier solve of
+``obd.offline`` on the one-row form of its trajectory problem.  Pairs none of
+these covers raise ValueError; there is no first-order fallback.  The scalars
+of the ellipsoid and entropy-simplex projections are Brent roots too.
 
-Everything here is stateless given its inputs.
+Everything here is stateless given its inputs; a path lives for one step.
 """
 
 from __future__ import annotations
@@ -264,63 +268,135 @@ def _entropy_simplex_regularized(f: QuadraticCost, eta: float,
     return x
 
 
-def _quad_regularized_solve(mirror_map: MirrorMap, f: QuadraticCost,
-                            eta: float, x_prev: np.ndarray) -> np.ndarray:
-    """Exact unconstrained minimizer of D_Phi(x, x_prev) + eta*f(x) for
-    quadratic-form maps, via the cached generalized eigendecomposition."""
-    w, W = f.eig_in(mirror_map.Q)
-    zp = W.T @ (x_prev if mirror_map.Q is None else mirror_map.Q @ x_prev)
-    return W @ ((zp + 2.0 * eta * (W.T @ f.Aty)) / (1.0 + 2.0 * eta * w))
+class _Path:
+    """x(eta) = argmin_x D_Phi(x, x_prev) + eta * f(x) over the set, for one
+    (map, cost, x_prev, set).
+
+    ``point(eta)`` builds x(eta) and says whether its solve converged, keeping
+    every point it builds.  ``sides(eta)`` gives the two sides of a balance at
+    x(eta): the move ||x(eta) - x_prev|| in the map's norm and the hit
+    f(x(eta)).  On the whole space they have closed forms that build no point:
+
+    * a quadratic under a quadratic-form map, in the eigenbasis (w, W) of
+      ``f.eig_in(Q)``, where z = W'Q x and W'QW = I make the move the l2 norm
+      of z(eta) - z_prev (``_quadratic_sides``; one d x d product per eta);
+    * an l2 tracking cost s||x - v|| under the Euclidean map: with
+      u = x_prev - v, the move is min(eta s, ||u||) and f = s max(||u|| - eta s, 0).
+
+    Everywhere else ``sides`` prices the built point.
+    """
+
+    def __init__(self, mirror_map: MirrorMap, f: CostFunction, x_prev: np.ndarray,
+                 feasible: FeasibleSet):
+        self.mirror_map, self.f, self.x_prev, self.feasible = mirror_map, f, x_prev, feasible
+        self._points: dict = {}  # eta -> (x, converged)
+        self._sides = None
+        self._eig = None
+        euclidean = mirror_map.name == "euclidean"
+        whole = feasible.kind == WHOLE
+        if isinstance(f, QuadraticCost) and (euclidean or mirror_map.Q is not None):
+            Q = mirror_map.Q
+            w, W = f.eig_in(Q)
+            zp, b = W.T @ (x_prev if Q is None else Q @ x_prev), W.T @ f.Aty
+            self._eig = (w, W, zp, b)
+            if whole:
+                self._sides = _quadratic_sides(w, zp, b, f.A @ W, f.y)
+        elif isinstance(f, NormTrackingCost) and euclidean and whole \
+                and f.norm_a.kind == L2:
+            n, s = f.norm_a(x_prev - f.minimizer), f.scale
+            self._sides = lambda eta: (min(eta * s, n), s * max(n - eta * s, 0.0))
+
+    def sides(self, eta: float) -> tuple[float, float]:
+        """(move, hit) at x(eta)."""
+        if self._sides is not None:
+            return self._sides(eta)
+        x = self.point(eta)[0]
+        return self.mirror_map.norm(x - self.x_prev), self.f(x)
+
+    def point(self, eta: float) -> tuple[np.ndarray, bool]:
+        """x(eta), and whether the Newton solve behind it converged."""
+        if eta not in self._points:
+            self._points[eta] = self._build(eta)
+        return self._points[eta]
+
+    def _build(self, eta: float) -> tuple[np.ndarray, bool]:
+        mirror_map, f, x_prev, feasible = self.mirror_map, self.f, self.x_prev, self.feasible
+        if eta < 0.0:
+            raise ValueError("eta must be >= 0")
+        if eta == 0.0:
+            return project_set(mirror_map, feasible, x_prev), True
+        if mirror_map.name == "entropy" and isinstance(f, QuadraticCost) \
+                and feasible.kind == SIMPLEX:
+            return _entropy_simplex_regularized(f, eta, x_prev,
+                                                feasible.params["delta"]), True
+        euclidean = mirror_map.name == "euclidean"
+        if not euclidean and mirror_map.Q is None:
+            raise ValueError(f"x(eta) under the {mirror_map.name} map needs a quadratic "
+                             "cost on the simplex")
+        x = None
+        if self._eig is not None:
+            w, W, zp, b = self._eig
+            x = W @ ((zp + 2.0 * eta * b) / (1.0 + 2.0 * eta * w))
+        elif isinstance(f, NormTrackingCost) and euclidean:
+            x = f.minimizer + _prox_tracking(x_prev - f.minimizer, eta * f.scale, f.norm_a)
+        if x is not None and feasible.contains(x):
+            return x, True
+        Q = np.eye(x_prev.shape[0]) if euclidean else mirror_map.Q
+        problem = _TrajectoryProblem([f], x_prev, None, feasible, Q=Q, eta=eta)
+        X, _, converged, _ = _solve(problem, _interior(feasible, x_prev[None]))
+        # the barrier stops short of each active face by about its weight over the
+        # pull there: where x(eta) stays at x(0) on the boundary, x(0) is exact
+        try:
+            pinned = project_set(mirror_map, feasible, x_prev)[None]
+        except ValueError:  # no closed-form x(0) for this map and set
+            return X[0], converged
+        return min((X, pinned), key=lambda Y: sum(problem.exact_parts(Y)))[0], converged
+
+
+def _quadratic_sides(w: np.ndarray, zp: np.ndarray, b: np.ndarray, AW: np.ndarray,
+                     y: np.ndarray):
+    """(move, hit) as functions of eta for a quadratic's x(eta) = W z(eta),
+    z(eta) = (z_prev + 2 eta b) / (1 + 2 eta w) with b = W'A'y (``_Path``).
+
+    z(eta) - z_prev = 2 eta c / (1 + 2 eta w) with c = b - w z_prev, whose l2
+    norm is the move, and A x(eta) - y = (AW z_prev - y) + AW (z(eta) - z_prev),
+    whose squared norm is the hit.  The hit multiplies by AW itself rather
+    than reading f off the eigenvalues w: W'A'AW is diagonal only up to the
+    eigensolver's backward error, which would move f by about eps * cond(A)^2
+    relative to f at the built point.
+    """
+    c, r_prev, w2 = b - w * zp, AW @ zp - y, 2.0 * w
+
+    def sides(eta: float) -> tuple[float, float]:
+        step = c / (1.0 + eta * w2)
+        r = r_prev + (2.0 * eta) * (AW @ step)
+        return 2.0 * eta * math.sqrt(step.dot(step)), float(r.dot(r))
+
+    return sides
 
 
 def solve_regularized(mirror_map: MirrorMap, f: CostFunction, eta: float,
                       x_prev, feasible: FeasibleSet) -> np.ndarray:
     """x(eta): minimize D_Phi(x, x_prev) + eta * f(x) over the feasible set.
 
-    eta = 0 is the Bregman projection of x_prev (``project_set``).  Quadratic
-    costs under a quadratic-form map and tracking costs under the Euclidean
-    map have closed forms, used when they land in the set; quadratic costs
-    under the entropy map on the simplex take a KKT Newton solve.  Every
-    other case under the Euclidean or a Mahalanobis map is one
-    ``offline._solve`` of the one-row ``offline._TrajectoryProblem`` with the
-    map's Q (the identity for the Euclidean map) and eta: quadratic, tracking
-    or composite costs on the whole space, a box, or an l2 or Mahalanobis ball;
-    x(0) replaces its result where x(0) has a closed form and the lower
-    objective.  Other sets and maps raise ValueError.
+    One point of a one-off ``_Path``.  eta = 0 is the Bregman projection of
+    x_prev (``project_set``).  Quadratic costs under a quadratic-form map
+    (x = W (z_prev + 2 eta W'A'y) / (1 + 2 eta w) in the eigenbasis of
+    ``QuadraticCost.eig_in``) and tracking costs under the Euclidean map (a
+    prox of the tracking norm) have closed forms, used when they land in the
+    set; quadratic costs under the entropy map on the simplex take a KKT
+    Newton solve.  Every other case under the Euclidean or a Mahalanobis map
+    is one ``offline._solve`` of the one-row ``offline._TrajectoryProblem``
+    with the map's Q (the identity for the Euclidean map) and eta: quadratic,
+    tracking or composite costs on the whole space, a box, or an l2 or
+    Mahalanobis ball; x(0) replaces its result where x(0) has a closed form
+    and the lower objective.  Other sets and maps raise ValueError.
 
     f evaluated at the result is non-increasing in eta and the divergence
     from x_prev non-decreasing, which is what ``_multiplier_root`` relies on
     for ``project_sublevel`` and the balanced-descent steppers.
     """
-    x_prev = np.asarray(x_prev, dtype=float)
-    if eta < 0.0:
-        raise ValueError("eta must be >= 0")
-    if eta == 0.0:
-        return project_set(mirror_map, feasible, x_prev)
-    if mirror_map.name == "entropy" and isinstance(f, QuadraticCost) \
-            and feasible.kind == SIMPLEX:
-        return _entropy_simplex_regularized(f, eta, x_prev, feasible.params["delta"])
-    euclidean = mirror_map.name == "euclidean"
-    if not euclidean and mirror_map.Q is None:
-        raise ValueError(f"x(eta) under the {mirror_map.name} map needs a quadratic "
-                         "cost on the simplex")
-    x = None
-    if isinstance(f, QuadraticCost):
-        x = _quad_regularized_solve(mirror_map, f, eta, x_prev)
-    elif isinstance(f, NormTrackingCost) and euclidean:
-        x = f.minimizer + _prox_tracking(x_prev - f.minimizer, eta * f.scale, f.norm_a)
-    if x is not None and feasible.contains(x):
-        return x
-    Q = np.eye(x_prev.shape[0]) if euclidean else mirror_map.Q
-    problem = _TrajectoryProblem([f], x_prev, None, feasible, Q=Q, eta=eta)
-    X, _, _, _ = _solve(problem, _interior(feasible, x_prev[None]))
-    # the barrier stops short of each active face by about its weight over the
-    # pull there: where x(eta) stays at x(0) on the boundary, x(0) is exact
-    try:
-        pinned = project_set(mirror_map, feasible, x_prev)[None]
-    except ValueError:  # no closed-form x(0) for this map and set
-        return X[0]
-    return min((X, pinned), key=lambda Y: sum(problem.exact_parts(Y)))[0]
+    return _Path(mirror_map, f, np.asarray(x_prev, dtype=float), feasible).point(eta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -376,30 +452,30 @@ def _brent(f: Callable[[float], float], xpre: float, xcur: float, xtol: float,
     return xcur
 
 
-def _multiplier_root(mirror_map: MirrorMap, f: CostFunction, x_prev: np.ndarray,
-                     feasible: FeasibleSet, balance: Callable):
-    """Solve balance(x(eta)) = 0 over eta > 0, given balance(x(0)) < 0.
+def _multiplier_root(path: _Path, balance: Callable[[float], float]):
+    """Solve balance(eta) = 0 over eta > 0, given balance(0) < 0, where
+    balance prices x(eta) of ``path``.
 
     The bracket's upper end doubles from eta = 1 until the sign changes (hard
     cap ETA_CAP), then Brent's method runs to machine precision in eta.
-    Returns (eta, x) of smallest |balance| seen, ties going to the larger
-    eta, and the number of regularized solves made.
+    Returns the eta of smallest |balance| seen, ties going to the larger eta,
+    the point x(eta) with whether its solve converged, and the number of
+    balance evaluations.
     """
-    points: dict = {}  # eta -> (balance, x)
+    values: dict = {}  # eta -> balance
 
     def g(eta: float) -> float:
-        if eta not in points:
-            x = solve_regularized(mirror_map, f, eta, x_prev, feasible)
-            points[eta] = (balance(x), x)
-        return points[eta][0]
+        if eta not in values:
+            values[eta] = balance(eta)
+        return values[eta]
 
     lo, hi = 0.0, 1.0
     while g(hi) < 0.0 and hi < ETA_CAP:
         lo, hi = hi, 2.0 * hi
     if g(lo) < 0.0 < g(hi):
         _brent(g, lo, hi, **_BRENT)
-    eta = min(points, key=lambda e: (abs(points[e][0]), -e))
-    return eta, points[eta][1], len(points)
+    eta = min(values, key=lambda e: (abs(values[e]), -e))
+    return (eta, *path.point(eta), len(values))
 
 
 def project_sublevel(mirror_map: MirrorMap, f: CostFunction, l: float, x_prev,
@@ -408,10 +484,11 @@ def project_sublevel(mirror_map: MirrorMap, f: CostFunction, l: float, x_prev,
     """Bregman-project x_prev onto {x : f(x) <= l} intersected with the set.
 
     Finds the multiplier eta of the level constraint with f(x(eta)) = l as
-    one ``_multiplier_root`` over ``solve_regularized``; ``iterations``
-    counts its regularized solves.  The result is converged when the level
-    residual is at most level_tol * max(1, l); a level out of reach within
-    eta <= 2**60 raises NonConvergence.
+    one ``_multiplier_root`` over the hit of a ``_Path``; ``iterations``
+    counts its evaluations.  The result is converged when the level residual
+    of the built point is at most level_tol * max(1, l) and the solve behind
+    that point converged; a level out of reach within eta <= 2**60 raises
+    NonConvergence.
     """
     x_prev = np.asarray(x_prev, dtype=float)
     if feasible is None:
@@ -425,14 +502,15 @@ def project_sublevel(mirror_map: MirrorMap, f: CostFunction, l: float, x_prev,
                                 iterations=0, residual=0.0)
 
     tol_abs = level_tol * max(1.0, abs(l))
-    eta, x, solves = _multiplier_root(mirror_map, f, x_prev, feasible,
-                                      lambda y: l - f(y))
+    path = _Path(mirror_map, f, x_prev, feasible)
+    eta, x, solved, evals = _multiplier_root(path, lambda eta: l - path.sides(eta)[1])
     excess = f(x) - l
     if excess > tol_abs and eta >= ETA_CAP:
         raise NonConvergence(f"level {l} unreachable: multiplier bracket exceeded "
                              f"2**60 (reached f = {f(x):.6g})")
     residual = abs(excess)
-    converged = residual <= tol_abs
-    return ProjectionResult(x=x, eta=eta, active=True, iterations=solves,
-                            residual=residual, converged=converged,
-                            note="" if converged else "level residual above tolerance")
+    converged = residual <= tol_abs and solved
+    note = "" if converged else "level residual above tolerance" \
+        if residual > tol_abs else "x(eta) solve did not converge"
+    return ProjectionResult(x=x, eta=eta, active=True, iterations=evals,
+                            residual=residual, converged=converged, note=note)

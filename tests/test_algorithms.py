@@ -7,16 +7,16 @@ from hypothesis import given, settings, strategies as st
 import obd.algorithms
 import obd.projection
 from obd.algorithms import (
-    Branch, DualConfig, Greedy, OGD, OMD, PrimalConfig, PrimalOBD,
+    Branch, DualConfig, DualOBD, Greedy, OGD, OMD, PrimalConfig, PrimalOBD,
     SetProjectionResponder, StaticPlay, choose_beta, choose_beta_general,
     choose_eta, dual_balance_curve, dual_obd_step, lemma_gamma,
     primal_balance_curve, primal_obd_step,
 )
 from obd.costs import (
-    InstanceSpec, adversary_step, generate_instance, make_norm_tracking,
+    Instance, InstanceSpec, adversary_step, generate_instance, make_norm_tracking,
     make_quadratic,
 )
-from obd.geometry import Norm, euclidean_map
+from obd.geometry import FeasibleSet, Norm, euclidean_map
 from obd.harness import run
 
 EMAP = euclidean_map()
@@ -126,22 +126,24 @@ class TestBalanceRoot:
         assert ls[k] <= rec.level <= ls[k + 1]
 
     def test_primal_work_count(self, monkeypatch):
-        sublevel_calls, solves = [], []
-        solve = obd.projection.solve_regularized
-
-        def counting_solve(*args, **kwargs):
-            solves.append(args[2])
-            return solve(*args, **kwargs)
-
+        # a closed-form step evaluates its path's balance sides once per eta
+        # tried, and builds x once, at the chosen eta
+        sublevel_calls, evals, builds = [], [], []
+        sides, build = obd.projection._Path.sides, obd.projection._Path._build
+        monkeypatch.setattr(obd.projection._Path, "sides",
+                            lambda path, eta: evals.append(eta) or sides(path, eta))
+        monkeypatch.setattr(obd.projection._Path, "_build",
+                            lambda path, eta: builds.append(eta) or build(path, eta))
         monkeypatch.setattr(obd.algorithms, "project_sublevel",
                             lambda *a, **k: sublevel_calls.append(a))
-        monkeypatch.setattr(obd.projection, "solve_regularized", counting_solve)
         for seed in range(10):
             f, x_prev = _random_quadratic(8, seed, 3.0)
-            solves.clear()
+            evals.clear()
+            builds.clear()
             rec = primal_obd_step(x_prev, f, primal_cfg(0.5))
             assert rec.branch == Branch.BALANCED
-            assert rec.iterations == len(solves) <= 100
+            assert rec.iterations == len(evals) <= 100
+            assert builds == [rec.eta_t]
         assert sublevel_calls == []
 
 
@@ -334,8 +336,70 @@ class TestBaselinesAndMemory:
             np.testing.assert_array_equal(rec.x, full.steps[t - 1].x)
             x = rec.x
 
+    @settings(max_examples=30, deadline=None)
+    @given(family=st.sampled_from(["quadratic", "norm_tracking"]), d=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1), ball=st.booleans(), start=st.integers(1, 7),
+           weight=st.floats(0.05, 0.95))
+    def test_suffix_replay_is_bitwise(self, family, d, seed, ball, start, weight):
+        # every step record of a suffix replayed from a stored point, on the
+        # whole space and in a ball, primal (and dual on smooth costs)
+        spec = InstanceSpec(d=d, T=8, family=family, seed=seed, diameter=10.0,
+                            feasible_kind="ball" if ball else "whole",
+                            feasible_radius=5.0 if ball else 0.0)
+        inst = generate_instance(spec)
+        steppers = [(PrimalOBD, primal_obd_step, primal_cfg(weight, feasible=inst.feasible))]
+        if family == "quadratic":
+            steppers.append((DualOBD, dual_obd_step,
+                             dual_cfg(2.0 * weight, feasible=inst.feasible)))
+        for algo, step, cfg in steppers:
+            full = run(algo(cfg), inst, comparators=())
+            x = full.steps[start - 1].x
+            for t in range(start + 1, inst.T + 1):
+                rec = step(x, inst.costs[t - 1], cfg, t=t)
+                assert rec.to_dict() == full.steps[t - 1].to_dict()
+                x = rec.x
+
     def test_projection_responder_requires_indicators(self):
         spec = InstanceSpec(d=2, T=2, family="quadratic", seed=40)
         inst = generate_instance(spec)
         with pytest.raises(ValueError):
             run(SetProjectionResponder(euclidean_map()), inst, comparators=())
+
+
+def _ball_detour():
+    """One round whose x(eta) path leaves the unit ball: from x_prev =
+    (-0.9, 0) toward the minimizer (0, 0.9), the stiff second coordinate
+    arrives first, so the balanced point sits on the sphere and comes from
+    the Newton solve of x(eta)."""
+    f = make_quadratic(np.diag([1.0, 10.0]), np.array([0.0, 9.0]))
+    spec = InstanceSpec(d=2, T=1, family="quadratic", seed=0, diameter=2.0,
+                        feasible_kind="ball", feasible_radius=1.0)
+    return Instance(spec, [f], FeasibleSet.ball(np.zeros(2), 1.0), Norm.l2(),
+                    np.array([-0.9, 0.0]), None)
+
+
+class TestSolveConvergence:
+    """A step is converged only if the x(eta) solve behind its point is."""
+
+    @pytest.mark.parametrize("make", [lambda: PrimalOBD(primal_cfg(0.5)),
+                                      lambda: DualOBD(dual_cfg(0.1))],
+                             ids=["primal", "dual"])
+    def test_unconverged_solve_marks_the_step(self, monkeypatch, make):
+        inst = _ball_detour()
+        clean = run(make(), inst, comparators=())
+        assert clean.steps[0].converged and clean.unverified() == []
+        assert abs(np.linalg.norm(clean.steps[0].x) - 1.0) <= 1e-8
+
+        solve = obd.projection._solve
+
+        def unconverged(*args, **kwargs):
+            X, steps, _, lam = solve(*args, **kwargs)
+            return X, steps, False, lam
+
+        monkeypatch.setattr(obd.projection, "_solve", unconverged)
+        report = run(make(), inst, comparators=())
+        step = report.steps[0]
+        assert step.branch == Branch.BALANCED
+        np.testing.assert_array_equal(step.x, clean.steps[0].x)
+        assert step.converged is False
+        assert report.unverified() == ["step:1"]

@@ -441,37 +441,41 @@ class TestProjectSublevel:
         np.testing.assert_allclose(res.x, mult, atol=1e-6)
 
 
-def _count_solves(monkeypatch):
-    etas = []
-    solve = obd.projection.solve_regularized
-
-    def counting_solve(*args, **kwargs):
-        etas.append(args[2])
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(obd.projection, "solve_regularized", counting_solve)
-    return etas
+def _count_path_work(monkeypatch):
+    """Record the eta of every balance evaluation and every x(eta) build of
+    the ``_Path`` objects made while the returned lists are in use."""
+    evals, builds = [], []
+    sides, build = obd.projection._Path.sides, obd.projection._Path._build
+    monkeypatch.setattr(obd.projection._Path, "sides",
+                        lambda path, eta: evals.append(eta) or sides(path, eta))
+    monkeypatch.setattr(obd.projection._Path, "_build",
+                        lambda path, eta: builds.append(eta) or build(path, eta))
+    return evals, builds
 
 
 class TestMultiplierRoot:
-    """project_sublevel is one multiplier root: every solve is counted in
-    ``iterations``, with no bisection around it."""
+    """project_sublevel is one multiplier root: every evaluation along its
+    x(eta) path is counted in ``iterations``, with no bisection around it."""
 
     def test_quadratic(self, monkeypatch):
-        etas = _count_solves(monkeypatch)
+        # closed-form sides: x is built once, at the root
+        evals, builds = _count_path_work(monkeypatch)
         rng = np.random.default_rng(28)
         for _ in range(10):
             A = rng.standard_normal((4, 4)) + 2.0 * np.eye(4)
             f = make_quadratic(A, rng.standard_normal(4))
             x_prev = f.minimizer + 2.0 * rng.standard_normal(4)
             l = f.min_value + 0.3 * (f(x_prev) - f.min_value)
-            etas.clear()
+            evals.clear()
+            builds.clear()
             res = project_sublevel(EMAP, f, l, x_prev)
             assert res.converged
-            assert res.iterations == len(etas) <= 100
+            assert res.iterations == len(evals) <= 100
+            assert builds == [res.eta]
 
     def test_entropy_simplex(self, monkeypatch):
-        etas = _count_solves(monkeypatch)
+        # no closed form: each evaluation prices its own solve
+        evals, builds = _count_path_work(monkeypatch)
         d = 4
         A = np.eye(d) + 0.2 * np.random.default_rng(29).standard_normal((d, d))
         f = make_quadratic(A, A @ np.array([0.4, 0.3, 0.2, 0.1]))
@@ -480,7 +484,52 @@ class TestMultiplierRoot:
         res = project_sublevel(entropy_map(0.01), f, l, x_prev,
                                FeasibleSet.simplex(d, 0.01))
         assert res.converged
-        assert res.iterations == len(etas) <= 100
+        assert res.iterations == len(evals) == len(builds) <= 100
+        assert sorted(evals) == sorted(builds)
+
+
+def _conditioned(rng, d, cond):
+    """U diag(s) V' with Haar-random orthogonal U, V and singular values
+    spread log-uniformly over [1, cond], both ends included."""
+    U, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    V, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    s = np.exp(rng.uniform(0.0, math.log(cond), d))
+    s[0], s[-1] = 1.0, cond
+    return (U * s) @ V.T
+
+
+class TestPathSides:
+    """On the whole space a path's closed-form balance sides are the move and
+    f of the point it builds at the same eta.  Quadratics are drawn with
+    condition number up to 30, three times the instance default: both sides
+    and the point share one eigendecomposition, whose rounding grows with it.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(1, 32), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["euclidean", "mahalanobis", "tracking"]),
+           eta=st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+           spread=st.floats(0.1, 10.0), cond=st.floats(1.0, 30.0))
+    def test_closed_form_sides_price_the_built_point(self, d, seed, kind, eta,
+                                                     spread, cond):
+        rng = np.random.default_rng(seed)
+        mmap = EMAP
+        if kind == "tracking":
+            f = make_norm_tracking(3.0 * rng.standard_normal(d), Norm.l2(),
+                                   scale=rng.uniform(0.5, 4.0))
+        else:
+            f = make_quadratic(_conditioned(rng, d, cond), 3.0 * rng.standard_normal(d))
+            if kind == "mahalanobis":  # Q = M M' of condition number 10
+                M = _conditioned(rng, d, math.sqrt(10.0))
+                mmap = mahalanobis_map(M @ M.T)
+        x_prev = f.minimizer + spread * rng.standard_normal(d)
+        path = obd.projection._Path(mmap, f, x_prev, FeasibleSet.whole_space(d))
+        move, hit = path.sides(eta)
+        assert path._points == {}  # priced without building a point
+        x, converged = path.point(eta)
+        assert converged
+        assert abs(move - mmap.norm(x - x_prev)) <= 1e-12 * max(1.0, move)
+        assert abs(hit - f(x)) <= 1e-12 * max(1.0, hit)
 
 
 def _bracket(rng, k):
