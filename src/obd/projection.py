@@ -365,12 +365,15 @@ def _quadratic_sides(w: np.ndarray, zp: np.ndarray, b: np.ndarray, AW: np.ndarra
     eigensolver's backward error, which would move f by about eps * cond(A)^2
     relative to f at the built point.
     """
-    c, r_prev, w2 = b - w * zp, AW @ zp - y, 2.0 * w
+    c, r_prev = b - w * zp, AW.dot(zp) - y
 
     def sides(eta: float) -> tuple[float, float]:
-        step = c / (1.0 + eta * w2)
-        r = r_prev + (2.0 * eta) * (AW @ step)
-        return 2.0 * eta * math.sqrt(step.dot(step)), float(r.dot(r))
+        if eta == 0.0:
+            return 0.0, float(r_prev.dot(r_prev))
+        step = c / (w + 0.5 / eta)  # z(eta) - z_prev
+        r = AW.dot(step)
+        r += r_prev
+        return math.sqrt(step.dot(step)), float(r.dot(r))
 
     return sides
 
