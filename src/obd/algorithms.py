@@ -56,7 +56,8 @@ class Branch(str, Enum):
 @dataclass
 class StepRecord:
     """One online round: chosen point, hitting cost, movement, level data,
-    and how it was found (balance residual, convergence, regularized solves)."""
+    and how it was found (balance residual, convergence, balance evaluations
+    along the x(eta) path)."""
 
     t: int
     x: np.ndarray

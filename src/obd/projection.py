@@ -513,7 +513,7 @@ def project_sublevel(mirror_map: MirrorMap, f: CostFunction, l: float, x_prev,
                              f"2**60 (reached f = {f(x):.6g})")
     residual = abs(excess)
     converged = residual <= tol_abs and solved
-    note = "" if converged else "level residual above tolerance" \
-        if residual > tol_abs else "x(eta) solve did not converge"
+    note = "" if converged else ("level residual above tolerance" if residual > tol_abs
+                                 else "x(eta) solve did not converge")
     return ProjectionResult(x=x, eta=eta, active=True, iterations=evals,
                             residual=residual, converged=converged, note=note)

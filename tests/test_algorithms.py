@@ -403,3 +403,17 @@ class TestSolveConvergence:
         np.testing.assert_array_equal(step.x, clean.steps[0].x)
         assert step.converged is False
         assert report.unverified() == ["step:1"]
+
+    def test_unconverged_solve_marks_the_projection(self, monkeypatch):
+        inst = _ball_detour()
+        f, x_prev = inst.costs[0], inst.x0
+        level = 2.0  # its sublevel set meets the ball only near the sphere
+        clean = obd.algorithms.project_sublevel(EMAP, f, level, x_prev, inst.feasible)
+        assert clean.converged and abs(np.linalg.norm(clean.x) - 1.0) <= 1e-8
+        solve = obd.projection._solve
+        monkeypatch.setattr(obd.projection, "_solve",
+                            lambda *a, **k: (*solve(*a, **k)[:2], False, 0.0))
+        res = obd.algorithms.project_sublevel(EMAP, f, level, x_prev, inst.feasible)
+        np.testing.assert_array_equal(res.x, clean.x)
+        assert res.converged is False
+        assert res.note == "x(eta) solve did not converge"
