@@ -1,19 +1,21 @@
 """Offline comparators: dynamic optimum, movement-budgeted optimum, static play,
 and a discretized dynamic-programming oracle for cross-validation.
 
-All three comparators are one damped-Newton path-following solve
+``offline_opt`` and ``static_opt`` are one damped-Newton path-following solve
 (``_solve``) of min_X sum_t f_t(x_t) + ||x_t - x_{t-1}|| over the feasible
 set.  Nonsmooth norms are smoothed (Nesterov, Smooth minimization of
 non-smooth functions, 2005) and the set enters as a log barrier (Boyd &
 Vandenberghe, Convex Optimization, 11.2); stages lower the smoothing and the
 barrier weight together.  The Hessian is block tridiagonal in the rounds, so
 each Newton step is one banded Cholesky factorization.  ``static_opt`` ties
-every round to one point; ``offline_opt_constrained`` adds a barrier row on
-an upper bound of the movement, so the exact movement never exceeds L.  The
-reported costs are the exact, unsmoothed ones.  ``offline_opt`` first prices
-staying at x0 and jumping to every minimizer: a jump whose dual point proves
-it optimal (Lagrange duality, ibid. 5.5.3) is returned without a solve, and
-otherwise the solve starts from the cheaper of the two.
+every round to one point.  A binding movement budget (``offline_opt_constrained``)
+is a cone QP with no smoothing, solved by a primal-dual interior-point method
+(``_BudgetProgram``; Vandenberghe, The CVXOPT linear and quadratic cone
+program solvers, 2010), whose reduced KKT matrix is block tridiagonal too.
+The reported costs are the exact, unsmoothed ones.  ``offline_opt`` first
+prices staying at x0 and jumping to every minimizer: a jump whose dual point
+proves it optimal (Lagrange duality, ibid. 5.5.3) is returned without a
+solve, and otherwise the solve starts from the cheaper of the two.
 """
 
 from __future__ import annotations
@@ -50,9 +52,12 @@ class OfflineSolution:
     """A comparator trajectory with its exact (unsmoothed) accounting.
 
     ``iterations`` counts Newton steps; ``converged`` says whether the last
-    stage met its Newton-decrement test (and a binding budget its window).
-    A jump to the minimizers certified optimal by its dual point takes no
-    solve: ``iterations`` 0, ``converged`` True.
+    stage met its Newton-decrement test.  A jump to the minimizers certified
+    optimal by its dual point takes no solve: ``iterations`` 0, ``converged``
+    True.  A binding ``OPT(L)`` counts interior-point iterations instead, one
+    banded factorization each (its start takes one more), and is converged
+    when its duality gap closed; its ``lam`` is the budget row's dual
+    variable (0 for a budget that does not bind, inf for a zero budget).
     """
 
     trajectory: np.ndarray  # (T, d)
@@ -229,13 +234,32 @@ def _interior(feasible: FeasibleSet, X: np.ndarray) -> np.ndarray:
     return X
 
 
+@functools.lru_cache(maxsize=16)
+def _band_index(rows: int, m: int) -> np.ndarray:
+    """The index of the lower triangle of a block-tridiagonal matrix, rows
+    blocks of size m, in LAPACK band storage: entry (i, j), i >= j, sits at
+    row i - j of column j.  Column j = k m + b holds D_k[b:, b], row b of
+    C_k, then zeros, so the band, stored column by column as LAPACK reads
+    it, is this gather from the flat [D, C, 0] of the diagonal blocks D
+    (rows, m, m) and the blocks C (rows - 1, m, m) above them, with
+    min(2m - 1, rows m - 1) rows below the diagonal.  Cached, read-only:
+    every solve of one shape gathers the same way."""
+    bw = min(2 * m - 1, rows * m - 1)
+    k, b, r = np.ix_(np.arange(rows), np.arange(m), np.arange(bw + 1))
+    a, size = b + r, rows * m * m
+    index = np.where(
+        a < m, k * m * m + a * m + b,
+        np.where((a < 2 * m) & (k < rows - 1), size + k * m * m + b * m + a - m,
+                 2 * size - m * m)).reshape(rows * m, bw + 1)
+    index.flags.writeable = False
+    return index
+
+
 class _TrajectoryProblem:
     """Smoothed, barrier-weighted objective over X (rows x d), and its Newton step.
 
     ``tied`` is static play: one row, its hitting terms summed over the
-    rounds.  ``budget`` L adds the barrier row -mu * log(L - sum_t m_t), m_t
-    the smoothed norm of x_t - x_{t-1} plus its largest gap, an upper bound
-    on the norm; its multiplier mu / slack is ``lam``.
+    rounds.
 
     With ``Q`` it is the one-row problem behind x(eta) in
     ``projection.solve_regularized``: one cost f, x0 = x_prev, the map's
@@ -245,15 +269,14 @@ class _TrajectoryProblem:
 
     def __init__(self, costs: Sequence[CostFunction], x0, norm: Optional[Norm],
                  feasible: Optional[FeasibleSet], tied: bool = False,
-                 budget: Optional[float] = None, Q: Optional[np.ndarray] = None,
-                 eta: float = 1.0):
+                 Q: Optional[np.ndarray] = None, eta: float = 1.0):
         self.costs = list(costs)
         self.x0 = np.asarray(x0, dtype=float)
         self.T, self.d = len(self.costs), self.x0.shape[0]
         d = self.d
         self.norm = norm or Norm.l2()
         self.feasible = feasible or FeasibleSet.whole_space(d)
-        self.tied, self.budget, self.Q, self.eta = tied, budget, Q, eta
+        self.tied, self.Q, self.eta = tied, Q, eta
         self.rows = 1 if tied else self.T
         self.hit, self.price = _family_terms(self.costs)
         # a norm-tracking family's (norm, minimizers, scales), for the jump certificate
@@ -262,19 +285,8 @@ class _TrajectoryProblem:
             self.tracking = (self.costs[0].norm_a, np.stack([f.minimizer for f in self.costs]),
                              np.array([f.scale for f in self.costs]))
         self.barrier = _set_barrier(self.feasible)
-        self.gap = self.rows * {L1: d, LINF: math.log(2 * d)}.get(self.norm.kind, 1.0)
-        # the block-tridiagonal Hessian's lower triangle in LAPACK band storage:
-        # entry (i, j), i >= j, of the matrix sits at row i - j of column j.
-        # Column j = k d + b holds D_k[b:, b], row b of C_k, then zeros, so the
-        # band, stored column by column as LAPACK reads it, is one gather from
-        # the flat [D, C, 0].
-        self.bw = min(2 * d - 1, self.rows * d - 1)
-        k, b, r = np.ix_(np.arange(self.rows), np.arange(d), np.arange(self.bw + 1))
-        a, size = b + r, self.rows * d * d
-        self._band_at = np.where(
-            a < d, k * d * d + a * d + b,
-            np.where((a < 2 * d) & (k < self.rows - 1), size + k * d * d + b * d + a - d,
-                     2 * size - d * d)).reshape(self.rows * d, self.bw + 1)
+        # the block-tridiagonal Hessian's lower triangle in LAPACK band storage
+        self._band_at = _band_index(self.rows, d)
 
     def diffs(self, X: np.ndarray) -> np.ndarray:
         U = np.empty_like(X)
@@ -308,75 +320,53 @@ class _TrajectoryProblem:
         F, hit = self.hit(np.broadcast_to(X, (self.T, self.d)) if self.tied else X, eps)
         vals, move = self.moves(self.diffs(X), eps)
         F = self.eta * F + float(vals.sum())
-        slack = None
-        if self.budget is not None:
-            slack = self.budget - float(vals.sum()) - self.gap * eps
-            if slack <= 0.0:
-                return math.inf, None
-            F -= mu * math.log(slack)
         barrier = None
         if self.barrier is not None:
             bv, barrier = self.barrier(X)
             if not math.isfinite(bv):
                 return math.inf, None
             F += mu * bv
-        return F, (hit, move, slack, barrier)
+        return F, (hit, move, barrier)
 
     def value(self, X: np.ndarray, eps: float, mu: float) -> float:
         """F alone, as ``evaluate`` computes it; inf outside the barriers' domain."""
         return self.terms(X, eps, mu)[0]
 
     def evaluate(self, X: np.ndarray, eps: float, mu: float, trial=None):
-        """(F, gradient, diagonal blocks, off-diagonal blocks, rank-one column,
-        budget multiplier); F is inf outside the barriers' domain.  ``trial``
-        is ``terms``'s result at X, when already computed."""
+        """(F, gradient, diagonal blocks, off-diagonal blocks); F is inf outside
+        the barriers' domain.  ``trial`` is ``terms``'s result at X, when
+        already computed."""
         F, terms = trial or self.terms(X, eps, mu)
         if terms is None:
-            return (math.inf,) * 6
-        hit, move, slack, barrier = terms
+            return (math.inf,) * 4
+        hit, move, barrier = terms
         grad, D = hit()
         if self.tied:
             grad, D = grad.sum(axis=0, keepdims=True), D.sum(axis=0, keepdims=True)
         if self.eta != 1.0:  # the x(eta) form; the comparators skip the product
             grad, D = self.eta * grad, self.eta * D
         sg, sH = move()
-        w, q, lam = 1.0, None, 0.0
         move_grad = sg.copy()
         move_grad[:-1] -= sg[1:]
-        if slack is not None:
-            lam = mu / slack
-            w = 1.0 + lam
-            q = (math.sqrt(mu) / slack) * move_grad
-        grad = grad + w * move_grad
-        D = D + w * sH
-        D[:-1] += w * sH[1:]
+        grad = grad + move_grad
+        D = D + sH
+        D[:-1] += sH[1:]
         if barrier is not None:
             bg, bH = barrier()
             grad += mu * bg
             D += mu * bH
-        return F, grad, D, -w * sH[1:], q, lam
+        return F, grad, D, -sH[1:]
 
-    def newton_step(self, F: float, grad, D, C, q) -> np.ndarray:
-        """Solve (H + ridge) step = -grad by banded Cholesky, the rank-one
-        budget term by Sherman-Morrison; raises LinAlgError if H is not
-        positive definite and ValueError if H, grad or q is not finite."""
-        band = np.take(np.concatenate((D.ravel(), C.ravel(), [0.0])), self._band_at).T
+    def newton_step(self, F: float, grad, D, C) -> np.ndarray:
+        """Solve (H + ridge) step = -grad by banded Cholesky; raises LinAlgError
+        if H is not positive definite and ValueError if H or grad is not
+        finite."""
+        band = _band(D, C, self._band_at)
         ridge = 1e-12 * (1.0 + abs(F)) + 1e-13 * float(np.abs(band).max())
         if not math.isfinite(ridge):  # so is the band, or F
             raise ValueError("array must not contain infs or NaNs")
         band[0] += ridge
-        # the lower form: OpenBLAS threads the upper one, which crawls on a busy host
-        factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
-        if info > 0:
-            raise LinAlgError(f"{info}-th leading minor not positive definite")
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of dpbtrf")
-        step = -_solve_banded(factor, grad.ravel())
-        if q is not None:
-            q = q.ravel()
-            z = _solve_banded(factor, q)
-            step -= z * (float(q @ step) / (1.0 + float(q @ z)))
-        return step.reshape(grad.shape)
+        return -_solve_banded(_cholesky(band), grad.ravel()).reshape(grad.shape)
 
 
 def _load_flapack():
@@ -403,6 +393,24 @@ _flapack = _load_flapack()
 dpbtrf, dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
 
 
+def _band(D: np.ndarray, C: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The lower band of the block-tridiagonal matrix with diagonal blocks D
+    and blocks C above them, gathered by ``_band_index``'s ``index``."""
+    return np.take(np.concatenate((D.ravel(), C.ravel(), [0.0])), index).T
+
+
+def _cholesky(band: np.ndarray) -> np.ndarray:
+    """The lower banded Cholesky factor, computed in place of ``band``; raises
+    LinAlgError if the matrix is not positive definite."""
+    # the lower form: OpenBLAS threads the upper one, which crawls on a busy host
+    factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpbtrf")
+    return factor
+
+
 def _solve_banded(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """A solve with the lower banded Cholesky ``factor``; ValueError if rhs is
     not finite."""
@@ -421,27 +429,25 @@ def _solve(problem, X: np.ndarray, price: Optional[float] = None):
     Stage k = 2, ..., 10 smooths with eps = 10^-min(k, 8) under barrier
     weight mu = 10^-k * (1 + |F(X)|), for at most 200 Armijo-damped steps,
     until the Newton decrement is at most 1e-13 * (1 + |F|).  The last two
-    stages only lower mu: each barrier costs about mu, and stopping at mu =
-    1e-8 * (1 + |F(X)|) left budgeted solves up to 3e-8 relative higher.  The
-    step that passes the decrement test is still taken.  A stage whose
-    smoothing leaves X outside the budget is skipped.  ``problem`` provides
+    stages only lower mu: each barrier costs about mu.  The step that passes
+    the decrement test is still taken.  ``problem`` provides
     ``exact_parts``; ``terms``, the objective with its terms' derivative
     functions not yet called, which prices each Armijo trial; ``evaluate``,
     the objective with its derivatives, built from the accepted trial's
     terms; and ``newton_step``.  Returns (X, steps, whether the last stage
-    ended on the decrement, lam).
+    ended on the decrement).
     """
     scale = 1.0 + abs(sum(problem.exact_parts(X)) if price is None else price)
-    steps, done, lam = 0, False, 0.0
+    steps, done = 0, False
     for k in range(2, 11):
         eps, mu = 10.0 ** -min(k, 8), 10.0 ** -k * scale
-        F, grad, D, C, q, lam = problem.evaluate(X, eps, mu)
+        F, grad, D, C = problem.evaluate(X, eps, mu)
         done = False
-        if not math.isfinite(F):
+        if not math.isfinite(F):  # outside the barriers' domain: nothing to step from
             continue
         for _ in range(200):
             try:
-                step = problem.newton_step(F, grad, D, C, q)
+                step = problem.newton_step(F, grad, D, C)
             except LinAlgError:
                 break
             slope = float((grad * step).sum())
@@ -461,9 +467,9 @@ def _solve(problem, X: np.ndarray, price: Optional[float] = None):
             else:
                 break
             X = Y
-            F, grad, D, C, q, lam = problem.evaluate(X, eps, mu, trial)
+            F, grad, D, C = problem.evaluate(X, eps, mu, trial)
             steps += 1
-    return X, steps, done, lam
+    return X, steps, done
 
 
 def _solution(label: str, problem: _TrajectoryProblem, X: np.ndarray, parts, steps: int,
@@ -526,8 +532,7 @@ def offline_opt(costs: Sequence[CostFunction], x0, feasible: Optional[FeasibleSe
         Y, parts = min(paths.values(), key=lambda path: sum(path[1]))
         price = sum(parts)
     start = _interior(problem.feasible, Y)
-    X, steps, converged, _ = _solve(problem, start,
-                                    price if np.array_equal(start, Y) else None)
+    X, steps, converged = _solve(problem, start, price if np.array_equal(start, Y) else None)
     parts, notes = problem.exact_parts(X), []
     # Where staying put or jumping to every minimizer is optimal, the solve
     # can land slightly above it; never report more than these trajectories.
@@ -539,6 +544,417 @@ def offline_opt(costs: Sequence[CostFunction], x0, feasible: Optional[FeasibleSe
                      note="; ".join(notes))
 
 
+# ---------------------------------------------------------------------------
+# The movement budget: a primal-dual cone QP
+# ---------------------------------------------------------------------------
+
+def _jdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a'Jb along the last axis, J = diag(1, -1, ..., -1): a second-order cone
+    {u : u_0 >= ||u_1||} is where u'Ju >= 0 and u_0 >= 0."""
+    return 2.0 * a[..., 0] * b[..., 0] - np.einsum("...i,...i->...", a, b)
+
+
+def _circ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The cone product a o b = (a'b, a_0 b_1 + b_0 a_1) along the last axis."""
+    out = a[..., :1] * b + b[..., :1] * a
+    out[..., 0] = np.einsum("...i,...i->...", a, b)
+    return out
+
+
+def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v for stacks of matrices and vectors."""
+    return np.einsum("...ij,...j->...i", M, v)
+
+
+def _mtv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M'v for stacks of matrices and vectors."""
+    return np.einsum("...ji,...j->...i", M, v)
+
+
+@functools.lru_cache(maxsize=None)
+def _soc_consts(p: int):
+    """diag(0, 1, ..., 1), the signs of J X J and the diagonal of J, for
+    cones of size p; read-only."""
+    eye = np.eye(p)
+    eye[0, 0] = 0.0
+    j = -np.ones(p)
+    j[0] = 1.0
+    signs = np.outer(j, j)
+    for a in (eye, signs, j):
+        a.flags.writeable = False
+    return eye, signs, j
+
+
+def _nt_scaling(sz: np.ndarray) -> np.ndarray:
+    """The Nesterov-Todd scalings of second-order cone points, s = sz[0] and
+    z = sz[1], stacked along the middle axes: W and its inverse as sz's two
+    halves, W symmetric with W z = W^-1 s (Vandenberghe 2010, section 4.3:
+    W = beta (2vv' - J) with v'Jv = 1/2)."""
+    n = np.sqrt(_jdot(sz, sz))
+    bar = sz / n[..., None]
+    bar[1, ..., 1:] *= -1.0  # J z-bar
+    w = bar[0] + bar[1]
+    w /= np.sqrt(2.0 + 2.0 * _jdot(bar[0], bar[1]))[..., None]
+    eye, signs, _ = _soc_consts(sz.shape[-1])
+    W = w[..., :, None] * (w / (1.0 + w[..., :1]))[..., None, :]
+    W += eye
+    W[..., 0, :] = w
+    W[..., :, 0] = w
+    beta = np.sqrt(n[0] / n[1])[..., None, None]
+    out = np.empty((2,) + W.shape)
+    np.multiply(W, beta, out=out[0])
+    np.multiply(W, signs, out=out[1])
+    out[1] /= beta
+    return out
+
+
+def _soc_worst(lj: np.ndarray, det: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """The least eigenvalue of each direction D relative to its cone point
+    lam (of P(lam^-1/2) D in the cone's Jordan algebra), given lj = J lam /
+    det and det = lam'J lam: lam + t D stays in the cone for every t below -1
+    over a negative value."""
+    u0 = np.einsum("...i,...i->...", lj, D)
+    return u0 - np.sqrt(np.maximum(u0 * u0 - _jdot(D, D) / det, 0.0))
+
+
+def _cone_terms(costs: Sequence[CostFunction]) -> list:
+    """The costs as cone-program terms: ("quadratic", 2 A'A, -2 A'y, sum y'y)
+    or ("tracking", norm, minimizers, scales), a composite's parts in turn."""
+    if all(isinstance(f, QuadraticCost) for f in costs):
+        y = np.concatenate([f.y for f in costs])
+        return [("quadratic", 2.0 * np.stack([f.AtA for f in costs]),
+                 -2.0 * np.stack([f.Aty for f in costs]), float(y @ y))]
+    if all(isinstance(f, NormTrackingCost) for f in costs):
+        return [("tracking", costs[0].norm_a, np.stack([f.minimizer for f in costs]),
+                 np.array([f.scale for f in costs]))]
+    return _cone_terms([f.g for f in costs]) + _cone_terms([f.h for f in costs])
+
+
+class _BudgetProgram:
+    """OPT(L) as a cone QP, min 1/2 z'Pz + q'z + c subject to Gz + s = h with
+    s in K, a product of nonnegative orthants and second-order cones, solved
+    by a primal-dual interior-point method (``solve``).
+
+    z holds one block b_t = (x_t, e_t) per round, e_t the epigraph bounds of
+    the round's norms: the switching norm's of u = x_t - x_{t-1}, then each
+    tracking norm's of u = x_t - v_t.  An l2 or Mahalanobis norm takes one
+    bound sigma with (sigma, R u) in a cone, R'R its matrix (R the transposed
+    Cholesky factor); linf one bound with the 2d rows -sigma <= u_i <= sigma;
+    l1 one bound per coordinate.  The bounds weigh 1 (switching) or the cost's
+    scale (tracking) in q, quadratics ||A x - y||^2 enter P and q, a ball is
+    one cone (r, R(x - c)) per round and a box 2d rows.  Every round has the
+    same rows G = [G_prev | G_cur], acting on (b_{t-1}, b_t), with its own
+    right-hand side; the start x0 is folded into round 1's.  The cone rows of
+    a round come first, then its linear rows.  The budget is one more row:
+    the switching bounds sum to at most L.  Ordered round by round, the
+    reduced KKT matrix P + G'W^-1 W^-T G is block tridiagonal, plus the
+    budget row's rank-one term.
+    """
+
+    def __init__(self, costs: Sequence[CostFunction], x0: np.ndarray, norm: Norm,
+                 feasible: FeasibleSet, L: float):
+        T, d = len(costs), x0.shape[0]
+        terms = _cone_terms(costs)
+        width = lambda n: d if n.kind == L1 else 1  # noqa: E731
+        m = d + width(norm) + sum(width(t[1]) for t in terms if t[0] == "tracking")
+        self.T, self.d, self.m, self.L = T, d, m, L
+        self.P, self.q, self.const = None, np.zeros((T, m)), 0.0
+        cones, rows = [], []  # (G, h) pairs: G (k, 2m), h (k,) or (T, k)
+        free = [d]  # the next unused index of a block
+
+        def epigraph(nrm: Norm, A: np.ndarray, c, weight) -> np.ndarray:
+            """Bounds on ||A (b_{t-1}, b_t) - c_t||, weighing ``weight`` each in
+            q; returns their slice of a block."""
+            k = width(nrm)
+            idx = slice(free[0], free[0] + k)
+            free[0] += k
+            self.q[:, idx] += np.reshape(weight, (-1, 1))
+            E = np.zeros((k, 2 * m))
+            E[:, m + idx.start:m + idx.stop] = _eye(k)
+            if nrm.kind in (L2, MAHALANOBIS):
+                R = _eye(d) if nrm.kind == L2 else nrm._chol.T
+                cones.append((-np.vstack([E, R @ A]),
+                              np.concatenate([np.zeros(np.shape(c)[:-1] + (1,)), -c @ R.T],
+                                             axis=-1)))
+            else:
+                E = E if nrm.kind == L1 else np.repeat(E, d, axis=0)
+                rows.extend([(A - E, c), (-A - E, -c)])
+            return idx
+
+        Ax = np.zeros((d, 2 * m))
+        Ax[:, m:m + d] = _eye(d)
+        self.budget = epigraph(norm, Ax - np.roll(Ax, -m, axis=1), np.zeros(d), 1.0)
+        for term in terms:
+            if term[0] == "quadratic":
+                self.P = term[1] if self.P is None else self.P + term[1]
+                self.q[:, :d] += term[2]
+                self.const += term[3]
+            else:
+                epigraph(term[1], Ax, term[2], term[3])
+        p = feasible.params
+        if feasible.kind == BOX:
+            rows.extend([(Ax, p["hi"]), (-Ax, -p["lo"])])
+        elif feasible.kind == BALL:
+            R = _eye(d) if p["norm"].kind == L2 else p["norm"]._chol.T
+            cones.append((-np.vstack([np.zeros(2 * m), R @ Ax]),
+                          np.concatenate([[p["radius"]], -R @ p["center"]])))
+        parts = cones + rows
+        self.G = np.vstack([G for G, _ in parts])
+        self.h = np.hstack([np.broadcast_to(h, (T, len(G))) for G, h in parts])
+        self.h[0] -= self.G[:, :d] @ x0
+        # a linear row is a cone of size 1, {s : s >= 0}: a round's rows are at
+        # most two stacks of equal cones, (count, size) each
+        self.stacks = [(n, p) for n, p in ((len(cones), d + 1),
+                                           (sum(len(G) for G, _ in rows), 1)) if n]
+        ends = np.cumsum([n * p for n, p in self.stacks])
+        self._spans = [(e - n * p, e, n, p) for e, (n, p) in zip(ends, self.stacks)]
+        self.stack_G = [self.G[a:b].reshape(n, p, 2 * m) for a, b, n, p in self._spans]
+        self.degree = T * sum(n for n, _ in self.stacks) + 1
+        self.g = np.zeros((T, m))
+        self.g[:, self.budget] = 1.0
+        self.g = self.g.ravel()
+        self._band_at = _band_index(T, m)
+
+    def rows(self, Z: np.ndarray):
+        """G z per round (T, rows) and the budget row's sum."""
+        m = self.m
+        pair = np.empty((self.T, 2 * m))
+        pair[0, :m] = 0.0
+        pair[1:, :m] = Z[:-1]
+        pair[:, m:] = Z
+        return pair @ self.G.T, float(Z[:, self.budget].sum())
+
+    def cols(self, Y: np.ndarray, yb: float) -> np.ndarray:
+        """G'y for y = (Y per round, yb on the budget row), as blocks (T, m)."""
+        V = Y @ self.G
+        m = self.m
+        out = V[:, m:].copy()
+        out[:-1] += V[1:, :m]
+        out[:, self.budget] += yb
+        return out
+
+    def cones(self, Y: np.ndarray) -> list:
+        """The stacks of rows Y (T, rows), as views (T, count, size)."""
+        return [Y[:, a:b].reshape(self.T, n, p) for a, b, n, p in self._spans]
+
+    def joined(self, stacks: list) -> np.ndarray:
+        """Rows (T, rows) from stacks (T, count, size)."""
+        return np.concatenate([V.reshape(self.T, -1) for V in stacks], axis=1)
+
+    def factor(self, Wit: list, wb: float):
+        """The banded Cholesky factor of P + G'W^-1 W^-T G over the rounds' rows,
+        W^-T the stacks Wit, with the budget row's term u u', u = g / wb;
+        returns a function solving the whole system by Sherman-Morrison, for
+        right-hand sides (T, m)."""
+        T, m = self.T, self.m
+        S = [(V @ G).reshape(T, -1, 2 * m) for V, G in zip(Wit, self.stack_G)]
+        S = S[0] if len(S) == 1 else np.concatenate(S, axis=1)
+        M = np.ascontiguousarray(S.transpose(0, 2, 1)) @ S
+        D = M[:, m:, m:]
+        D[:-1] += M[1:, :m, :m]
+        if self.P is not None:
+            D[:, :self.d, :self.d] += self.P
+        band = _band(D, M[1:, :m, m:], self._band_at)
+        band[0] += 1e-13 * float(band[0].max())
+        factor = _cholesky(band)
+        u = self.g / wb
+        v = dpbtrs(factor, u, lower=1)[0]
+        den = 1.0 + float(u @ v)
+
+        def solve(r: np.ndarray) -> np.ndarray:
+            x = dpbtrs(factor, r.ravel(), lower=1)[0]
+            x -= v * (float(u @ x) / den)
+            return x.reshape(T, m)
+
+        return solve
+
+    def solve(self):
+        """Mehrotra predictor-corrector steps under Nesterov-Todd scaling
+        (Vandenberghe 2010, the cone QP solver ``coneqp``) from its default
+        start, at most 50 of them, toward a duality gap s'z of 1e-12 * (1 +
+        |objective|).
+
+        An iterate counts when its primal residual is within 1e-8 of |h| and
+        its dual residual within 1e-4 of |q|; the solve returns the counting
+        iterate with the least gap.  The scaling is kept in the scaled space:
+        after a step the new W is W~ W, W~ the scaling of the scaled pair,
+        which stays far from its cones' boundaries.  The primal step comes
+        from its own equation G dx + ds = -rz, so the primal residual does
+        not grow.  The reduced system loses accuracy as the gap closes: at a
+        cone's apex (a zero move) or an active row W^-T grows like
+        1/sqrt(gap).  So below a relative gap of 1e-8 the corrector's solve
+        takes one step of iterative refinement on the full KKT system (ECOS,
+        Domahidi et al. 2013).  Where rounding still wins, the solve ends
+        once a residual exceeds 100 times its bound, three iterations pass
+        without a better iterate, or an iteration fails (a matrix not
+        positive definite, a point that leaves a cone).  Returns (X, the
+        budget row's multiplier, the iterations run, each one banded
+        factorization after the start's, the relative gap, and whether that
+        gap is within 1e-8, about the accuracy of the barrier solve this
+        replaced).
+        """
+        T, d, P = self.T, self.d, self.P
+        h, L = self.h, self.L
+        tol, max_iterations = 1e-12, 50
+        # the start: the KKT solution with W = I, s and z pushed into the cones
+        solve = self.factor([np.broadcast_to(_eye(p), (T, n, p, p)) for n, p in self.stacks],
+                            1.0)
+        Z = solve(self.cols(h, L) - self.q)
+        GZ, gb = self.rows(Z)
+        S, sb = self._push(h - GZ, L - gb)
+        Y, yb = self._push(GZ - h, gb - L)
+        Ys = self.cones(Y)
+        WW = [_nt_scaling(np.stack(sy)) for sy in zip(self.cones(S), Ys)]  # W, W^-T
+        lam = [_mv(V[0], y) for V, y in zip(WW, Ys)]
+        h_scale = 1.0 + math.sqrt(float((h * h).sum()) + L * L)
+        q_scale = 1.0 + math.sqrt(float((self.q * self.q).sum()))
+        best = None  # (X, lam, iteration, relative gap) of the best iterate
+        for iteration in range(max_iterations + 1):
+            GZ, gb = self.rows(Z)
+            rx = self.cols(Y, yb)
+            rx += self.q
+            objective = float((self.q * Z).sum()) + self.const
+            if P is not None:
+                PZ = np.einsum("tij,tj->ti", P, Z[:, :d])
+                rx[:, :d] += PZ
+                objective += 0.5 * float((Z[:, :d] * PZ).sum())
+            rz, rzb = GZ + S - h, gb + sb - L
+            gap = (float((S * Y).sum()) + sb * yb) / (1.0 + abs(objective))
+            # the residuals relative to the primal bound 1e-8 and the dual 1e-4
+            residual = max(math.sqrt(float((rz * rz).sum()) + rzb * rzb) / (1e-8 * h_scale),
+                           math.sqrt(float((rx * rx).sum())) / (1e-4 * q_scale))
+            if residual <= 1.0 and (best is None or gap < best[3]):
+                best = (Z[:, :d].copy(), yb, iteration, gap)
+            if iteration == max_iterations or not math.isfinite(gap) or best is not None and (
+                    best[3] <= tol or residual > 100.0 or iteration >= best[2] + 3):
+                break
+            mu = gap * (1.0 + abs(objective)) / self.degree
+            wb, lb = math.sqrt(sb / yb), math.sqrt(sb * yb)
+            det = [_jdot(v, v) for v in lam]
+            lj = [v * (_soc_consts(v.shape[-1])[2] / e[..., None]) for v, e in zip(lam, det)]
+
+            def kkt(bx, bz, bzb, bs, bb):
+                """Solve P dx + G'dz = bx, G dx + ds = bz, lam o (W dz + W^-T ds)
+                = bs; returns dx, the scaled W^-T ds and W dz stacked per cone
+                stack, and the two on the budget row."""
+                t, y = bz.copy(), np.empty_like(bz)
+                us = []
+                for (W, Wit), v, a, c, tk, yk in zip(WW, lam, lj, bs, self.cones(t),
+                                                    self.cones(y)):
+                    u0 = np.einsum("...i,...i->...", a, c)  # v o u = c
+                    u = (c - u0[..., None] * v) / v[..., :1]
+                    u[..., 0] = u0
+                    us.append(u)
+                    tk -= _mtv(W, u)
+                    yk[...] = _mtv(Wit, _mv(Wit, tk))
+                ub = bb / lb
+                tb = bzb - wb * ub
+                dZ = solve(bx + self.cols(y, tb / (wb * wb)))
+                g, g_b = self.rows(dZ)
+                g -= t
+                dirs = []
+                for (_, Wit), u, gk in zip(WW, us, self.cones(g)):
+                    D = np.empty((2,) + u.shape)
+                    D[1] = _mv(Wit, gk)
+                    np.subtract(u, D[1], out=D[0])
+                    dirs.append(D)
+                dzb = (g_b - tb) / wb
+                return dZ, dirs, (ub - dzb, dzb)
+
+            def refined(bx, bz, bzb, bs, bb):
+                """``kkt``, plus one correction solved from its residual."""
+                dZ, dirs, db = kkt(bx, bz, bzb, bs, bb)
+                ex = bx - self.cols(self.joined([_mtv(V[1], D[1]) for V, D in zip(WW, dirs)]),
+                                    db[1] / wb)
+                if P is not None:
+                    ex[:, :d] -= np.einsum("tij,tj->ti", P, dZ[:, :d])
+                g, g_b = self.rows(dZ)
+                ez = bz - g - self.joined([_mtv(V[0], D[0]) for V, D in zip(WW, dirs)])
+                cZ, cdirs, cb = kkt(ex, ez, bzb - g_b - wb * db[0],
+                                    [c - _circ(v, D[0] + D[1]) for c, v, D in zip(bs, lam, dirs)],
+                                    bb - lb * (db[0] + db[1]))
+                return (dZ + cZ, [D + C for D, C in zip(dirs, cdirs)],
+                        (db[0] + cb[0], db[1] + cb[1]))
+
+            def worst(dirs, db) -> float:
+                """The least eigenvalue of the directions relative to lam."""
+                return min(min(float(_soc_worst(a, e, D).min()) for a, e, D in zip(lj, det, dirs)),
+                           db[0] / lb, db[1] / lb)
+
+            try:
+                with np.errstate(divide="raise", over="raise", invalid="raise"):
+                    solve = self.factor([V[1] for V in WW], wb)
+                    bs, bb = [-_circ(v, v) for v in lam], -lb * lb
+                    dZ, dirs, db = kkt(-rx, -rz, -rzb, bs, bb)
+                    sigma = (1.0 - min(1.0, -1.0 / min(worst(dirs, db), -1e-300))) ** 3
+                    for c, D in zip(bs, dirs):
+                        c -= _circ(D[0], D[1])
+                        c[..., 0] += sigma * mu
+                    bb += sigma * mu - db[0] * db[1]
+                    dZ, dirs, db = (refined if gap <= 1e-8 else kkt)(
+                        -rx, -rz, -rzb, bs, bb)
+                    step = min(1.0, -0.99 / min(worst(dirs, db), -1e-300))
+                    pairs = [v + step * D for v, D in zip(lam, dirs)]
+                    WWt = [_nt_scaling(pair) for pair in pairs]
+                    lam = [_mv(V[0], pair[1]) for V, pair in zip(WWt, pairs)]
+            except (LinAlgError, FloatingPointError):
+                iteration += 1
+                break
+            Z += step * dZ
+            # W's growth on slack cones would swamp W' ds~ with rounding
+            GdZ, g_b = self.rows(dZ)
+            S -= step * (rz + GdZ)
+            sb -= step * (rzb + g_b)
+            for V, D, y in zip(WW, dirs, Ys):
+                y += step * _mtv(V[1], D[1])
+            yb += step * db[1] / wb
+            WW = [Vt @ V for Vt, V in zip(WWt, WW)]
+        X, multiplier, _, gap = best or (Z[:, :d].copy(), yb, iteration, gap)
+        return X, multiplier, iteration, gap, bool(gap <= 1e-8)
+
+    def _push(self, V: np.ndarray, vb: float):
+        """V and vb, with e added times 1 - their least eigenvalue unless that
+        is above 1e-8 of their norm (``coneqp``'s start)."""
+        stacks = self.cones(V)
+        low = min(vb, *(float((C[..., 0] - np.linalg.norm(C[..., 1:], axis=-1)).min())
+                        for C in stacks))
+        if low <= 1e-8 * max(1.0, math.sqrt(float((V * V).sum()) + vb * vb)):
+            for C in stacks:
+                C[..., 0] += 1.0 - low
+            vb += 1.0 - low
+        return V, vb
+
+
+def _spend_budget(problem: _TrajectoryProblem, X: np.ndarray, B: np.ndarray,
+                  L: float) -> np.ndarray:
+    """The point of the segment from X to B, whose movement exceeds L, that
+    moves L: X itself first scaled toward x0 if it moves more than L.
+
+    The movement m(t) of X + t (B - X) is convex in t, so a chord's crossing
+    of L never moves more than L: chord steps raise the low end, and
+    bisections alternating with them keep the bracket shrinking, until the
+    low end moves within 1e-13 L of L or 60 steps have run."""
+    move = problem.movement(X)
+    if move > L:
+        X = problem.x0 + (L / move) * (X - problem.x0)
+        while (move := problem.movement(X)) > L:
+            X = problem.x0 + (1.0 - 1e-15) * (X - problem.x0)
+    D = B - X
+    lo, hi, m_lo, m_hi = 0.0, 1.0, move, problem.movement(B)
+    for k in range(60):
+        if L - m_lo <= 1e-13 * L:
+            break
+        t = lo + (hi - lo) * (L - m_lo) / (m_hi - m_lo) if k % 2 == 0 else 0.5 * (lo + hi)
+        if not lo < t < hi:
+            break
+        m = problem.movement(X + t * D)
+        if m <= L:
+            lo, m_lo = t, m
+        else:
+            hi, m_hi = t, m
+    return X + lo * D
+
+
 def offline_opt_constrained(costs: Sequence[CostFunction], x0, L: float,
                             feasible: Optional[FeasibleSet] = None,
                             norm: Optional[Norm] = None,
@@ -546,11 +962,23 @@ def offline_opt_constrained(costs: Sequence[CostFunction], x0, L: float,
     """Offline optimum under total movement budget L.
 
     ``base`` is the unconstrained optimum (solved here when not given); it is
-    returned when its movement fits the budget.  Otherwise one budgeted solve
-    starts from base shrunk toward x0 to half the budget.  Where the costs
-    are flat along a face, the barrier can stop well inside the budget; the
-    objective is convex on the segment to base and least at base, so moving
-    along that segment until the movement meets L never raises it.
+    returned when its movement fits the budget, and L <= 1e-12 pins every
+    round at x0.  Otherwise the budget binds, and ``_BudgetProgram`` solves
+    the problem as a cone QP by a primal-dual interior-point method.  It
+    takes every input the other comparators take: quadratic, l1, l2, linf or
+    Mahalanobis tracking and composite costs, the same four switching norms,
+    the whole space, a box, or an l2 or Mahalanobis ball.  Anything else
+    raises the ValueError they raise (other sets, mixed families, tracking
+    norms that differ by round).  The solve's point is then pulled within
+    the budget (toward x0, where rounding left it over) and always moved
+    along the segment to ``base`` until its exact movement is within 1e-13
+    relative of L and not above it (``_spend_budget``).  The objective is
+    convex on that segment and least at base, so the step never raises it;
+    where the costs are flat along a face, it spends what the solve left
+    unspent.  ``lam`` is the budget row's dual variable, ``iterations`` the
+    interior-point iterations (one banded Cholesky factorization each, and
+    one more for the start), and ``converged`` whether the duality gap
+    closed to 1e-8 of the objective (the solve aims at 1e-12).
     """
     if L < 0.0:
         raise ValueError("movement budget L must be >= 0")
@@ -566,25 +994,16 @@ def offline_opt_constrained(costs: Sequence[CostFunction], x0, L: float,
         base = offline_opt(costs, x0, feasible, norm)
     if base.total_move <= L * (1.0 + 1e-9) + 1e-12:
         return base
-    problem = _TrajectoryProblem(costs, x0, norm, feasible, budget=L)
-    Y = _interior(problem.feasible, base.trajectory)
-    start = x0 + (0.5 * L / max(problem.movement(Y), L)) * (Y - x0)
-    X, steps, converged, lam = _solve(problem, start)
-    note = ""
-    if problem.movement(X) < L * (1.0 - 1e-4):
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if problem.movement(X + mid * (base.trajectory - X)) <= L:
-                lo = mid
-            else:
-                hi = mid
-        X = X + lo * (base.trajectory - X)
-        note = "moved along a flat face to the budget"
-    parts = problem.exact_parts(X)
-    converged = converged and L * (1.0 - 1e-4) <= parts[1] <= L
-    return _solution("opt_L", problem, X, parts, steps, converged, started, lam=lam,
-                     note=note)
+    problem = _TrajectoryProblem(costs, x0, norm, feasible)  # raises as the other solves do
+    program = _BudgetProgram(costs, problem.x0, problem.norm, problem.feasible, L)
+    X, lam, iterations, gap, converged = program.solve()
+    X = _spend_budget(problem, X, base.trajectory, L)
+    hit, move = problem.exact_parts(X)
+    log.debug("offline opt_L: T=%d d=%d pd_iterations=%d factorizations=%d gap=%.2e "
+              "converged=%s %.3fs", problem.T, problem.d, iterations, iterations + 1, gap,
+              converged, time.perf_counter() - started)
+    return OfflineSolution(trajectory=X, total_hit=hit, total_move=move, objective=hit + move,
+                           lam=lam, converged=converged, iterations=iterations)
 
 
 def static_opt(costs: Sequence[CostFunction], x0,
@@ -594,7 +1013,7 @@ def static_opt(costs: Sequence[CostFunction], x0,
     started = time.perf_counter()
     problem = _TrajectoryProblem(costs, x0, norm, feasible, tied=True)
     mean = np.mean([f.minimizer for f in costs], axis=0)[None]
-    X, steps, converged, _ = _solve(problem, _interior(problem.feasible, mean))
+    X, steps, converged = _solve(problem, _interior(problem.feasible, mean))
     return _solution("static", problem, X, problem.exact_parts(X), steps, converged,
                      started)
 

@@ -343,7 +343,7 @@ class _Path:
             return x, True
         Q = np.eye(x_prev.shape[0]) if euclidean else mirror_map.Q
         problem = _TrajectoryProblem([f], x_prev, None, feasible, Q=Q, eta=eta)
-        X, _, converged, _ = _solve(problem, _interior(feasible, x_prev[None]))
+        X, _, converged = _solve(problem, _interior(feasible, x_prev[None]))
         # the barrier stops short of each active face by about its weight over the
         # pull there: where x(eta) stays at x(0) on the boundary, x(0) is exact
         try:

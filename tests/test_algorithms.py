@@ -393,8 +393,8 @@ class TestSolveConvergence:
         solve = obd.projection._solve
 
         def unconverged(*args, **kwargs):
-            X, steps, _, lam = solve(*args, **kwargs)
-            return X, steps, False, lam
+            X, steps, _ = solve(*args, **kwargs)
+            return X, steps, False
 
         monkeypatch.setattr(obd.projection, "_solve", unconverged)
         report = run(make(), inst, comparators=())
@@ -412,7 +412,7 @@ class TestSolveConvergence:
         assert clean.converged and abs(np.linalg.norm(clean.x) - 1.0) <= 1e-8
         solve = obd.projection._solve
         monkeypatch.setattr(obd.projection, "_solve",
-                            lambda *a, **k: (*solve(*a, **k)[:2], False, 0.0))
+                            lambda *a, **k: (*solve(*a, **k)[:2], False))
         res = obd.algorithms.project_sublevel(EMAP, f, level, x_prev, inst.feasible)
         np.testing.assert_array_equal(res.x, clean.x)
         assert res.converged is False

@@ -153,6 +153,10 @@ class TestOfflineOpt:
             "offline opt", "offline opt_L", "offline static", "offline oracle"]
         assert lines[0].startswith(f"offline opt: T=2 d=1 steps={sol.iterations} "
                                    "converged=True ")
+        budgeted = offline_opt_constrained(costs, [0.0], 0.5, base=sol)
+        assert lines[1].startswith(f"offline opt_L: T=2 d=1 pd_iterations={budgeted.iterations} "
+                                   f"factorizations={budgeted.iterations + 1} gap=")
+        assert " converged=True " in lines[1]
         assert sol.iterations > 0
         assert lines[3].startswith("offline oracle: T=2 d=1 points=101 passes=4 ")
 
@@ -172,36 +176,32 @@ class TestNewtonStep:
     """The Newton step's contract and the solves' exact work, pinned: a
     cheaper step must take the same iterates."""
 
-    def _parts(self, budget=None):
+    def _parts(self):
         costs, ball = _ball_quadratics(4)
-        problem = _TrajectoryProblem(costs, np.zeros(2), None, ball, budget=budget)
+        problem = _TrajectoryProblem(costs, np.zeros(2), None, ball)
         X = _interior(ball, np.stack([f.minimizer for f in costs]))
-        if budget is not None:
-            X = 0.1 * X
-        return problem, problem.evaluate(X, 1e-2, 1e-2)[:5]
+        return problem, problem.evaluate(X, 1e-2, 1e-2)
 
-    @pytest.mark.parametrize("budget", [None, 20.0])
-    def test_solves_positive_definite(self, budget):
-        problem, (F, grad, D, C, q) = self._parts(budget)
-        assert math.isfinite(F) and (q is None) == (budget is None)
-        step = problem.newton_step(F, grad, D, C, q)
+    def test_solves_positive_definite(self):
+        problem, (F, grad, D, C) = self._parts()
+        assert math.isfinite(F)
+        step = problem.newton_step(F, grad, D, C)
         assert step.shape == grad.shape and np.isfinite(step).all()
         assert float((grad * step).sum()) < 0.0
 
     def test_not_positive_definite_raises(self):
-        problem, (F, grad, D, C, q) = self._parts()
+        problem, (F, grad, D, C) = self._parts()
         with pytest.raises(LinAlgError):
-            problem.newton_step(F, grad, D - 1e3 * np.eye(2), C, q)
+            problem.newton_step(F, grad, D - 1e3 * np.eye(2), C)
 
-    @pytest.mark.parametrize("where", ["grad", "diagonal", "off-diagonal", "column"])
+    @pytest.mark.parametrize("where", ["grad", "diagonal", "off-diagonal"])
     def test_nan_raises(self, where):
-        problem, (F, grad, D, C, q) = self._parts(budget=20.0)
-        parts = {"grad": grad, "diagonal": D, "off-diagonal": C, "column": q}
+        problem, (F, grad, D, C) = self._parts()
+        parts = {"grad": grad, "diagonal": D, "off-diagonal": C}
         parts[where] = parts[where].copy()
         parts[where].flat[2] = math.nan  # in the lower triangle of a diagonal block
         with pytest.raises(ValueError):
-            problem.newton_step(F, parts["grad"], parts["diagonal"],
-                                parts["off-diagonal"], parts["column"])
+            problem.newton_step(F, parts["grad"], parts["diagonal"], parts["off-diagonal"])
 
     def test_pinned_tracking_whole_space(self):
         # started from the cheaper of staying put and jumping (here staying),
@@ -214,9 +214,11 @@ class TestNewtonStep:
         costs, ball = _ball_quadratics(6)
         opt = offline_opt(costs, np.zeros(2), ball)
         assert (opt.iterations, opt.objective.hex()) == (67, "0x1.d933954f4383ap+4")
+        # the cone program takes 10 interior-point iterations where the barrier
+        # row took 74 Newton steps, and ends 3.4e-9 relative lower
         sol = offline_opt_constrained(costs, np.zeros(2), 0.5 * opt.total_move, ball,
                                       base=opt)
-        assert (sol.iterations, sol.objective.hex()) == (74, "0x1.86a3689931b46p+5")
+        assert (sol.iterations, sol.objective.hex()) == (10, "0x1.86a36882b7733p+5")
 
     def test_pinned_static_in_ball(self):
         costs, ball = _ball_quadratics(6)
@@ -268,9 +270,8 @@ def _same(a: float, b: float) -> bool:
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), T=st.integers(1, 5),
        family=st.sampled_from(FAMILIES), kind=st.sampled_from(SETS),
-       switching=st.sampled_from(["l1", "l2", "linf", "mahalanobis"]),
-       budget=st.booleans(), tied=st.booleans())
-def test_value_is_evaluate_objective(seed, d, T, family, kind, switching, budget, tied):
+       switching=st.sampled_from(["l1", "l2", "linf", "mahalanobis"]), tied=st.booleans())
+def test_value_is_evaluate_objective(seed, d, T, family, kind, switching, tied):
     # the Armijo trials price a point by value(); the accepted point's F comes
     # from evaluate(), and the two must agree bit for bit, inf outside the domain
     rng = np.random.default_rng(seed)
@@ -280,19 +281,17 @@ def test_value_is_evaluate_objective(seed, d, T, family, kind, switching, budget
         else rng.standard_normal(d)
     norm = _norm(switching, rng, d)
     X = _interior(feasible, 3.0 * rng.standard_normal((1 if tied else T, d)))
-    move = _TrajectoryProblem(costs, x0, norm, feasible, tied=tied).movement(X)
-    L = (0.2 + 2.0 * rng.random()) * move + 1e-3 if budget else None
-    problem = _TrajectoryProblem(costs, x0, norm, feasible, tied=tied, budget=L)
+    problem = _TrajectoryProblem(costs, x0, norm, feasible, tied=tied)
     for eps, mu in ((1e-2, 1e-2), (1e-8, 1e-10 * (1.0 + rng.random()))):
         F = problem.evaluate(X, eps, mu)[0]
         assert _same(problem.value(X, eps, mu), F)
         assert not math.isnan(F)
-    # far outside the set, or far over the budget: inf from both
+    # far outside the set: inf from both
     for Y in (X + 1e3, x0 + 1e3 * (X - x0)):
         F = problem.evaluate(Y, 1e-2, 1e-2)
         assert _same(problem.value(Y, 1e-2, 1e-2), F[0])
-        if not np.all(feasible.contains(Y)) or (budget and problem.movement(Y) > L):
-            assert F == (math.inf,) * 6
+        if not np.all(feasible.contains(Y)):
+            assert F == (math.inf,) * 4
     # the one-row problem behind x(eta) under the Euclidean or a Mahalanobis
     # map shares the terms; its exact parts are (eta f(x), 1/2 u'Qu), which
     # solve_regularized's x(0) guard compares
@@ -454,18 +453,25 @@ class TestConstrained:
         inst = generate_instance(spec)
         opt = offline_opt(inst.costs, inst.x0)
         L = 0.4 * opt.total_move
-        solves = []
-        solve = obd.offline._solve
+        calls = {"_solve": 0, "dpbtrf": 0}
 
-        def counting(*args):
-            solves.append(1)
-            return solve(*args)
+        def counting(name):
+            real = getattr(obd.offline, name)
 
-        monkeypatch.setattr(obd.offline, "_solve", counting)
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(obd.offline, name, counted)
+
+        counting("_solve")
+        counting("dpbtrf")
         sol = offline_opt_constrained(inst.costs, inst.x0, L, base=opt)
-        assert len(solves) == 1  # the budget is a barrier row, not a multiplier search
+        # no Newton solve: the budget is a row of the cone program, which takes
+        # one banded factorization for its start and one per iteration
+        assert calls == {"_solve": 0, "dpbtrf": sol.iterations + 1}
         assert sol.converged
-        assert L * (1 - 1e-4) <= sol.total_move <= L * (1 + 1e-12)
+        assert L * (1 - 1e-12) <= sol.total_move <= L
         assert sol.lam > 0
 
     def test_penalized_optimality_certificate(self):
@@ -484,6 +490,129 @@ class TestConstrained:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             offline_opt_constrained([abs_cost(0.0)], [0.0], -1.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_multiplier_matches_kkt_fit(self, seed):
+        # lam is the budget row's dual variable: the multiplier that makes the
+        # trajectory stationary for sum_t f_t + (1 + lam) ||x_t - x_{t-1}||
+        inst = generate_instance(InstanceSpec(d=2, T=6, family="quadratic", seed=seed))
+        opt = offline_opt(inst.costs, inst.x0)
+        sol = offline_opt_constrained(inst.costs, inst.x0, 0.5 * opt.total_move, base=opt)
+        assert sol.lam == pytest.approx(_kkt_multiplier(inst.costs, inst.x0, sol.trajectory),
+                                        rel=1e-6)
+
+
+def test_cone_scaling_and_boundary_step():
+    # the Nesterov-Todd scaling W of cone points s and z is symmetric with
+    # W z = W^-1 s; lam + t D leaves the cone at t = -1 / (least eigenvalue)
+    rng = np.random.default_rng(5)
+
+    def inside(n, p=4):
+        u = rng.standard_normal((n, p))
+        u[:, 0] = np.linalg.norm(u[:, 1:], axis=1) + 1e-3 + rng.random(n)
+        return u
+
+    s, z = inside(50), inside(50)
+    W, W_inv = obd.offline._nt_scaling(np.stack((s, z)))
+    np.testing.assert_allclose(W @ W_inv, np.broadcast_to(np.eye(4), W.shape), atol=1e-10)
+    np.testing.assert_allclose(W, W.transpose(0, 2, 1), atol=1e-12)
+    np.testing.assert_allclose(obd.offline._mv(W, z), obd.offline._mv(W_inv, s), rtol=1e-10)
+    lam, D = inside(50), rng.standard_normal((50, 4))
+    det = obd.offline._jdot(lam, lam)
+    worst = obd.offline._soc_worst(lam * np.array([1.0, -1, -1, -1]) / det[:, None], det, D)
+    out = worst < 0.0
+    assert 10 <= out.sum() < len(out)
+    edge = lam[out] - D[out] / worst[out, None]
+    np.testing.assert_allclose(edge[:, 0], np.linalg.norm(edge[:, 1:], axis=1), rtol=1e-8)
+    assert (edge[:, 0] > 0.0).all()
+    inside_all = lam[~out] + 1e3 * D[~out]  # no boundary ahead
+    assert (inside_all[:, 0] >= np.linalg.norm(inside_all[:, 1:], axis=1)).all()
+
+
+def _kkt_multiplier(costs, x0, X) -> float:
+    """lam by least squares on the stationarity of a trajectory X of quadratics
+    under the l2 switching norm, grad f_t(x_t) + (1 + lam)(nu_t - nu_{t+1}) = 0
+    with nu_{T+1} = 0: nu_t is u_t / ||u_t|| for a move u_t, and a free
+    unknown (times 1 + lam) where the move is zero."""
+    T, d = X.shape
+    U = np.diff(np.vstack([x0, X]), axis=0)
+    n = np.linalg.norm(U, axis=1)
+    zero = n <= 1e-9 * n.max()
+    nu = np.where(zero[:, None], 0.0, U / np.where(zero, 1.0, n)[:, None])
+    nu[:-1] -= nu[1:]
+    columns = [nu.ravel()]
+    for t in np.flatnonzero(zero):
+        for i in range(d):
+            c = np.zeros((T, d))
+            c[t, i] = 1.0
+            if t > 0:
+                c[t - 1, i] = -1.0
+            columns.append(c.ravel())
+    grads = np.stack([f.grad(x) for f, x in zip(costs, X)])
+    w = np.linalg.lstsq(np.stack(columns, axis=1), -grads.ravel(), rcond=None)[0][0]
+    return w - 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), T=st.integers(1, 6),
+       family=st.sampled_from(["quadratic", "norm_tracking", "composite"]),
+       tracking=st.sampled_from(["l1", "l2", "linf"]),
+       switching=st.sampled_from(["l1", "l2", "linf", "mahalanobis"]),
+       kind=st.sampled_from(["whole", "ball", "box", "mahalanobis ball"]),
+       fraction=st.floats(0.05, 0.95))
+def test_budgeted_solve_properties(seed, d, T, family, tracking, switching, kind, fraction):
+    # every family, tracking norm, switching norm and set the budgeted solve
+    # takes: within the budget, between OPT and base shrunk to the budget,
+    # converged, inside the set; the sets and families it does not take
+    # raise ValueError
+    rng = np.random.default_rng(seed)
+    spec = InstanceSpec(d=d, T=T, family=family, seed=seed % 2**31, tracking_norm=tracking,
+                        switching_norm="l2" if switching == "mahalanobis" else switching,
+                        feasible_kind=kind.split()[-1], feasible_radius=6.0,
+                        x0=tuple(rng.uniform(-1.0, 1.0, d)))
+    inst = generate_instance(spec)
+    norm = _norm(switching, rng, d) if switching == "mahalanobis" else inst.switching_norm
+    feasible = inst.feasible
+    if kind == "mahalanobis ball":
+        Q = _norm("mahalanobis", rng, d)
+        points = np.vstack([inst.x0] + [f.minimizer for f in inst.costs])
+        feasible = FeasibleSet.ball(np.zeros(d), 1.5 * Q(points).max(), Q)
+    base = offline_opt(inst.costs, inst.x0, feasible, norm)
+    binds = base.total_move > 1e-6
+    if binds:
+        L = fraction * base.total_move
+        sol = offline_opt_constrained(inst.costs, inst.x0, L, feasible, norm, base=base)
+        U = np.diff(np.vstack([inst.x0, sol.trajectory]), axis=0)
+        move = float(norm(U).sum())
+        hit = sum(f(x) for f, x in zip(inst.costs, sol.trajectory))
+        assert move <= L * (1.0 + 1e-12) and sol.total_move <= L * (1.0 + 1e-12)
+        assert np.all(feasible.contains(sol.trajectory, 1e-9))
+        # a feasible trajectory priced exactly, so never below OPT; offline_opt
+        # is an independent solve, but its smoothing leaves it up to about
+        # 3e-6 above OPT on flat polyhedral costs, where the budget then
+        # reaches below it
+        assert sol.objective == pytest.approx(hit + move, rel=1e-12, abs=1e-12)
+        assert sol.objective >= base.objective - 1e-5 * abs(base.objective)
+        shrunk = inst.x0 + (L / base.total_move) * (base.trajectory - inst.x0)
+        hit = sum(f(x) for f, x in zip(inst.costs, shrunk))
+        shrunk_objective = hit + float(norm(np.diff(np.vstack([inst.x0, shrunk]), axis=0)).sum())
+        assert sol.objective <= shrunk_objective + 1e-9 * (1.0 + abs(shrunk_objective))
+        assert sol.converged
+    # what the solve does not take raises ValueError, whatever the base
+    fake = base if binds else obd.offline.OfflineSolution(
+        trajectory=base.trajectory + 1.0, total_hit=0.0, total_move=1.0, objective=1.0)
+    for bad in (FeasibleSet.simplex(d, 0.1 / d), FeasibleSet.halfspace(np.ones(d), 1.0),
+                FeasibleSet.ball(np.zeros(d), 6.0, Norm.l1()),
+                FeasibleSet.ball(np.zeros(d), 6.0, Norm.linf())):
+        with pytest.raises(ValueError):
+            offline_opt_constrained(inst.costs, inst.x0, 0.5 * fake.total_move, bad, norm,
+                                    base=fake)
+    chase = generate_instance(InstanceSpec(d=d, T=min(T, d), family="hyperplane_chase",
+                                           seed=seed % 2**31))
+    indicators = [chase.cost_at(t + 1, chase.x0) for t in range(chase.T)]
+    with pytest.raises(ValueError):
+        offline_opt_constrained(indicators, chase.x0, 0.5, base=obd.offline.OfflineSolution(
+            trajectory=np.ones((chase.T, d)), total_hit=0.0, total_move=1.0, objective=1.0))
 
 
 class TestStatic:
