@@ -782,9 +782,10 @@ class _BudgetProgram:
         from its own equation G dx + ds = -rz, so the primal residual does
         not grow.  The reduced system loses accuracy as the gap closes: at a
         cone's apex (a zero move) or an active row W^-T grows like
-        1/sqrt(gap).  So below a relative gap of 1e-8 the corrector's solve
-        takes one step of iterative refinement on the full KKT system (ECOS,
-        Domahidi et al. 2013).  Where rounding still wins, the solve ends
+        1/sqrt(gap).  So once the relative gap is below 1e-8, or the dual
+        residual shows the rounding (above 1e-10 of |q|), the corrector's
+        solve takes one step of iterative refinement on the full KKT system
+        (ECOS, Domahidi et al. 2013).  Where rounding still wins, the solve ends
         once a residual exceeds 100 times its bound, three iterations pass
         without a better iterate, or an iteration fails (a matrix not
         positive definite, a point that leaves a cone).  Returns (X, the
@@ -821,8 +822,9 @@ class _BudgetProgram:
             rz, rzb = GZ + S - h, gb + sb - L
             gap = (float((S * Y).sum()) + sb * yb) / (1.0 + abs(objective))
             # the residuals relative to the primal bound 1e-8 and the dual 1e-4
+            dual = math.sqrt(float((rx * rx).sum())) / q_scale
             residual = max(math.sqrt(float((rz * rz).sum()) + rzb * rzb) / (1e-8 * h_scale),
-                           math.sqrt(float((rx * rx).sum())) / (1e-4 * q_scale))
+                           dual / 1e-4)
             if residual <= 1.0 and (best is None or gap < best[3]):
                 best = (Z[:, :d].copy(), yb, iteration, gap)
             if iteration == max_iterations or not math.isfinite(gap) or best is not None and (
@@ -891,7 +893,7 @@ class _BudgetProgram:
                         c -= _circ(D[0], D[1])
                         c[..., 0] += sigma * mu
                     bb += sigma * mu - db[0] * db[1]
-                    dZ, dirs, db = (refined if gap <= 1e-8 else kkt)(
+                    dZ, dirs, db = (refined if gap <= 1e-8 or dual > 1e-10 else kkt)(
                         -rx, -rz, -rzb, bs, bb)
                     step = min(1.0, -0.99 / min(worst(dirs, db), -1e-300))
                     pairs = [v + step * D for v, D in zip(lam, dirs)]

@@ -218,7 +218,7 @@ class TestNewtonStep:
         # row took 74 Newton steps, and ends 3.4e-9 relative lower
         sol = offline_opt_constrained(costs, np.zeros(2), 0.5 * opt.total_move, ball,
                                       base=opt)
-        assert (sol.iterations, sol.objective.hex()) == (10, "0x1.86a36882b7733p+5")
+        assert (sol.iterations, sol.objective.hex()) == (10, "0x1.86a36882b7732p+5")
 
     def test_pinned_static_in_ball(self):
         costs, ball = _ball_quadratics(6)
