@@ -792,7 +792,8 @@ class _BudgetProgram:
         budget row's multiplier, the iterations run, each one banded
         factorization after the start's, the relative gap, and whether that
         gap is within 1e-8, about the accuracy of the barrier solve this
-        replaced).
+        replaced).  When no iterate counts, it returns the last one, not
+        converged.
         """
         T, d, P = self.T, self.d, self.P
         h, L = self.h, self.L
@@ -911,7 +912,9 @@ class _BudgetProgram:
                 y += step * _mtv(V[1], D[1])
             yb += step * db[1] / wb
             WW = [Vt @ V for Vt, V in zip(WWt, WW)]
-        X, multiplier, _, gap = best or (Z[:, :d].copy(), yb, iteration, gap)
+        if best is None:  # no iterate met the residual bounds: not converged
+            return Z[:, :d].copy(), yb, iteration, gap, False
+        X, multiplier, _, gap = best
         return X, multiplier, iteration, gap, bool(gap <= 1e-8)
 
     def _push(self, V: np.ndarray, vb: float):
@@ -929,32 +932,28 @@ class _BudgetProgram:
 
 def _spend_budget(problem: _TrajectoryProblem, X: np.ndarray, B: np.ndarray,
                   L: float) -> np.ndarray:
-    """The point of the segment from X to B, whose movement exceeds L, that
-    moves L: X itself first scaled toward x0 if it moves more than L.
+    """The point that moves L on the segment from X to B, whose movement
+    exceeds L: X itself first pulled toward x0 if rounding left it over L.
 
-    The movement m(t) of X + t (B - X) is convex in t, so a chord's crossing
-    of L never moves more than L: chord steps raise the low end, and
-    bisections alternating with them keep the bracket shrinking, until the
-    low end moves within 1e-13 L of L or 60 steps have run."""
-    move = problem.movement(X)
-    if move > L:
-        X = problem.x0 + (L / move) * (X - problem.x0)
-        while (move := problem.movement(X)) > L:
-            X = problem.x0 + (1.0 - 1e-15) * (X - problem.x0)
-    D = B - X
-    lo, hi, m_lo, m_hi = 0.0, 1.0, move, problem.movement(B)
-    for k in range(60):
-        if L - m_lo <= 1e-13 * L:
-            break
-        t = lo + (hi - lo) * (L - m_lo) / (m_hi - m_lo) if k % 2 == 0 else 0.5 * (lo + hi)
-        if not lo < t < hi:
-            break
-        m = problem.movement(X + t * D)
-        if m <= L:
-            lo, m_lo = t, m
-        else:
-            hi, m_hi = t, m
-    return X + lo * D
+    Both are one bisection on a segment whose start moves at most L and whose
+    end more.  The movement is convex along it, so the points within L are
+    an interval from the start; the bisection keeps the furthest one found
+    until it moves within 1e-13 L of L or the bracket cannot shrink further
+    in floating point, so it always ends."""
+
+    def bisect(A: np.ndarray, D: np.ndarray) -> np.ndarray:
+        lo, hi, move = 0.0, 1.0, problem.movement(A)
+        while L - move > 1e-13 * L and lo < (t := 0.5 * (lo + hi)) < hi:
+            m = problem.movement(A + t * D)
+            if m <= L:
+                lo, move = t, m
+            else:
+                hi = t
+        return A + lo * D
+
+    if problem.movement(X) > L:  # every round at x0 moves 0
+        X = bisect(np.broadcast_to(problem.x0, X.shape), X - problem.x0)
+    return bisect(X, B - X)
 
 
 def offline_opt_constrained(costs: Sequence[CostFunction], x0, L: float,
@@ -974,13 +973,15 @@ def offline_opt_constrained(costs: Sequence[CostFunction], x0, L: float,
     norms that differ by round).  The solve's point is then pulled within
     the budget (toward x0, where rounding left it over) and always moved
     along the segment to ``base`` until its exact movement is within 1e-13
-    relative of L and not above it (``_spend_budget``).  The objective is
+    relative of L, or as near as rounding allows, and never above it
+    (``_spend_budget``, by bisection).  The objective is
     convex on that segment and least at base, so the step never raises it;
     where the costs are flat along a face, it spends what the solve left
     unspent.  ``lam`` is the budget row's dual variable, ``iterations`` the
     interior-point iterations (one banded Cholesky factorization each, and
-    one more for the start), and ``converged`` whether the duality gap
-    closed to 1e-8 of the objective (the solve aims at 1e-12).
+    one more for the start), and ``converged`` whether an iterate met the
+    residual bounds with its duality gap closed to 1e-8 of the objective
+    (the solve aims at 1e-12).
     """
     if L < 0.0:
         raise ValueError("movement budget L must be >= 0")

@@ -218,7 +218,7 @@ class TestNewtonStep:
         # row took 74 Newton steps, and ends 3.4e-9 relative lower
         sol = offline_opt_constrained(costs, np.zeros(2), 0.5 * opt.total_move, ball,
                                       base=opt)
-        assert (sol.iterations, sol.objective.hex()) == (10, "0x1.86a36882b7732p+5")
+        assert (sol.iterations, sol.objective.hex()) == (10, "0x1.86a36882b77e0p+5")
 
     def test_pinned_static_in_ball(self):
         costs, ball = _ball_quadratics(6)
@@ -501,6 +501,48 @@ class TestConstrained:
         assert sol.lam == pytest.approx(_kkt_multiplier(inst.costs, inst.x0, sol.trajectory),
                                         rel=1e-6)
 
+    def test_spend_budget_off_origin(self):
+        # from x0 = 10, fl(10.3) moves 0.30000000000000071 > 0.3, and scaling
+        # its move by 1 - 1e-15 rounds back to it: the pull toward x0 has to
+        # step on the grid of floats near 10 and still end
+        problem = _TrajectoryProblem([abs_cost(11.0)], [10.0], None, None)
+        X = np.array([[10.3]])
+        assert problem.movement(X) > 0.3
+        spent = obd.offline._spend_budget(problem, X, np.array([[11.0]]), 0.3)
+        assert 0.3 * (1 - 1e-12) <= problem.movement(spent) <= 0.3
+        sol = offline_opt_constrained([abs_cost(11.0)], [10.0], 0.3)
+        assert 0.3 * (1 - 1e-12) <= sol.total_move <= 0.3
+        assert sol.converged
+
+    def test_failed_solve_not_converged(self, monkeypatch):
+        # a factorization failing on the first iteration leaves no iterate
+        # within the residual bounds: the last one comes back unconverged
+        inst = generate_instance(InstanceSpec(d=2, T=6, family="quadratic", seed=3))
+        opt = offline_opt(inst.costs, inst.x0)
+        real, calls = obd.offline._cholesky, []
+
+        def failing(band):
+            calls.append(None)
+            if len(calls) > 1:
+                raise LinAlgError("not positive definite")
+            return real(band)
+
+        monkeypatch.setattr(obd.offline, "_cholesky", failing)
+        L = 0.5 * opt.total_move
+        sol = offline_opt_constrained(inst.costs, inst.x0, L, base=opt)
+        assert len(calls) == 2
+        assert not sol.converged
+        assert sol.total_move <= L
+
+    def test_infeasible_budget_not_converged(self):
+        # from x0 = (5, 0) the unit ball is 4 away, more than L = 3.9: no
+        # iterate meets the primal residual bound, though the gap closes
+        ball = FeasibleSet.ball(np.zeros(2), 1.0, Norm.l2())
+        costs = [make_norm_tracking(np.zeros(2), Norm.l2())] * 3
+        base = offline_opt(costs, [5.0, 0.0], ball)
+        sol = offline_opt_constrained(costs, [5.0, 0.0], 3.9, ball, base=base)
+        assert not sol.converged
+
 
 def test_cone_scaling_and_boundary_step():
     # the Nesterov-Todd scaling W of cone points s and z is symmetric with
@@ -585,7 +627,11 @@ def test_budgeted_solve_properties(seed, d, T, family, tracking, switching, kind
         U = np.diff(np.vstack([inst.x0, sol.trajectory]), axis=0)
         move = float(norm(U).sum())
         hit = sum(f(x) for f, x in zip(inst.costs, sol.trajectory))
-        assert move <= L * (1.0 + 1e-12) and sol.total_move <= L * (1.0 + 1e-12)
+        # the budget is spent to 1e-12, or to the rounding grid of the
+        # trajectory's coordinates where that is coarser
+        ulp = np.spacing(np.abs(np.vstack([inst.x0, sol.trajectory])).max())
+        grid = 4.0 * T * float(norm(np.full((1, d), ulp)).sum())
+        assert move <= L * (1.0 + 1e-12) and L * (1.0 - 1e-12) - grid <= sol.total_move <= L
         assert np.all(feasible.contains(sol.trajectory, 1e-9))
         # a feasible trajectory priced exactly, so never below OPT; offline_opt
         # is an independent solve, but its smoothing leaves it up to about
