@@ -33,6 +33,6 @@ from .offline import (
 )
 from .harness import (
     AuditResult, ResultTable, RunReport, audit_theorem1, audit_theorem3,
-    experiment_cr_vs_dim, experiment_lower_bound, experiment_regret_sweep,
-    mirror_grad_bound, run,
+    experiment_audit_suite, experiment_cr_vs_dim, experiment_lower_bound,
+    experiment_regret_sweep, mirror_grad_bound, run,
 )

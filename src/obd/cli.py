@@ -1,12 +1,16 @@
-"""Command-line entry point: parse config, dispatch experiments, emit data files.
+"""Command-line entry point: parse config, run one experiment, write its files.
 
-Every experiment writes one ``run_<hash>.json`` payload per run, and the
-exit code is read from those payloads alone: 2 when an audit in some run's
-``totals.audits`` did not pass, else 3 when some run's ``totals.unverified``
-is non-empty (a comparator's solve raised or did not converge, or an online
-step did not converge), else 0; 1 on usage or I/O errors.  Every output file
-is written atomically (temp file plus rename).  Diagnostics go to stderr,
-gated by the OBD_LOG environment variable (off | info | debug).
+``_EXPERIMENTS`` maps each experiment to how it builds its result table and
+run payloads from the config, the header of its plot file
+``plot_<experiment>.dat``, and how it takes the plot rows from the table and
+payloads.  ``_run_experiment`` reads that entry and writes ``results.csv``
+(and ``results.json``), the plot file and one ``run_<hash>.json`` per run.
+The exit code is read from those payloads alone: 2 when an audit in some
+run's ``totals.audits`` did not pass, else 3 when some run's
+``totals.unverified`` is non-empty (a comparator's solve raised or did not
+converge, or an online step did not converge), else 0; 1 on usage or I/O
+errors.  Every output file is written atomically (temp file plus rename).
+Diagnostics go to stderr, gated by the OBD_LOG variable (off | info | debug).
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ from .algorithms import (
 from .costs import InstanceSpec, generate_instance
 from .geometry import euclidean_map
 from .harness import (
-    ResultTable, atomic_write_text, experiment_cr_vs_dim, experiment_lower_bound,
-    experiment_regret_sweep, mirror_grad_bound, run, run_theorem1_case,
-    theorem1_suite,
+    ResultTable, atomic_write_text, experiment_audit_suite, experiment_cr_vs_dim,
+    experiment_lower_bound, experiment_regret_sweep, mirror_grad_bound, report_row,
+    run,
 )
 
 log = logging.getLogger("obd")
@@ -98,9 +102,6 @@ class Config:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        data = dict(data)
-        if "dims" in data:
-            data["dims"] = tuple(data["dims"])
         return Config(**data)
 
 
@@ -167,33 +168,11 @@ def _merge_config(args: argparse.Namespace) -> Config:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("field 'config' must hold a JSON object")
-    cfg = Config.from_dict(data)
-    for name in ("experiment", "family", "trials", "seed", "T", "d", "algo",
-                 "beta", "alpha", "eta", "cond", "diameter", "out", "format",
-                 "jobs"):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, name, val)
-    if args.dims is not None:
-        cfg.dims = tuple(int(v) for v in args.dims.split(","))
-    cfg.__post_init__()
-    return cfg
-
-
-def _write_table(cfg: Config, table: ResultTable) -> None:
-    path = os.path.join(cfg.out, "results.csv")
-    if cfg.format == "json":
-        atomic_write_text(os.path.join(cfg.out, "results.json"),
-                          json.dumps(table.sorted().rows, sort_keys=True))
-    table.write_csv(path)
-    log.info("wrote %s", path)
-
-
-def _write_dat(cfg: Config, name: str, header: str, rows) -> None:
-    lines = [f"# {header}"]
-    for row in rows:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    atomic_write_text(os.path.join(cfg.out, f"plot_{name}.dat"), "\n".join(lines) + "\n")
+    flags = {name: val for name, val in vars(args).items()
+             if val is not None and name != "config"}
+    if "dims" in flags:
+        flags["dims"] = flags["dims"].split(",")
+    return Config.from_dict({**data, **flags})
 
 
 def _write_report_dict(cfg: Config, payload_dict: dict) -> None:
@@ -223,64 +202,9 @@ def _exit_status(payloads: Sequence[dict]) -> int:
     return 3 if any(t["unverified"] for t in totals) else 0
 
 
-def _cr_vs_dim(cfg: Config) -> list[dict]:
-    beta = cfg.beta if cfg.beta is not None else 0.5
-    table, payloads = experiment_cr_vs_dim(
-        cfg.family, cfg.dims, cfg.trials, cfg.seed, beta=beta, T=cfg.T,
-        cond=cfg.cond, diameter=cfg.diameter,
-        tracking_scale=cfg.tracking_scale, jobs=cfg.jobs)
-    _write_table(cfg, table)
-    _write_dat(cfg, "cr_vs_dim", "d mean_cr min_cr max_cr", _dim_stats(table, "cr", "cr"))
-    return payloads
-
-
-def _lower_bound(cfg: Config) -> list[dict]:
-    table, payloads = experiment_lower_bound(cfg.dims)
-    _write_table(cfg, table)
-    _write_dat(cfg, "lower_bound", "d online_cost offline_cost ratio",
-               [(r["d"], r["total_cost"], r["opt_cost"], r["cr"]) for r in table.rows])
-    return payloads
-
-
-def _regret_sweep(cfg: Config) -> list[dict]:
-    table, payloads = experiment_regret_sweep(cfg.dims, cfg.trials, cfg.seed,
-                                              T=cfg.T, diameter=cfg.diameter,
-                                              jobs=cfg.jobs)
-    _write_table(cfg, table)
-    _write_dat(cfg, "regret_sweep", "d mean_regret min_regret max_bound",
-               _dim_stats(table, "regret_L", "bound"))
-    return payloads
-
-
-def _audit_suite(cfg: Config) -> list[dict]:
-    specs = theorem1_suite(cfg.seed, count=min(50, 12 * cfg.trials),
-                           dims=tuple(d for d in cfg.dims if d <= 10) or (2, 5),
-                           T=min(cfg.T, 50))
-    table = ResultTable()
-    dat = []
-    payloads = []
-    for i, spec in enumerate(specs):
-        report, audits = run_theorem1_case(spec)
-        payloads.append(report.to_dict())
-        bound = choose_beta(report.instance.alpha).competitive_ratio
-        opt = report.comparators["opt"]
-        worst = max((a.worst_residual for a in audits), default="")  # blank: no audit
-        table.append(family=spec.family, d=spec.d, trial=i, seed=spec.seed,
-                     algo="primal_obd", total_cost=report.total_cost,
-                     opt_cost=opt.objective if opt else "",
-                     cr=report.cr if report.cr is not None else "", bound=bound,
-                     audit_worst_residual=worst)
-        if report.cr is not None:
-            dat.append((i, report.cr, bound, worst))
-            log.info("audit case %d: cr=%.4f bound=%.4f worst_residual=%.3g",
-                     i, report.cr, bound, worst)
-    _write_table(cfg, table)
-    _write_dat(cfg, "audit_suite", "case cr bound worst_residual", dat)
-    return payloads
-
-
 def _build_algorithm(cfg: Config, instance):
     emap = euclidean_map()
+    kw = {"level_tol": cfg.level_tol} if cfg.level_tol else {}
     if cfg.algo == "primal_obd":
         if cfg.beta is not None:
             beta = cfg.beta
@@ -288,7 +212,6 @@ def _build_algorithm(cfg: Config, instance):
             beta = choose_beta(cfg.alpha).beta
         else:
             beta = 0.5
-        kw = {"level_tol": cfg.level_tol} if cfg.level_tol else {}
         return PrimalOBD(PrimalConfig(beta=beta, mirror_map=emap, **kw))
     if cfg.algo == "dual_obd":
         if cfg.eta is not None:
@@ -301,14 +224,13 @@ def _build_algorithm(cfg: Config, instance):
                     "field 'eta' required: the feasible set is unbounded, so the "
                     "regret-optimal eta cannot be derived")
             eta = choose_eta(G, D, 1.0, instance.T).eta
-        kw = {"level_tol": cfg.level_tol} if cfg.level_tol else {}
         return DualOBD(DualConfig(eta=eta, mirror_map=emap, **kw))
     return {"ogd": OGD, "omd": lambda: OMD(emap), "greedy": Greedy,
             "static_play": StaticPlay,
             "projection": lambda: SetProjectionResponder(emap)}[cfg.algo]()
 
 
-def _single_run(cfg: Config) -> list[dict]:
+def _single_run(cfg: Config) -> tuple[ResultTable, list[dict]]:
     spec = InstanceSpec(d=cfg.d, T=cfg.T, family=cfg.family, seed=cfg.seed,
                         cond=cfg.cond, diameter=cfg.diameter,
                         tracking_norm=cfg.tracking_norm,
@@ -320,16 +242,60 @@ def _single_run(cfg: Config) -> list[dict]:
     algorithm = _build_algorithm(cfg, instance)
     comparators = () if instance.adaptive else ("opt", "static")
     report = run(algorithm, instance, comparators=comparators)
-    table = ResultTable()
-    table.append(family=spec.family, d=spec.d, trial=0, seed=spec.seed,
-                 algo=report.algo, total_cost=report.total_cost,
-                 opt_cost=report.comparators.get("opt").objective
-                 if report.comparators.get("opt") else "",
-                 cr=report.cr if report.cr is not None else "")
-    _write_table(cfg, table)
-    _write_dat(cfg, "single_run", "t hit move",
-               [(s.t, s.hit, s.move) for s in report.steps])
-    return [report.to_dict()]
+    return ResultTable([report_row(report, 0)]), [report.to_dict()]
+
+
+_EXPERIMENTS = {
+    "cr_vs_dim": (
+        lambda cfg: experiment_cr_vs_dim(
+            cfg.family, cfg.dims, cfg.trials, cfg.seed,
+            beta=cfg.beta if cfg.beta is not None else 0.5, T=cfg.T,
+            cond=cfg.cond, diameter=cfg.diameter,
+            tracking_scale=cfg.tracking_scale, jobs=cfg.jobs),
+        "d mean_cr min_cr max_cr",
+        lambda table, payloads: _dim_stats(table, "cr", "cr")),
+    "regret_sweep": (
+        lambda cfg: experiment_regret_sweep(cfg.dims, cfg.trials, cfg.seed, T=cfg.T,
+                                            diameter=cfg.diameter, jobs=cfg.jobs),
+        "d mean_regret min_regret max_bound",
+        lambda table, payloads: _dim_stats(table, "regret_L", "bound")),
+    "lower_bound": (
+        lambda cfg: experiment_lower_bound(cfg.dims),
+        "d online_cost offline_cost ratio",
+        lambda table, payloads: [(r["d"], r["total_cost"], r["opt_cost"], r["cr"])
+                                 for r in table.rows]),
+    "audit_suite": (
+        lambda cfg: experiment_audit_suite(cfg.seed, cfg.trials, cfg.dims, cfg.T,
+                                           jobs=cfg.jobs),
+        "case cr bound worst_residual",
+        lambda table, payloads: [
+            (r["trial"], r["cr"], r["bound"], r["audit_worst_residual"])
+            for r in table.rows if r["cr"] != ""]),
+    "single_run": (
+        _single_run,
+        "t hit move",
+        lambda table, payloads: [(s["t"], s["hit"], s["move"])
+                                 for s in payloads[0]["steps"]]),
+}
+
+
+def _run_experiment(cfg: Config) -> list[dict]:
+    """Run ``cfg.experiment``, write its files, return its run payloads."""
+    build, header, plot_rows = _EXPERIMENTS[cfg.experiment]
+    table, payloads = build(cfg)
+    path = os.path.join(cfg.out, "results.csv")
+    if cfg.format == "json":
+        atomic_write_text(os.path.join(cfg.out, "results.json"),
+                          json.dumps(table.sorted().rows, sort_keys=True))
+    table.write_csv(path)
+    log.info("wrote %s", path)
+    lines = [f"# {header}"] + [" ".join(repr(float(v)) for v in row)
+                               for row in plot_rows(table, payloads)]
+    atomic_write_text(os.path.join(cfg.out, f"plot_{cfg.experiment}.dat"),
+                      "\n".join(lines) + "\n")
+    for payload in payloads:
+        _write_report_dict(cfg, payload)
+    return payloads
 
 
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:
@@ -346,13 +312,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         print(f"obd: config error: {exc}", file=sys.stderr)
         return 1
     try:
-        dispatch = {"cr_vs_dim": _cr_vs_dim, "lower_bound": _lower_bound,
-                    "regret_sweep": _regret_sweep, "audit_suite": _audit_suite,
-                    "single_run": _single_run}
-        payloads = dispatch[cfg.experiment](cfg)
-        for payload in payloads:
-            _write_report_dict(cfg, payload)
-        return _exit_status(payloads)
+        return _exit_status(_run_experiment(cfg))
     except (ValueError, OSError) as exc:
         print(f"obd: error: {exc}", file=sys.stderr)
         return 1

@@ -347,6 +347,19 @@ class ResultTable:
         atomic_write_text(path, self.to_csv_text())
 
 
+def report_row(report: RunReport, trial: int, **cells) -> dict:
+    """The result row of ``report``: its spec, costs, cr and worst audit
+    residual, blank where unset; ``cells`` set or override columns."""
+    spec, opt = report.instance.spec, report.comparators.get("opt")
+    return {c: "" for c in CSV_COLUMNS} | {
+        "family": spec.family, "d": spec.d, "trial": trial, "seed": spec.seed,
+        "algo": report.algo, "total_cost": report.total_cost,
+        "opt_cost": opt.objective if opt else "",
+        "cr": report.cr if report.cr is not None else "",
+        "audit_worst_residual": report.worst_audit_residual() if report.audits else "",
+    } | cells
+
+
 def _fmt(v) -> str:
     if isinstance(v, float):
         return repr(v)
@@ -374,26 +387,21 @@ def derive_seed(base_seed: int, *key: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _cr_trial(spec_dict: dict, beta: float) -> tuple[dict, dict]:
+def _cr_trial(task) -> tuple[dict, dict]:
+    """One primal run of (spec dict, beta, trial): its row and payload.  At
+    beta None or the proven ``choose_beta(alpha).beta`` it runs the theorem-1
+    audits, and its row carries the bound 3 + 8/alpha."""
+    spec_dict, beta, trial = task
     spec = InstanceSpec.from_dict(spec_dict)
     instance = generate_instance(spec)
     choice = choose_beta(instance.alpha) if instance.alpha is not None else None
-    if choice is not None and beta == choice.beta:
-        report, _ = run_theorem1_case(spec)
+    proven = choice is not None and beta in (None, choice.beta)
+    if proven:
+        report = _theorem1_run(instance)
     else:
         cfg = PrimalConfig(beta=beta, mirror_map=euclidean_map())
         report = run(PrimalOBD(cfg), instance, comparators=("opt",))
-    opt = report.comparators.get("opt")
-    row = {
-        "family": spec.family, "d": spec.d, "trial": -1, "seed": spec.seed,
-        "algo": "primal_obd", "total_cost": report.total_cost,
-        "opt_cost": opt.objective if opt else "",
-        "cr": report.cr if report.cr is not None else "",
-        "regret_L": "", "bound": "", "audit_worst_residual": "",
-    }
-    if report.audits:
-        row["bound"] = choice.competitive_ratio
-        row["audit_worst_residual"] = report.worst_audit_residual()
+    row = report_row(report, trial, bound=choice.competitive_ratio if proven else "")
     return row, report.to_dict()
 
 
@@ -408,8 +416,8 @@ def experiment_cr_vs_dim(family: str, dims: Sequence[int], trials: int,
     Defaults mirror the reference sweep: beta = 0.5, condition number 10,
     target-set diameter 10, 10 seeded trials per dimension.  Only when beta
     is the ``choose_beta(alpha)`` value the bound 3 + 8/alpha is proven for
-    does a trial run as ``run_theorem1_case``; its row then carries the
-    bound and the worst residual of the theorem-1 audits.
+    does a trial run the theorem-1 audits of ``run_theorem1_case``; its row
+    then carries the bound, and the audits' worst residual when they ran.
     """
     tasks = []
     for di, d in enumerate(dims):
@@ -418,17 +426,10 @@ def experiment_cr_vs_dim(family: str, dims: Sequence[int], trials: int,
                                 seed=derive_seed(seed, di, trial),
                                 cond=cond, diameter=diameter,
                                 tracking_scale=tracking_scale)
-            tasks.append((spec.to_dict(), beta, d, trial))
-    results = _map_tasks(_cr_task, tasks, jobs)
+            tasks.append((spec.to_dict(), beta, trial))
+    results = _map_tasks(_cr_trial, tasks, jobs)
     table = ResultTable([row for row, _ in results]).sorted()
     return table, [rep for _, rep in results]
-
-
-def _cr_task(task) -> tuple[dict, dict]:
-    spec_dict, beta, d, trial = task
-    row, report = _cr_trial(spec_dict, beta)
-    row["trial"] = trial
-    return row, report
 
 
 def _map_tasks(fn, tasks, jobs: int):
@@ -475,11 +476,8 @@ def experiment_lower_bound(dims: Sequence[int]) -> tuple[ResultTable, list[dict]
     payloads = []
     for d in dims:
         report, offline = _lower_bound_case(d)
-        table.append(family=HYPERPLANE_CHASE, d=d, trial=0, seed=0,
-                     algo="projection", total_cost=report.total_cost,
-                     opt_cost=offline, cr=report.total_cost / offline,
-                     bound=math.sqrt(d),
-                     audit_worst_residual=report.worst_audit_residual())
+        table.rows.append(report_row(report, 0, opt_cost=offline,
+                                     cr=report.total_cost / offline, bound=math.sqrt(d)))
         payloads.append(report.to_dict())
     return table, payloads
 
@@ -512,14 +510,31 @@ def theorem3_suite(seed: int, count: int = 30, dims: Sequence[int] = (2, 5),
 
 
 def run_theorem1_case(spec: InstanceSpec) -> tuple[RunReport, list[AuditResult]]:
-    instance = generate_instance(spec)
+    report = _theorem1_run(generate_instance(spec))
+    return report, report.audits
+
+
+def _theorem1_run(instance: Instance) -> RunReport:
+    """The primal stepper at the proven beta, with the theorem-1 audits."""
     alpha = instance.alpha
-    choice = choose_beta(alpha)
-    cfg = PrimalConfig(beta=choice.beta, mirror_map=euclidean_map())
+    cfg = PrimalConfig(beta=choose_beta(alpha).beta, mirror_map=euclidean_map())
     report = run(PrimalOBD(cfg), instance, comparators=("opt",))
     # without its comparator the audit cannot run; unverified() names it
     report.audits = audit_theorem1(report, alpha) if report.comparators["opt"] else []
-    return report, report.audits
+    return report
+
+
+def experiment_audit_suite(seed: int, trials: int, dims: Sequence[int], T: int,
+                           jobs: int = 1) -> tuple[ResultTable, list[dict]]:
+    """``min(50, 12 * trials)`` ``theorem1_suite`` cases over the dims up to
+    10 (else (2, 5)), T capped at 50, run as cr_vs_dim trials at the proven
+    beta: the table in case order and one run payload per case."""
+    specs = theorem1_suite(seed, count=min(50, 12 * trials),
+                           dims=tuple(d for d in dims if d <= 10) or (2, 5),
+                           T=min(T, 50))
+    results = _map_tasks(_cr_trial, [(spec.to_dict(), None, i)
+                                     for i, spec in enumerate(specs)], jobs)
+    return ResultTable([row for row, _ in results]), [rep for _, rep in results]
 
 
 @dataclass
@@ -600,22 +615,10 @@ def experiment_regret_sweep(dims: Sequence[int], trials: int, seed: int,
 
 def _regret_task(task) -> tuple[list[dict], list[dict]]:
     spec_dict, trial = task
-    spec = InstanceSpec.from_dict(spec_dict)
-    cases = run_theorem3_case(spec)
-    rows = []
-    for case in cases:
-        opt = case.report.comparators.get("opt")
-        rows.append({
-            "family": spec.family, "d": spec.d, "trial": trial,
-            "seed": spec.seed, "algo": f"dual_obd(L={case.L:g})",
-            "total_cost": case.report.total_cost,
-            "opt_cost": opt.objective if opt else "",
-            "cr": case.report.cr if case.report.cr is not None else "",
-            "regret_L": case.regret if case.regret is not None else "",
-            "bound": case.bound,
-            "audit_worst_residual": case.report.worst_audit_residual()
-            if case.report.audits else "",
-        })
+    cases = run_theorem3_case(InstanceSpec.from_dict(spec_dict))
+    rows = [report_row(case.report, trial, algo=f"dual_obd(L={case.L:g})",
+                       regret_L=case.regret if case.regret is not None else "",
+                       bound=case.bound) for case in cases]
     # the zero-budget case shares the report of the smallest-eta run
     reports = {id(case.report): case.report for case in cases}
     return rows, [rep.to_dict() for rep in reports.values()]

@@ -6,6 +6,7 @@ import pytest
 
 from obd.algorithms import choose_beta
 from obd.cli import Config, run_cli
+from obd.harness import theorem1_suite
 
 
 def test_help_exits_zero(capsys):
@@ -154,7 +155,23 @@ class TestTheoremAuditsWithRaisingComparator:
         rows = self._rows(out)
         assert rows and all(r["opt_cost"] == r["cr"] == r["audit_worst_residual"] == ""
                             for r in rows)
+        # 12 cases per trial, in case order, each bounded by 3 + 8/alpha
+        specs = theorem1_suite(4, count=12, dims=(2,), T=10)
+        assert [float(r["bound"]) for r in rows] == pytest.approx(
+            [3.0 + 8.0 / spec.tracking_scale for spec in specs])
         assert len((out / "plot_audit_suite.dat").read_text().splitlines()) == 1
+
+    def test_cr_vs_dim_at_the_proven_beta(self, tmp_path, monkeypatch):
+        # the bound is proven for the beta the trial runs at, solved or not
+        import obd.harness
+        monkeypatch.setattr(obd.harness, "offline_opt", self._raise)
+        out = tmp_path / "c"
+        assert run_cli(["--experiment", "cr_vs_dim", "--family", "norm_tracking",
+                        "--beta", repr(choose_beta(1.0).beta), *self.ARGS,
+                        "--out", str(out)]) == 3
+        (row,) = self._rows(out)
+        assert row["cr"] == row["audit_worst_residual"] == ""
+        assert float(row["bound"]) == pytest.approx(11.0)
 
     def test_regret_sweep(self, tmp_path, monkeypatch):
         # offline_opt raises, and so does every budgeted solve with L > 0:
@@ -201,13 +218,16 @@ class TestTheoremAuditsWithRaisingComparator:
         assert files and len(written) == len(files)
 
 
-def test_cr_vs_dim_jobs_do_not_change_csv(tmp_path):
-    args = ["--experiment", "cr_vs_dim", "--dims", "2,3", "--trials", "2",
-            "--seed", "7", "--T", "10", "--family", "norm_tracking"]
-    assert run_cli(args + ["--jobs", "1", "--out", str(tmp_path / "one")]) == 0
-    assert run_cli(args + ["--jobs", "2", "--out", str(tmp_path / "two")]) == 0
-    assert (tmp_path / "one" / "results.csv").read_bytes() == \
-        (tmp_path / "two" / "results.csv").read_bytes()
+@pytest.mark.parametrize("experiment", ["cr_vs_dim", "regret_sweep", "audit_suite"])
+def test_jobs_do_not_change_files(tmp_path, experiment):
+    args = ["--experiment", experiment, "--dims", "2,3", "--trials", "2",
+            "--seed", "7", "--T", "10", "--family", "norm_tracking", "--format", "json"]
+    files = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        assert run_cli(args + ["--jobs", jobs, "--out", str(out)]) == 0
+        files.append({f: (out / f).read_bytes() for f in os.listdir(out)})
+    assert len(files[0]) > 3 and files[0] == files[1]
 
 
 class TestSingleRun:

@@ -11,8 +11,9 @@ from obd.costs import InstanceSpec, generate_instance, make_norm_tracking
 from obd.geometry import FeasibleSet, Norm, entropy_map, euclidean_map
 from obd.harness import (
     CSV_COLUMNS, ResultTable, audit_theorem1, audit_theorem3, derive_seed,
-    experiment_cr_vs_dim, lower_bound_run, mirror_grad_bound, run,
-    run_theorem1_case, run_theorem3_case, theorem1_suite, theorem3_suite,
+    experiment_audit_suite, experiment_cr_vs_dim, lower_bound_run,
+    mirror_grad_bound, run, run_theorem1_case, run_theorem3_case, theorem1_suite,
+    theorem3_suite,
 )
 
 
@@ -262,6 +263,19 @@ class TestResultTable:
         assert all(a["passed"] for a in audits)
         assert audits[0]["worst_residual"] == pytest.approx(row["cr"] - 11.0)
         assert row["audit_worst_residual"] == max(a["worst_residual"] for a in audits)
+
+    def test_one_instance_per_trial_at_the_proven_beta(self, monkeypatch):
+        import obd.harness
+        generate, made = obd.harness.generate_instance, []
+        monkeypatch.setattr(obd.harness, "generate_instance",
+                            lambda spec: made.append(spec) or generate(spec))
+        experiment_cr_vs_dim("norm_tracking", (2,), 3, seed=71,
+                             beta=choose_beta(1.0).beta, T=10)
+        assert len(made) == 3
+        table, payloads = experiment_audit_suite(71, 1, (2,), 10)
+        assert len(table.rows) == len(payloads) == 12 and len(made) == 15
+        run_theorem1_case(theorem1_suite(seed=71, count=1)[0])
+        assert len(made) == 16
 
     def test_derive_seed_stable(self):
         assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
