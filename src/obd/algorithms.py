@@ -35,10 +35,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .costs import CostFunction, IndicatorCost
-from .geometry import FeasibleSet, MirrorMap, Norm
+from .geometry import FeasibleSet, MirrorMap, Norm, euclidean_map
 from .projection import (  # noqa: F401  (solve_regularized: see above)
-    _Path, _euclidean_project, _multiplier_root, project_set, project_sublevel,
-    solve_regularized,
+    _Path, _multiplier_root, project_set, project_sublevel, solve_regularized,
 )
 
 
@@ -277,6 +276,16 @@ def choose_eta(G: float, L: float, m: float, T: int) -> EtaChoice:
 # Balance curves (continuity / bracket diagnostics)
 # ---------------------------------------------------------------------------
 
+def _level_sweep(x_prev: np.ndarray, f: CostFunction, cfg, num: int, lowest, side):
+    """Sample (l, side(x_l, l)) at ``num`` levels from ``lowest(f(v), f(x_prev))``
+    up to f(x_prev), x_l the projection of x_prev onto the l-sublevel set."""
+    fv, fx = f.min_value, f(x_prev)
+    ls = np.linspace(lowest(fv, fx), fx, num)
+    return ls, np.asarray([
+        side(project_sublevel(cfg.mirror_map, f, float(l), x_prev, cfg.feasible).x,
+             float(l)) for l in ls])
+
+
 def primal_balance_curve(x_prev, f: CostFunction, cfg: PrimalConfig,
                          num: int = 100):
     """Sample (l, movement(l) - beta*l) over the levels [f(v), f(x_prev)].
@@ -285,31 +294,20 @@ def primal_balance_curve(x_prev, f: CostFunction, cfg: PrimalConfig,
     sign once, in the cell that holds the level of ``primal_obd_step``.
     """
     x_prev = np.asarray(x_prev, dtype=float)
-    fv, fx = f.min_value, f(x_prev)
-    ls = np.linspace(fv + 1e-9 * max(1.0, fx - fv), fx, num)
-    vals = []
-    for l in ls:
-        proj = project_sublevel(cfg.mirror_map, f, float(l), x_prev, cfg.feasible)
-        vals.append(cfg.mirror_map.norm(proj.x - x_prev) - cfg.beta * float(l))
-    return ls, np.asarray(vals)
+    return _level_sweep(
+        x_prev, f, cfg, num, lambda fv, fx: fv + 1e-9 * max(1.0, fx - fv),
+        lambda x, l: cfg.mirror_map.norm(x - x_prev) - cfg.beta * l)
 
 
 def dual_balance_curve(x_prev, f: CostFunction, cfg: DualConfig,
                        num: int = 100):
     """Sample (l, dual movement - eta * dual gradient norm) over the levels."""
     x_prev = np.asarray(x_prev, dtype=float)
-    norm = cfg.mirror_map.norm
-    fv, fx = f.min_value, f(x_prev)
-    lo = fv + max(cfg.level_tol, 1e-12 * (fx - fv))
-    ls = np.linspace(lo, fx, num)
-    gp = cfg.mirror_map.grad(x_prev)
-    vals = []
-    for l in ls:
-        proj = project_sublevel(cfg.mirror_map, f, float(l), x_prev, cfg.feasible)
-        lhs = norm.dual_value(cfg.mirror_map.grad(proj.x) - gp)
-        rhs = cfg.eta * norm.dual_value(f.grad(proj.x))
-        vals.append(lhs - rhs)
-    return ls, np.asarray(vals)
+    norm, gp = cfg.mirror_map.norm, cfg.mirror_map.grad(x_prev)
+    return _level_sweep(
+        x_prev, f, cfg, num, lambda fv, fx: fv + max(cfg.level_tol, 1e-12 * (fx - fv)),
+        lambda x, l: norm.dual_value(cfg.mirror_map.grad(x) - gp)
+        - cfg.eta * norm.dual_value(f.grad(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +341,17 @@ class _BalancedStepper(OnlineAlgorithm):
     recorded movement uses the instance's switching norm (they coincide
     except in the norm-equivalence extension of the ratio guarantee)."""
 
+    def __init__(self, cfg):
+        self.cfg = cfg
+
     def start(self, instance) -> None:
         super().start(instance)
         self._cfg = replace(self.cfg, feasible=instance.feasible) \
             if self.cfg.feasible is None else self.cfg
 
-    def _account(self, rec: StepRecord, x_prev: np.ndarray) -> StepRecord:
+    def _account(self, rec: StepRecord) -> StepRecord:
         if self._cfg.mirror_map.norm.kind != self.norm.kind:
-            rec = replace(rec, move=self.norm(rec.x - x_prev))
+            rec = replace(rec, move=self.norm(rec.x - self.x))
         self.x = rec.x
         return rec
 
@@ -358,23 +359,15 @@ class _BalancedStepper(OnlineAlgorithm):
 class PrimalOBD(_BalancedStepper):
     name = "primal_obd"
 
-    def __init__(self, cfg: PrimalConfig):
-        self.cfg = cfg
-        self._cfg = cfg
-
     def step(self, t: int, f: CostFunction) -> StepRecord:
-        return self._account(primal_obd_step(self.x, f, self._cfg, t=t), self.x)
+        return self._account(primal_obd_step(self.x, f, self._cfg, t=t))
 
 
 class DualOBD(_BalancedStepper):
     name = "dual_obd"
 
-    def __init__(self, cfg: DualConfig):
-        self.cfg = cfg
-        self._cfg = cfg
-
     def step(self, t: int, f: CostFunction) -> StepRecord:
-        return self._account(dual_obd_step(self.x, f, self._cfg, t=t), self.x)
+        return self._account(dual_obd_step(self.x, f, self._cfg, t=t))
 
 
 class SetProjectionResponder(OnlineAlgorithm):
@@ -392,10 +385,8 @@ class SetProjectionResponder(OnlineAlgorithm):
     def step(self, t: int, f: CostFunction) -> StepRecord:
         if not f.is_indicator:
             raise ValueError("projection responder expects indicator costs")
-        rec = _indicator_step(self.mirror_map, self.norm, f, self.x, t)
-        rec = replace(rec, t=t)
-        self.x = rec.x
-        return rec
+        return self._finish(t, f, project_set(self.mirror_map, f.constraint, self.x),
+                            Branch.SET_PROJECTION)
 
 
 class Greedy(OnlineAlgorithm):
@@ -417,32 +408,9 @@ class StaticPlay(OnlineAlgorithm):
         return self._finish(t, f, x_new)
 
 
-class OGD(OnlineAlgorithm):
-    """Online gradient descent on the previous round's gradient, step c/sqrt(t)."""
-
-    name = "ogd"
-
-    def __init__(self, c: float = 1.0):
-        self.c = c
-
-    def start(self, instance) -> None:
-        super().start(instance)
-        self._prev: Optional[CostFunction] = None
-
-    def step(self, t: int, f: CostFunction) -> StepRecord:
-        if self._prev is None:
-            x_new = self.x.copy()
-        else:
-            g = self._prev.grad(self.x)
-            x_new = _euclidean_project(self.feasible, self.x - (self.c / math.sqrt(t)) * g)
-        self._prev = f
-        return self._finish(t, f, x_new)
-
-
 class OMD(OnlineAlgorithm):
-    """Online mirror descent: dual step on the previous gradient, then
-    Bregman projection onto the feasible set.  With the Euclidean map this
-    reproduces OGD exactly."""
+    """Online mirror descent: dual step c/sqrt(t) on the previous round's
+    gradient, then Bregman projection onto the feasible set."""
 
     name = "omd"
 
@@ -464,3 +432,13 @@ class OMD(OnlineAlgorithm):
             x_new = project_set(self.mirror_map, self.feasible, y)
         self._prev = f
         return self._finish(t, f, x_new)
+
+
+class OGD(OMD):
+    """Online gradient descent: ``OMD`` under the Euclidean map, whose
+    gradient maps are the identity and whose projection is the Euclidean one."""
+
+    name = "ogd"
+
+    def __init__(self, c: float = 1.0):
+        super().__init__(euclidean_map(), c)

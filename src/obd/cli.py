@@ -2,8 +2,9 @@
 
 ``_EXPERIMENTS`` maps each experiment to how it builds its result table and
 run payloads from the config, the header of its plot file
-``plot_<experiment>.dat``, and how it takes the plot rows from the table and
-payloads.  ``_run_experiment`` reads that entry and writes ``results.csv``
+``plot_<experiment>.dat``, how it takes the plot rows from the table and
+payloads, and the ``Config`` fields its builder reads; any other field given
+by a flag or in the config file is a usage error.  ``_run_experiment`` reads that entry and writes ``results.csv``
 (and ``results.json``), the plot file and one ``run_<hash>.json`` per run.
 The exit code is read from those payloads alone: 2 when an audit in some
 run's ``totals.audits`` did not pass, else 3 when some run's
@@ -172,7 +173,13 @@ def _merge_config(args: argparse.Namespace) -> Config:
              if val is not None and name != "config"}
     if "dims" in flags:
         flags["dims"] = flags["dims"].split(",")
-    return Config.from_dict({**data, **flags})
+    cfg = Config.from_dict({**data, **flags})
+    unread = (set(data) | set(flags)) - {"experiment", "out", "format"} \
+        - set(_EXPERIMENTS[cfg.experiment][3].split())
+    if unread:
+        raise ValueError(f"experiment {cfg.experiment!r} does not read "
+                         f"{sorted(unread)}")
+    return cfg
 
 
 def _write_report_dict(cfg: Config, payload_dict: dict) -> None:
@@ -253,35 +260,41 @@ _EXPERIMENTS = {
             cond=cfg.cond, diameter=cfg.diameter,
             tracking_scale=cfg.tracking_scale, jobs=cfg.jobs),
         "d mean_cr min_cr max_cr",
-        lambda table, payloads: _dim_stats(table, "cr", "cr")),
+        lambda table, payloads: _dim_stats(table, "cr", "cr"),
+        "family dims trials seed beta T cond diameter tracking_scale jobs"),
     "regret_sweep": (
         lambda cfg: experiment_regret_sweep(cfg.dims, cfg.trials, cfg.seed, T=cfg.T,
                                             diameter=cfg.diameter, jobs=cfg.jobs),
         "d mean_regret min_regret max_bound",
-        lambda table, payloads: _dim_stats(table, "regret_L", "bound")),
+        lambda table, payloads: _dim_stats(table, "regret_L", "bound"),
+        "dims trials seed T diameter jobs"),
     "lower_bound": (
         lambda cfg: experiment_lower_bound(cfg.dims),
         "d online_cost offline_cost ratio",
         lambda table, payloads: [(r["d"], r["total_cost"], r["opt_cost"], r["cr"])
-                                 for r in table.rows]),
+                                 for r in table.rows],
+        "dims"),
     "audit_suite": (
         lambda cfg: experiment_audit_suite(cfg.seed, cfg.trials, cfg.dims, cfg.T,
                                            jobs=cfg.jobs),
         "case cr bound worst_residual",
         lambda table, payloads: [
             (r["trial"], r["cr"], r["bound"], r["audit_worst_residual"])
-            for r in table.rows if r["cr"] != ""]),
+            for r in table.rows if r["cr"] != ""],
+        "seed trials dims T jobs"),
     "single_run": (
         _single_run,
         "t hit move",
         lambda table, payloads: [(s["t"], s["hit"], s["move"])
-                                 for s in payloads[0]["steps"]]),
+                                 for s in payloads[0]["steps"]],
+        "d T family seed cond diameter tracking_norm tracking_scale switching_norm "
+        "feasible_kind feasible_radius algo beta alpha eta level_tol"),
 }
 
 
 def _run_experiment(cfg: Config) -> list[dict]:
     """Run ``cfg.experiment``, write its files, return its run payloads."""
-    build, header, plot_rows = _EXPERIMENTS[cfg.experiment]
+    build, header, plot_rows, _ = _EXPERIMENTS[cfg.experiment]
     table, payloads = build(cfg)
     path = os.path.join(cfg.out, "results.csv")
     if cfg.format == "json":

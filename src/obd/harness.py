@@ -418,7 +418,12 @@ def experiment_cr_vs_dim(family: str, dims: Sequence[int], trials: int,
     is the ``choose_beta(alpha)`` value the bound 3 + 8/alpha is proven for
     does a trial run the theorem-1 audits of ``run_theorem1_case``; its row
     then carries the bound, and the audits' worst residual when they ran.
+    The adaptive ``hyperplane_chase`` family has no offline comparator here,
+    so it is rejected before any trial runs.
     """
+    if family == HYPERPLANE_CHASE:
+        raise ValueError(f"cr_vs_dim cannot run family {family!r}: its adaptive "
+                         "adversary has no offline comparator to price a ratio")
     tasks = []
     for di, d in enumerate(dims):
         for trial in range(trials):

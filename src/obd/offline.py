@@ -328,10 +328,6 @@ class _TrajectoryProblem:
             F += mu * bv
         return F, (hit, move, barrier)
 
-    def value(self, X: np.ndarray, eps: float, mu: float) -> float:
-        """F alone, as ``evaluate`` computes it; inf outside the barriers' domain."""
-        return self.terms(X, eps, mu)[0]
-
     def evaluate(self, X: np.ndarray, eps: float, mu: float, trial=None):
         """(F, gradient, diagonal blocks, off-diagonal blocks); F is inf outside
         the barriers' domain.  ``trial`` is ``terms``'s result at X, when

@@ -308,12 +308,19 @@ class TestBaselinesAndMemory:
         assert report.total_move == 0.0
 
     def test_omd_euclidean_matches_ogd(self):
-        spec = InstanceSpec(d=3, T=20, family="quadratic", seed=37)
-        inst = generate_instance(spec)
-        r1 = run(OGD(c=0.7), inst, comparators=())
-        r2 = run(OMD(euclidean_map(), c=0.7), inst, comparators=())
-        for a, b in zip(r1.steps, r2.steps):
-            np.testing.assert_allclose(a.x, b.x, atol=1e-9)
+        for kind in ("whole", "ball", "box"):
+            spec = InstanceSpec(d=3, T=20, family="quadratic", seed=37, diameter=4.0,
+                                feasible_kind=kind, feasible_radius=2.0)
+            inst = generate_instance(spec)
+            r1 = run(OGD(c=0.7), inst, comparators=())
+            r2 = run(OMD(euclidean_map(), c=0.7), inst, comparators=())
+            assert r1.algo == "ogd" and r2.algo == "omd"
+            assert len(r1.steps) == len(r2.steps) == 20
+            for a, b in zip(r1.steps, r2.steps):
+                np.testing.assert_array_equal(a.x, b.x)
+                assert (a.hit, a.move) == (b.hit, b.move)
+            if kind != "whole":  # some step projects onto the boundary
+                assert any(not inst.feasible.contains(s.x, tol=-1e-9) for s in r2.steps)
 
     def test_static_play_stays(self):
         spec = InstanceSpec(d=2, T=8, family="norm_tracking", seed=38)

@@ -221,7 +221,9 @@ class TestTheoremAuditsWithRaisingComparator:
 @pytest.mark.parametrize("experiment", ["cr_vs_dim", "regret_sweep", "audit_suite"])
 def test_jobs_do_not_change_files(tmp_path, experiment):
     args = ["--experiment", experiment, "--dims", "2,3", "--trials", "2",
-            "--seed", "7", "--T", "10", "--family", "norm_tracking", "--format", "json"]
+            "--seed", "7", "--T", "10", "--format", "json"]
+    if experiment == "cr_vs_dim":  # the only one of the three that reads it
+        args += ["--family", "norm_tracking"]
     files = []
     for jobs in ("1", "2"):
         out = tmp_path / jobs
@@ -306,6 +308,9 @@ def _inflated_run(module, name):
 
 
 SMALL = ["--dims", "2", "--trials", "1", "--seed", "4", "--T", "10"]
+# the SMALL flags each experiment reads
+SMALL_FOR = {"cr_vs_dim": SMALL, "regret_sweep": SMALL, "audit_suite": SMALL,
+             "lower_bound": ["--dims", "2"], "single_run": ["--seed", "4", "--T", "10"]}
 
 
 @pytest.mark.parametrize("args, target, broken, audit", [
@@ -323,7 +328,7 @@ def test_failed_audit_exits_2(tmp_path, monkeypatch, args, target, broken, audit
     import obd.harness
     monkeypatch.setattr(obd.harness, target, broken(obd.harness, target))
     out = tmp_path / "x"
-    assert run_cli(args + SMALL + ["--out", str(out)]) == 2
+    assert run_cli(args + SMALL_FOR[args[1]] + ["--out", str(out)]) == 2
     failed = [a["name"] for f in os.listdir(out) if f.startswith("run_")
               for a in json.loads((out / f).read_text())["totals"]["audits"]
               if not a["passed"]]
@@ -334,12 +339,57 @@ def test_every_experiment_writes_run_files(tmp_path):
     for experiment in ("cr_vs_dim", "regret_sweep", "audit_suite", "lower_bound",
                        "single_run"):
         out = tmp_path / experiment
-        assert run_cli(["--experiment", experiment, *SMALL, "--out", str(out)]) == 0
+        assert run_cli(["--experiment", experiment, *SMALL_FOR[experiment],
+                        "--out", str(out)]) == 0
         runs = [f for f in os.listdir(out) if f.startswith("run_")]
         assert runs, experiment
         for f in runs:
             totals = json.loads((out / f).read_text())["totals"]
             assert all(a["passed"] for a in totals["audits"]) and not totals["unverified"]
+
+
+@pytest.mark.parametrize("experiment, flags, unread", [
+    ("regret_sweep", ["--family", "norm_tracking"], "family"),
+    ("audit_suite", ["--beta", "0.6"], "beta"),
+    ("lower_bound", ["--seed", "3"], "seed"),
+    ("single_run", ["--jobs", "2"], "jobs"),
+    ("cr_vs_dim", ["--d", "3"], "d"),
+])
+def test_unread_flag_is_usage_error(tmp_path, capsys, experiment, flags, unread):
+    out = tmp_path / "u"
+    assert run_cli(["--experiment", experiment, *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"experiment {experiment!r} does not read [{unread!r}]" in err
+    assert not out.exists()
+
+
+def test_unread_config_key_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "lower_bound", "dims": [4],
+                                "trials": 3, "out": str(tmp_path / "o")}))
+    assert run_cli(["--config", str(path)]) == 1
+    assert "experiment 'lower_bound' does not read ['trials']" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_hyperplane_chase_rejected_by_cr_vs_dim(tmp_path, capsys):
+    # the adaptive family has no offline comparator, so no cr can be priced;
+    # it is refused before any run, whatever T is
+    for T in ("4", "5"):
+        out = tmp_path / T
+        assert run_cli(["--experiment", "cr_vs_dim", "--family", "hyperplane_chase",
+                        "--dims", "4", "--trials", "1", "--T", T,
+                        "--out", str(out)]) == 1
+        assert "family 'hyperplane_chase'" in capsys.readouterr().err
+        assert not out.exists()
+    # single_run still plays it against the projection responder
+    out = tmp_path / "single"
+    assert run_cli(["--experiment", "single_run", "--family", "hyperplane_chase",
+                    "--algo", "projection", "--d", "4", "--T", "4",
+                    "--out", str(out)]) == 0
+    (run_file,) = [f for f in os.listdir(out) if f.startswith("run_")]
+    steps = json.loads((out / run_file).read_text())["steps"]
+    assert [s["branch"] for s in steps] == ["set_projection"] * 4
 
 
 def test_audit_suite_exit_code(tmp_path):

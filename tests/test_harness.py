@@ -8,7 +8,9 @@ from obd.algorithms import (
     DualConfig, DualOBD, Greedy, PrimalConfig, PrimalOBD, choose_beta,
 )
 from obd.costs import InstanceSpec, generate_instance, make_norm_tracking
-from obd.geometry import FeasibleSet, Norm, entropy_map, euclidean_map
+from obd.geometry import (
+    FeasibleSet, Norm, entropy_map, euclidean_map, mahalanobis_map,
+)
 from obd.harness import (
     CSV_COLUMNS, ResultTable, audit_theorem1, audit_theorem3, derive_seed,
     experiment_audit_suite, experiment_cr_vs_dim, lower_bound_run,
@@ -222,6 +224,45 @@ class TestGradBounds:
         s = FeasibleSet.simplex(3, 0.01)
         g = mirror_grad_bound(entropy_map(0.01), s)
         assert g == pytest.approx(abs(math.log(0.01) + 1.0))
+
+    @staticmethod
+    def _mahalanobis_map(rng, d):
+        A = rng.standard_normal((d, d))
+        return mahalanobis_map(A.T @ A + 0.5 * np.eye(d))
+
+    def test_mahalanobis_bounds_hold_over_the_set(self):
+        # ||grad Phi(x)||_* = ||Qx||_{Q^-1} at sampled points of each set,
+        # boundary points included, never exceeds the bound
+        rng = np.random.default_rng(83)
+        mmap = self._mahalanobis_map(rng, 3)
+        c, r = rng.standard_normal(3), 1.5
+        lo, hi = -rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 2.0, 3)
+        radial = rng.uniform(0.0, 1.0, 200) ** np.repeat([0.0, 1.0], 100)
+        sets = {
+            "matching ball": (FeasibleSet.ball(c, r, mmap.norm),
+                              [c + r * a * mmap.norm.unit_ball_sample(rng, 3)
+                               for a in radial]),
+            "l2 ball": (FeasibleSet.ball(c, r),
+                        [c + r * a * Norm.l2().unit_ball_sample(rng, 3)
+                         for a in radial]),
+            "box": (FeasibleSet.box(lo, hi),
+                    [np.where(rng.random(3) < 0.5, lo, hi) for _ in range(50)]
+                    + list(lo + (hi - lo) * rng.random((150, 3)))),
+        }
+        for name, (s, points) in sets.items():
+            G = mirror_grad_bound(mmap, s)
+            worst = max(mmap.norm.dual_value(mmap.grad(x)) for x in points)
+            assert math.isfinite(G) and worst <= G * (1.0 + 1e-12), name
+        assert mirror_grad_bound(mmap, FeasibleSet.halfspace(c, 1.0)) == math.inf
+
+    def test_mahalanobis_matching_ball_is_attained(self):
+        # the ball's point farthest from the origin in the Q norm attains it
+        rng = np.random.default_rng(84)
+        mmap = self._mahalanobis_map(rng, 3)
+        c, r = rng.standard_normal(3), 1.5
+        G = mirror_grad_bound(mmap, FeasibleSet.ball(c, r, mmap.norm))
+        extreme = c + (r / mmap.norm(c)) * c
+        assert mmap.norm.dual_value(mmap.grad(extreme)) == pytest.approx(G, rel=1e-9)
 
 
 class TestResultTable:

@@ -272,7 +272,7 @@ def _same(a: float, b: float) -> bool:
        family=st.sampled_from(FAMILIES), kind=st.sampled_from(SETS),
        switching=st.sampled_from(["l1", "l2", "linf", "mahalanobis"]), tied=st.booleans())
 def test_value_is_evaluate_objective(seed, d, T, family, kind, switching, tied):
-    # the Armijo trials price a point by value(); the accepted point's F comes
+    # the Armijo trials price a point by terms(); the accepted point's F comes
     # from evaluate(), and the two must agree bit for bit, inf outside the domain
     rng = np.random.default_rng(seed)
     costs = _costs(family, rng, d, T)
@@ -284,12 +284,12 @@ def test_value_is_evaluate_objective(seed, d, T, family, kind, switching, tied):
     problem = _TrajectoryProblem(costs, x0, norm, feasible, tied=tied)
     for eps, mu in ((1e-2, 1e-2), (1e-8, 1e-10 * (1.0 + rng.random()))):
         F = problem.evaluate(X, eps, mu)[0]
-        assert _same(problem.value(X, eps, mu), F)
+        assert _same(problem.terms(X, eps, mu)[0], F)
         assert not math.isnan(F)
     # far outside the set: inf from both
     for Y in (X + 1e3, x0 + 1e3 * (X - x0)):
         F = problem.evaluate(Y, 1e-2, 1e-2)
-        assert _same(problem.value(Y, 1e-2, 1e-2), F[0])
+        assert _same(problem.terms(Y, 1e-2, 1e-2)[0], F[0])
         if not np.all(feasible.contains(Y)):
             assert F == (math.inf,) * 4
     # the one-row problem behind x(eta) under the Euclidean or a Mahalanobis
@@ -300,7 +300,7 @@ def test_value_is_evaluate_objective(seed, d, T, family, kind, switching, tied):
     reg = _TrajectoryProblem([costs[0]], x0, None, feasible, Q=Q, eta=eta)
     for Y in (X[:1], X[:1] + 1e3):
         F = reg.evaluate(Y, 1e-3, 1e-6)[0]
-        assert _same(reg.value(Y, 1e-3, 1e-6), F)
+        assert _same(reg.terms(Y, 1e-3, 1e-6)[0], F)
         assert F == math.inf if not np.all(feasible.contains(Y)) else math.isfinite(F)
         u = Y[0] - x0
         hit, move = reg.exact_parts(Y)

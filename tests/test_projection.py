@@ -249,6 +249,66 @@ class TestProjectSet:
         np.testing.assert_allclose(pinf, [1.0, 0.5, -1.0])
 
 
+class _NoShortcut(FeasibleSet):
+    """The set with ``project_set``'s exact-membership shortcut turned off,
+    so each closed form also runs on points inside the set."""
+
+    def contains(self, x, tol=1e-9):
+        return tol != 0.0 and super().contains(x, tol)
+
+
+def _spd(rng, d):
+    A = _conditioned(rng, d, 4.0)
+    return A.T @ A
+
+
+class TestMahalanobisClosedForms:
+    """project_set under Phi = x'Qx/2 on a halfspace, a matching Mahalanobis
+    ball and a diagonal-Q box: the projection lies in the set, a point inside
+    is returned as it is, and <Q(x - p), z - p> <= 0 for sampled z in the set."""
+
+    @staticmethod
+    def _check(mmap, s, xs, zs):
+        inside = 0
+        for x in xs:
+            p = project_set(mmap, _NoShortcut(s.kind, **s.params), x)
+            assert s.contains(p, tol=1e-9)
+            if s.contains(x, tol=0.0):
+                inside += 1
+                np.testing.assert_array_equal(p, x)
+            g = mmap.Q @ (x - p)
+            for z in zs:
+                scale = 1.0 + np.linalg.norm(g) * np.linalg.norm(z - p)
+                assert float(g @ (z - p)) <= 1e-10 * scale
+        assert 0 < inside < len(xs)
+
+    def test_halfspace(self):
+        rng = np.random.default_rng(61)
+        mmap = mahalanobis_map(_spd(rng, 3))
+        s = FeasibleSet.halfspace(rng.standard_normal(3), 0.5)
+        zs = [project_set(EMAP, s, w) for w in 4.0 * rng.standard_normal((60, 3))]
+        self._check(mmap, s, 4.0 * rng.standard_normal((20, 3)), zs)
+
+    def test_matching_ball(self):
+        rng = np.random.default_rng(62)
+        mmap = mahalanobis_map(_spd(rng, 3))
+        c, r = rng.standard_normal(3), 1.5
+        s = FeasibleSet.ball(c, r, mmap.norm)
+        zs = [c + r * rng.uniform(0.0, 1.0) ** k * mmap.norm.unit_ball_sample(rng, 3)
+              for k in (0, 1) for _ in range(30)]
+        xs = [c + r * rng.uniform(0.2, 3.0) * mmap.norm.unit_ball_sample(rng, 3)
+              for _ in range(20)]
+        self._check(mmap, s, xs, zs)
+
+    def test_diagonal_box(self):
+        rng = np.random.default_rng(63)
+        mmap = mahalanobis_map(np.diag(rng.uniform(0.5, 4.0, 3)))
+        lo, hi = -rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 2.0, 3)
+        s = FeasibleSet.box(lo, hi)
+        zs = [np.clip(w, lo, hi) for w in 3.0 * rng.standard_normal((60, 3))]
+        self._check(mmap, s, 2.0 * rng.standard_normal((20, 3)), zs)
+
+
 class TestBrentProjections:
     """The two projections whose scalar is a Brent root, checked against their
     optimality conditions."""
