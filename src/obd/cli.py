@@ -4,8 +4,9 @@
 run payloads from the config, the header of its plot file
 ``plot_<experiment>.dat``, how it takes the plot rows from the table and
 payloads, and the ``Config`` fields its builder reads; any other field given
-by a flag or in the config file is a usage error.  ``_run_experiment`` reads that entry and writes ``results.csv``
-(and ``results.json``), the plot file and one ``run_<hash>.json`` per run.
+by a flag or in the config file is a usage error.  ``_run_experiment`` reads
+that entry and writes ``results.csv`` (and ``results.json``), the plot file
+and one ``run_<hash>.json`` per run.
 The exit code is read from those payloads alone: 2 when an audit in some
 run's ``totals.audits`` did not pass, else 3 when some run's
 ``totals.unverified`` is non-empty (a comparator's solve raised or did not
