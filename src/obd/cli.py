@@ -49,6 +49,20 @@ ALGORITHMS = ("primal_obd", "dual_obd", "ogd", "omd", "greedy", "static_play",
               "projection")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# each declared ``Config`` field type: the values it takes, and their name
+_FIELD_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+              "a list of integers"),
+}
+
+
 @dataclass
 class Config:
     """Validated experiment configuration; unknown JSON keys are rejected."""
@@ -77,6 +91,17 @@ class Config:
     jobs: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value, optional = getattr(self, f.name), f.type.startswith("Optional[")
+            if value is None and optional:
+                continue
+            kind = f.type[len("Optional["):-1] if optional else f.type
+            takes, name = _FIELD_TYPES[kind]
+            if not takes(value):
+                raise ValueError(f"field {f.name!r} must be {name}"
+                                 f"{' or null' if optional else ''}, got {value!r}")
+            if kind == "float":
+                setattr(self, f.name, float(value))
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"field 'experiment' must be one of {EXPERIMENTS}, "
                              f"got {self.experiment!r}")
@@ -89,7 +114,7 @@ class Config:
             raise ValueError("field 'trials' must be >= 1")
         if self.jobs < 1:
             raise ValueError("field 'jobs' must be >= 1")
-        self.dims = tuple(int(v) for v in self.dims)
+        self.dims = tuple(self.dims)
         if any(v < 1 for v in self.dims):
             raise ValueError("field 'dims' must contain positive integers")
 
@@ -173,7 +198,11 @@ def _merge_config(args: argparse.Namespace) -> Config:
     flags = {name: val for name, val in vars(args).items()
              if val is not None and name != "config"}
     if "dims" in flags:
-        flags["dims"] = flags["dims"].split(",")
+        try:
+            flags["dims"] = [int(v) for v in flags["dims"].split(",")]
+        except ValueError:
+            raise ValueError(f"field 'dims' must be comma-separated integers, "
+                             f"got {flags['dims']!r}") from None
     cfg = Config.from_dict({**data, **flags})
     unread = (set(data) | set(flags)) - {"experiment", "out", "format"} \
         - set(_EXPERIMENTS[cfg.experiment][3].split())

@@ -48,7 +48,6 @@ class AuditResult:
 @dataclass
 class RunReport:
     algo: str
-    spec_hash: str
     steps: list
     total_cost: float
     total_hit: float
@@ -204,9 +203,8 @@ def run(algorithm: OnlineAlgorithm, instance: Instance,
     if comp.get("static") is not None:
         static_regret = total - comp["static"].objective
 
-    return RunReport(algo=algorithm.name, spec_hash=instance.spec.hash(),
-                     steps=steps, total_cost=total, total_hit=total_hit,
-                     total_move=total_move, comparators=comp,
+    return RunReport(algo=algorithm.name, steps=steps, total_cost=total,
+                     total_hit=total_hit, total_move=total_move, comparators=comp,
                      comparator_errors=errors, cr=cr, regrets=regrets,
                      static_regret=static_regret, instance=instance,
                      revealed_costs=revealed)
@@ -216,9 +214,14 @@ def run(algorithm: OnlineAlgorithm, instance: Instance,
 # Theorem audits
 # ---------------------------------------------------------------------------
 
-def audit_theorem1(report: RunReport, alpha: float,
-                   cr_slack: float = 1e-3,
-                   step_slack: float = 1e-6) -> list[AuditResult]:
+# Audit slacks: the competitive ratio's (absolute), the per-step inequalities'
+# (absolute) and the regret bounds' (relative to max(1, bound)).
+CR_SLACK = 1e-3
+STEP_SLACK = 1e-6
+REGRET_SLACK = 1e-4
+
+
+def audit_theorem1(report: RunReport, alpha: float) -> list[AuditResult]:
     """Competitive-ratio audits for the primal stepper on polyhedral costs.
 
     Checks (a) the ratio bound 3 + 8/alpha (scaled by norm-equivalence
@@ -244,7 +247,7 @@ def audit_theorem1(report: RunReport, alpha: float,
                                    "competitive ratio undefined (zero optimal cost)"))
     else:
         resid = report.cr - bound
-        results.append(AuditResult("theorem1_cr", resid <= cr_slack, resid,
+        results.append(AuditResult("theorem1_cr", resid <= CR_SLACK, resid,
                                    f"cr={report.cr:.6f} bound={bound:.6f}"))
 
     # per-step inequalities live in the balance norm of the proof (l2)
@@ -260,17 +263,16 @@ def audit_theorem1(report: RunReport, alpha: float,
     resid = hit + move + C * drift - C * h_star
     balanced = np.array([s.branch == Branch.BALANCED for s in steps])
     lresid = (drift + choice.gamma * move)[balanced & (hit > h_star)]
-    results.append(AuditResult("theorem1_step", not (resid > step_slack).any(),
+    results.append(AuditResult("theorem1_step", not (resid > STEP_SLACK).any(),
                                float(resid.max()), f"C={C:.4f} over {len(steps)} steps"))
-    results.append(AuditResult("theorem1_potential_decrease", not (lresid > step_slack).any(),
+    results.append(AuditResult("theorem1_potential_decrease", not (lresid > STEP_SLACK).any(),
                                float(lresid.max()) if lresid.size else 0.0,
                                f"{lresid.size} balanced steps with H_t > H*_t"))
     return results
 
 
 def audit_theorem3(report: RunReport, G: float, L: float, m: float, eta: float,
-                   diameter: Optional[float] = None,
-                   rel_slack: float = 1e-4) -> list[AuditResult]:
+                   diameter: Optional[float] = None) -> list[AuditResult]:
     """Dynamic-regret audits for the dual stepper.
 
     Checks the movement-budgeted regret against G*L/eta + T*eta/(2m) (valid
@@ -289,14 +291,14 @@ def audit_theorem3(report: RunReport, G: float, L: float, m: float, eta: float,
     T = inst.T
     rho = report.total_cost - sol.objective
     bound = G * L / eta + T * eta / (2.0 * m) if L > 0 else T * eta / (2.0 * m)
-    slack = rel_slack * max(1.0, bound)
+    slack = REGRET_SLACK * max(1.0, bound)
     results = [AuditResult(f"theorem3_regret[{label}]", rho <= bound + slack, rho - bound,
                            f"rho={rho:.6f} bound={bound:.6f} (L={L:g})")]
     if L > 0:
         opt_eta, cor_bound = choose_eta(G, L, m, T)
         if abs(opt_eta - eta) <= 1e-9 * max(1.0, eta):
             results.append(AuditResult(
-                "corollary4_regret", rho <= cor_bound + rel_slack * max(1.0, cor_bound),
+                "corollary4_regret", rho <= cor_bound + REGRET_SLACK * max(1.0, cor_bound),
                 rho - cor_bound, f"rho={rho:.6f} bound={cor_bound:.6f}"))
     if diameter is not None and abs(L - diameter) <= 1e-12 * max(1.0, diameter):
         static = report.comparators.get("static")

@@ -1,21 +1,22 @@
 """Offline comparators: dynamic optimum, movement-budgeted optimum, static play,
 and a discretized dynamic-programming oracle for cross-validation.
 
-``offline_opt`` and ``static_opt`` are one damped-Newton path-following solve
-(``_solve``) of min_X sum_t f_t(x_t) + ||x_t - x_{t-1}|| over the feasible
-set.  Nonsmooth norms are smoothed (Nesterov, Smooth minimization of
-non-smooth functions, 2005) and the set enters as a log barrier (Boyd &
-Vandenberghe, Convex Optimization, 11.2); stages lower the smoothing and the
-barrier weight together.  The Hessian is block tridiagonal in the rounds, so
+A problem's costs are described once (``_cost_parts``), as stacked quadratic
+and norm-tracking parts that both solvers read.  ``offline_opt`` and
+``static_opt`` are one damped-Newton path-following solve (``_solve``) of
+min_X sum_t f_t(x_t) + ||x_t - x_{t-1}|| over the feasible set, nonsmooth
+norms smoothed (Nesterov, Smooth minimization of non-smooth functions, 2005)
+and the set a log barrier (Boyd & Vandenberghe, Convex Optimization, 11.2);
 each Newton step is one banded Cholesky factorization.  ``static_opt`` ties
-every round to one point.  A binding movement budget (``offline_opt_constrained``)
-is a cone QP with no smoothing, solved by a primal-dual interior-point method
-(``_BudgetProgram``; Vandenberghe, The CVXOPT linear and quadratic cone
-program solvers, 2010), whose reduced KKT matrix is block tridiagonal too.
-The reported costs are the exact, unsmoothed ones.  ``offline_opt`` first
-prices staying at x0 and jumping to every minimizer: a jump whose dual point
-proves it optimal (Lagrange duality, ibid. 5.5.3) is returned without a
-solve, and otherwise the solve starts from the cheaper of the two.
+every round to one point.  Both report through one driver (``_guarded``):
+never more than a candidate inside the set (staying at x0 and jumping to
+every minimizer; holding x0 and holding each round's minimizer), and not
+converged when a candidate beats the solve by more than 1e-6 relative.  A
+jump that its dual point proves optimal takes no solve.  A binding movement
+budget (``offline_opt_constrained``) is a cone QP with no smoothing, solved
+by a primal-dual interior-point method (``_BudgetProgram``; Vandenberghe,
+The CVXOPT linear and quadratic cone program solvers, 2010).  The reported
+costs are the exact, unsmoothed ones.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import importlib.machinery
 import importlib.util
 import logging
 import math
+import operator
 import os
 import sys
 import time
@@ -51,13 +53,15 @@ log = logging.getLogger("obd")
 class OfflineSolution:
     """A comparator trajectory with its exact (unsmoothed) accounting.
 
-    ``iterations`` counts Newton steps; ``converged`` says whether the last
-    stage met its Newton-decrement test.  A jump to the minimizers certified
-    optimal by its dual point takes no solve: ``iterations`` 0, ``converged``
-    True.  A binding ``OPT(L)`` counts interior-point iterations instead, one
-    banded factorization each (its start takes one more), and is converged
-    when its duality gap closed; its ``lam`` is the budget row's dual
-    variable (0 for a budget that does not bind, inf for a zero budget).
+    ``iterations`` counts Newton steps; ``converged`` is False when the last
+    stage missed its Newton-decrement test, or when a candidate trajectory
+    beat the solve's end point by more than 1e-6 relative.  A jump to the
+    minimizers certified optimal by its dual point takes no solve:
+    ``iterations`` 0, ``converged`` True.  A binding ``OPT(L)`` counts
+    interior-point iterations instead, one banded factorization each (its
+    start takes one more), and is converged when its duality gap closed; its
+    ``lam`` is the budget row's dual variable (0 for a budget that does not
+    bind, inf for a zero budget).
     """
 
     trajectory: np.ndarray  # (T, d)
@@ -126,16 +130,33 @@ def _smoothed_norm(U: np.ndarray, norm: Norm, eps: float):
     return r - eps, quadratic_form
 
 
-def _family_terms(costs: Sequence[CostFunction]):
-    """One cost family's parameters, stacked once over the rounds, as two
-    functions: (X, eps) -> (total value, a function returning the row
-    gradients and row Hessians) of the smoothed hitting costs, vectorized
-    over the rounds; and R -> each round's exact cost at its row of R, with
-    the bits of that round's own cost call."""
+def _cost_parts(costs: Sequence[CostFunction]) -> list:
+    """The rounds' costs stacked into the parts both solvers read: ("quadratic",
+    A, Y, A'A, A'y) for ||A_t x - y_t||^2, ("tracking", norm, V, s) for s_t
+    ||x - v_t||, a composite's two in order; ValueError for mixed families or
+    tracking norms that differ by round."""
     if all(isinstance(f, QuadraticCost) for f in costs):
-        A = np.stack([f.A for f in costs])
-        Y = np.stack([f.y for f in costs])
-        H = 2.0 * np.stack([f.AtA for f in costs])
+        return [("quadratic",) + tuple(np.stack([getattr(f, name) for f in costs])
+                                       for name in ("A", "y", "AtA", "Aty"))]
+    if all(isinstance(f, NormTrackingCost) for f in costs):
+        norm = costs[0].norm_a
+        if any(f.norm_a.kind != norm.kind or not np.array_equal(f.norm_a.Q, norm.Q)
+               for f in costs):
+            raise ValueError("the offline solves need one tracking norm for all rounds")
+        return [("tracking", norm, np.stack([f.minimizer for f in costs]),
+                 np.array([f.scale for f in costs]))]
+    if all(isinstance(f, CompositeCost) for f in costs):
+        return _cost_parts([f.g for f in costs]) + _cost_parts([f.h for f in costs])
+    raise ValueError("the offline solves need quadratic, norm-tracking or composite "
+                     "costs, one family for all rounds")
+
+
+def _part_terms(part):
+    """A cost part's smoothed hitting costs at the rows X, (X, eps) -> (total,
+    a function returning the row gradients and Hessians); and its exact price,
+    R -> each round's cost at its row of R, with that round's own call's bits."""
+    if part[0] == "quadratic":
+        A, Y, H = part[1], part[2], 2.0 * part[3]
 
         def quad(X: np.ndarray, eps: float):
             res = np.einsum("tij,tj->ti", A, X) - Y
@@ -143,35 +164,21 @@ def _family_terms(costs: Sequence[CostFunction]):
                 2.0 * np.einsum("tji,tj->ti", A, res), H)
 
         return quad, lambda R: quadratic_value(A, Y, R)
-    if all(isinstance(f, NormTrackingCost) for f in costs):
-        norm = costs[0].norm_a
-        if any(f.norm_a.kind != norm.kind or not np.array_equal(f.norm_a.Q, norm.Q)
-               for f in costs):
-            raise ValueError("the Newton solve needs one tracking norm for all rounds")
-        V = np.stack([f.minimizer for f in costs])
-        s = np.array([f.scale for f in costs])
+    _, norm, V, s = part
 
-        def track(X: np.ndarray, eps: float):
-            vals, derivs = _smoothed_norm(X - V, norm, eps)
+    def track(X: np.ndarray, eps: float):
+        vals, derivs = _smoothed_norm(X - V, norm, eps)
 
-            def scaled():
-                G, H = derivs()
-                return s[:, None] * G, s[:, None, None] * H
+        def scaled():
+            G, H = derivs()
+            return s[:, None] * G, s[:, None, None] * H
 
-            return float(s @ vals), scaled
+        return float(s @ vals), scaled
 
-        return track, lambda R: s * norm(R - V)
-    if all(isinstance(f, CompositeCost) for f in costs):
-        (g, g_price), (h, h_price) = (_family_terms([f.g for f in costs]),
-                                      _family_terms([f.h for f in costs]))
+    return track, lambda R: s * norm(R - V)
 
-        def composite(X: np.ndarray, eps: float):
-            (gv, gd), (hv, hd) = g(X, eps), h(X, eps)
-            return gv + hv, lambda: tuple(a + b for a, b in zip(gd(), hd()))
 
-        return composite, lambda R: g_price(R) + h_price(R)
-    raise ValueError("the Newton solve needs quadratic, norm-tracking or composite "
-                     "costs, one family for all rounds")
+_total = functools.partial(functools.reduce, operator.add)  # left to right, first term as is
 
 
 def _set_barrier(feasible: FeasibleSet):
@@ -257,9 +264,7 @@ def _band_index(rows: int, m: int) -> np.ndarray:
 
 class _TrajectoryProblem:
     """Smoothed, barrier-weighted objective over X (rows x d), and its Newton step.
-
-    ``tied`` is static play: one row, its hitting terms summed over the
-    rounds.
+    ``tied`` is static play: one row, its hitting terms summed over the rounds.
 
     With ``Q`` it is the one-row problem behind x(eta) in
     ``projection.solve_regularized``: one cost f, x0 = x_prev, the map's
@@ -270,23 +275,26 @@ class _TrajectoryProblem:
     def __init__(self, costs: Sequence[CostFunction], x0, norm: Optional[Norm],
                  feasible: Optional[FeasibleSet], tied: bool = False,
                  Q: Optional[np.ndarray] = None, eta: float = 1.0):
-        self.costs = list(costs)
         self.x0 = np.asarray(x0, dtype=float)
-        self.T, self.d = len(self.costs), self.x0.shape[0]
-        d = self.d
+        self.T, self.d = len(costs), self.x0.shape[0]
         self.norm = norm or Norm.l2()
-        self.feasible = feasible or FeasibleSet.whole_space(d)
+        self.feasible = feasible or FeasibleSet.whole_space(self.d)
         self.tied, self.Q, self.eta = tied, Q, eta
         self.rows = 1 if tied else self.T
-        self.hit, self.price = _family_terms(self.costs)
-        # a norm-tracking family's (norm, minimizers, scales), for the jump certificate
-        self.tracking = None
-        if all(isinstance(f, NormTrackingCost) for f in self.costs):
-            self.tracking = (self.costs[0].norm_a, np.stack([f.minimizer for f in self.costs]),
-                             np.array([f.scale for f in self.costs]))
+        self.parts = _cost_parts(costs)
+        self._terms = [_part_terms(part) for part in self.parts]
         self.barrier = _set_barrier(self.feasible)
         # the block-tridiagonal Hessian's lower triangle in LAPACK band storage
-        self._band_at = _band_index(self.rows, d)
+        self._band_at = _band_index(self.rows, self.d)
+
+    def hit(self, X: np.ndarray, eps: float):
+        """``_part_terms``'s smoothed hitting costs, summed over the parts."""
+        values, derivs = zip(*(smoothed(X, eps) for smoothed, _ in self._terms))
+        return _total(values), lambda: tuple(map(_total, zip(*(f() for f in derivs))))
+
+    def price(self, R: np.ndarray) -> np.ndarray:
+        """``_part_terms``'s exact prices at R (..., T, d), summed over the parts."""
+        return _total([price(R) for _, price in self._terms])
 
     def diffs(self, X: np.ndarray) -> np.ndarray:
         U = np.empty_like(X)
@@ -472,11 +480,10 @@ def _solution(label: str, problem: _TrajectoryProblem, X: np.ndarray, parts, ste
               converged: bool, started: float, **fields) -> OfflineSolution:
     """X with its exact accounting ``parts`` (hit, move), logged at debug
     level as one line."""
-    hit, move = parts
     log.debug("offline %s: T=%d d=%d steps=%d converged=%s %.3fs", label, problem.T,
               problem.d, steps, converged, time.perf_counter() - started)
     return OfflineSolution(trajectory=np.broadcast_to(X, (problem.T, problem.d)).copy(),
-                           total_hit=hit, total_move=move, objective=hit + move,
+                           total_hit=parts[0], total_move=parts[1], objective=sum(parts),
                            converged=converged, iterations=steps, **fields)
 
 
@@ -491,9 +498,9 @@ def _jump_certified(problem: _TrajectoryProblem) -> bool:
     v_t, so OPT >= sum_t nu_t' u_t = sum_t ||u_t||, the jump's cost.  A zero
     move has no gradient, and l1 and linf have no unique one.
     """
-    if problem.tracking is None or problem.norm.kind not in (L2, MAHALANOBIS):
+    if problem.norm.kind not in (L2, MAHALANOBIS) or [p[0] for p in problem.parts] != ["tracking"]:
         return False
-    norm_a, V, s = problem.tracking
+    _, norm_a, V, s = problem.parts[0]
     U = problem.diffs(V)
     n = problem.norm(U)
     if not n.all():
@@ -503,14 +510,32 @@ def _jump_certified(problem: _TrajectoryProblem) -> bool:
     return bool((norm_a.dual()(nu) <= s * (1.0 - 1e-12)).all())
 
 
+def _guarded(label: str, problem: _TrajectoryProblem, Y: np.ndarray, price: Optional[float],
+             paths: dict, started: float) -> OfflineSolution:
+    """``_solve`` from Y pulled inside the set (``price``, Y's exact objective,
+    if known), reported as the cheapest of its end point and the candidates
+    ``paths``, name: (trajectory in the set, exact parts); ties go to the
+    solve.  Not converged if a candidate beats the end by over 1e-6 relative."""
+    start = _interior(problem.feasible, Y)
+    X, steps, converged = _solve(problem, start, price if np.array_equal(start, Y) else None)
+    parts, notes = problem.exact_parts(X), []
+    end = sum(parts)  # the solve's own end point, for the convergence test
+    for name, (Y, Y_parts) in paths.items():
+        if sum(Y_parts) < sum(parts):
+            X, parts = Y, Y_parts
+            notes.append(f"{name} trajectory beat the solve")
+    converged = converged and end <= sum(parts) * (1.0 + 1e-6)
+    return _solution(label, problem, X, parts, steps, converged, started, note="; ".join(notes))
+
+
 def offline_opt(costs: Sequence[CostFunction], x0, feasible: Optional[FeasibleSet] = None,
                 norm: Optional[Norm] = None) -> OfflineSolution:
     """Dynamic offline optimum of sum_t f_t(x_t) + ||x_t - x_{t-1}||.
 
     Staying at x0 and jumping to every minimizer are priced first.  A jump
     that ``_jump_certified`` proves optimal is returned without a solve;
-    otherwise the solve starts from the cheaper of the two when both lie in
-    the set, else from the minimizers, and never reports more than either.
+    otherwise ``_guarded`` solves from the cheaper of the two when both lie in
+    the set, else from the minimizers.
     """
     started = time.perf_counter()
     problem = _TrajectoryProblem(costs, x0, norm, feasible)
@@ -524,20 +549,10 @@ def offline_opt(costs: Sequence[CostFunction], x0, feasible: Optional[FeasibleSe
                          started, note="jump to minimizers trajectory certified optimal "
                                        "by its dual point")
     Y, price = minimizers, None
-    if len(paths) == 2:
+    if len(paths) == 2:  # the cheaper of the two, already priced
         Y, parts = min(paths.values(), key=lambda path: sum(path[1]))
         price = sum(parts)
-    start = _interior(problem.feasible, Y)
-    X, steps, converged = _solve(problem, start, price if np.array_equal(start, Y) else None)
-    parts, notes = problem.exact_parts(X), []
-    # Where staying put or jumping to every minimizer is optimal, the solve
-    # can land slightly above it; never report more than these trajectories.
-    for name, (Y, Y_parts) in paths.items():
-        if sum(Y_parts) < sum(parts):
-            X, parts = Y, Y_parts
-            notes.append(f"{name} trajectory beat the solve")
-    return _solution("opt", problem, X, parts, steps, converged, started,
-                     note="; ".join(notes))
+    return _guarded("opt", problem, Y, price, paths, started)
 
 
 # ---------------------------------------------------------------------------
@@ -613,19 +628,6 @@ def _soc_worst(lj: np.ndarray, det: np.ndarray, D: np.ndarray) -> np.ndarray:
     return u0 - np.sqrt(np.maximum(u0 * u0 - _jdot(D, D) / det, 0.0))
 
 
-def _cone_terms(costs: Sequence[CostFunction]) -> list:
-    """The costs as cone-program terms: ("quadratic", 2 A'A, -2 A'y, sum y'y)
-    or ("tracking", norm, minimizers, scales), a composite's parts in turn."""
-    if all(isinstance(f, QuadraticCost) for f in costs):
-        y = np.concatenate([f.y for f in costs])
-        return [("quadratic", 2.0 * np.stack([f.AtA for f in costs]),
-                 -2.0 * np.stack([f.Aty for f in costs]), float(y @ y))]
-    if all(isinstance(f, NormTrackingCost) for f in costs):
-        return [("tracking", costs[0].norm_a, np.stack([f.minimizer for f in costs]),
-                 np.array([f.scale for f in costs]))]
-    return _cone_terms([f.g for f in costs]) + _cone_terms([f.h for f in costs])
-
-
 class _BudgetProgram:
     """OPT(L) as a cone QP, min 1/2 z'Pz + q'z + c subject to Gz + s = h with
     s in K, a product of nonnegative orthants and second-order cones, solved
@@ -647,12 +649,10 @@ class _BudgetProgram:
     budget row's rank-one term.
     """
 
-    def __init__(self, costs: Sequence[CostFunction], x0: np.ndarray, norm: Norm,
-                 feasible: FeasibleSet, L: float):
-        T, d = len(costs), x0.shape[0]
-        terms = _cone_terms(costs)
+    def __init__(self, problem: _TrajectoryProblem, L: float):
+        T, d, norm = problem.T, problem.d, problem.norm
         width = lambda n: d if n.kind == L1 else 1  # noqa: E731
-        m = d + width(norm) + sum(width(t[1]) for t in terms if t[0] == "tracking")
+        m = d + width(norm) + sum(width(p[1]) for p in problem.parts if p[0] == "tracking")
         self.T, self.d, self.m, self.L = T, d, m, L
         self.P, self.q, self.const = None, np.zeros((T, m)), 0.0
         cones, rows = [], []  # (G, h) pairs: G (k, 2m), h (k,) or (T, k)
@@ -680,24 +680,25 @@ class _BudgetProgram:
         Ax = np.zeros((d, 2 * m))
         Ax[:, m:m + d] = _eye(d)
         self.budget = epigraph(norm, Ax - np.roll(Ax, -m, axis=1), np.zeros(d), 1.0)
-        for term in terms:
-            if term[0] == "quadratic":
-                self.P = term[1] if self.P is None else self.P + term[1]
-                self.q[:, :d] += term[2]
-                self.const += term[3]
-            else:
-                epigraph(term[1], Ax, term[2], term[3])
-        p = feasible.params
-        if feasible.kind == BOX:
+        for part in problem.parts:
+            if part[0] == "tracking":
+                epigraph(part[1], Ax, part[2], part[3])
+                continue
+            _, _, Y, AtA, Aty = part  # ||A x - y||^2 = x'A'A x - 2 y'A x + y'y
+            self.P = 2.0 * AtA if self.P is None else self.P + 2.0 * AtA
+            self.q[:, :d] += -2.0 * Aty
+            self.const += float(Y.ravel() @ Y.ravel())
+        p = problem.feasible.params
+        if problem.feasible.kind == BOX:
             rows.extend([(Ax, p["hi"]), (-Ax, -p["lo"])])
-        elif feasible.kind == BALL:
+        elif problem.feasible.kind == BALL:
             R = _eye(d) if p["norm"].kind == L2 else p["norm"]._chol.T
             cones.append((-np.vstack([np.zeros(2 * m), R @ Ax]),
                           np.concatenate([[p["radius"]], -R @ p["center"]])))
         parts = cones + rows
         self.G = np.vstack([G for G, _ in parts])
         self.h = np.hstack([np.broadcast_to(h, (T, len(G))) for G, h in parts])
-        self.h[0] -= self.G[:, :d] @ x0
+        self.h[0] -= self.G[:, :d] @ problem.x0
         # a linear row is a cone of size 1, {s : s >= 0}: a round's rows are at
         # most two stacks of equal cones, (count, size) each
         self.stacks = [(n, p) for n, p in ((len(cones), d + 1),
@@ -960,24 +961,13 @@ def offline_opt_constrained(costs: Sequence[CostFunction], x0, L: float,
 
     ``base`` is the unconstrained optimum (solved here when not given); it is
     returned when its movement fits the budget, and L <= 1e-12 pins every
-    round at x0.  Otherwise the budget binds, and ``_BudgetProgram`` solves
-    the problem as a cone QP by a primal-dual interior-point method.  It
-    takes every input the other comparators take: quadratic, l1, l2, linf or
-    Mahalanobis tracking and composite costs, the same four switching norms,
-    the whole space, a box, or an l2 or Mahalanobis ball.  Anything else
-    raises the ValueError they raise (other sets, mixed families, tracking
-    norms that differ by round).  The solve's point is then pulled within
-    the budget (toward x0, where rounding left it over) and always moved
-    along the segment to ``base`` until its exact movement is within 1e-13
-    relative of L, or as near as rounding allows, and never above it
-    (``_spend_budget``, by bisection).  The objective is
-    convex on that segment and least at base, so the step never raises it;
-    where the costs are flat along a face, it spends what the solve left
-    unspent.  ``lam`` is the budget row's dual variable, ``iterations`` the
-    interior-point iterations (one banded Cholesky factorization each, and
-    one more for the start), and ``converged`` whether an iterate met the
-    residual bounds with its duality gap closed to 1e-8 of the objective
-    (the solve aims at 1e-12).
+    round at x0.  Otherwise the budget binds: ``_BudgetProgram`` solves the
+    problem's cost parts as a cone QP, so it takes exactly the inputs
+    ``_TrajectoryProblem`` accepts, and ``_spend_budget`` then moves its point
+    along the segment to ``base`` until the exact movement is within 1e-13
+    relative of L and not above it.  The objective is convex on that segment
+    and least at base, so this never raises it.  ``lam`` is the budget row's
+    dual variable; ``iterations`` and ``converged`` are the cone solve's.
     """
     if L < 0.0:
         raise ValueError("movement budget L must be >= 0")
@@ -994,8 +984,7 @@ def offline_opt_constrained(costs: Sequence[CostFunction], x0, L: float,
     if base.total_move <= L * (1.0 + 1e-9) + 1e-12:
         return base
     problem = _TrajectoryProblem(costs, x0, norm, feasible)  # raises as the other solves do
-    program = _BudgetProgram(costs, problem.x0, problem.norm, problem.feasible, L)
-    X, lam, iterations, gap, converged = program.solve()
+    X, lam, iterations, gap, converged = _BudgetProgram(problem, L).solve()
     X = _spend_budget(problem, X, base.trajectory, L)
     hit, move = problem.exact_parts(X)
     log.debug("offline opt_L: T=%d d=%d pd_iterations=%d factorizations=%d gap=%.2e "
@@ -1008,13 +997,24 @@ def offline_opt_constrained(costs: Sequence[CostFunction], x0, L: float,
 def static_opt(costs: Sequence[CostFunction], x0,
                feasible: Optional[FeasibleSet] = None,
                norm: Optional[Norm] = None) -> OfflineSolution:
-    """Best single point: min_x ||x - x0|| + sum_t f_t(x), held for all rounds."""
+    """Best single point: min_x ||x - x0|| + sum_t f_t(x), held for all rounds.
+
+    Holding x0 and holding each round's minimizer are priced as one stack, in
+    chunks of about ``_CHUNK`` entries; ``_guarded`` reports the solve from
+    the minimizers' mean against the cheapest of them inside the set.
+    """
     started = time.perf_counter()
     problem = _TrajectoryProblem(costs, x0, norm, feasible, tied=True)
-    mean = np.mean([f.minimizer for f in costs], axis=0)[None]
-    X, steps, converged = _solve(problem, _interior(problem.feasible, mean))
-    return _solution("static", problem, X, problem.exact_parts(X), steps, converged,
-                     started)
+    points = np.vstack([problem.x0[None]] + [f.minimizer[None] for f in costs])
+    rows = max(1, _CHUNK // points.size)
+    totals = problem.norm(points - problem.x0) + np.concatenate([
+        problem.price(np.broadcast_to(P[:, None], (len(P), problem.T, problem.d))).sum(axis=1)
+        for P in np.split(points, range(rows, len(points), rows))])
+    totals[~problem.feasible.contains(points, 0.0)] = math.inf
+    k = int(np.argmin(totals))
+    paths = {} if totals[k] == math.inf else {f"hold {'x0' if k == 0 else f'minimizer {k}'}": (
+        points[k:k + 1], problem.exact_parts(points[k:k + 1]))}
+    return _guarded("static", problem, np.mean(points[1:], axis=0)[None], None, paths, started)
 
 
 # ---------------------------------------------------------------------------
@@ -1053,8 +1053,8 @@ def auto_grid(costs: Sequence[CostFunction], x0, points: int = 21,
     return GridSpec(lo - pad, hi + pad, points)
 
 
-# entries of ``_transition``'s buffer (2 MB): a 51 x 51 zoom pass still takes
-# each p_1 row of windows, 51^3 entries, in one chunk
+# entries of a stacked buffer (2 MB), ``_transition``'s or static play's prices: a
+# 51 x 51 zoom pass still takes each p_1 row of windows, 51^3 entries, in one chunk
 _CHUNK = 2 ** 18
 
 

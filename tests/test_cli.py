@@ -46,6 +46,45 @@ class TestConfig:
         dat = (tmp_path / "b" / "plot_lower_bound.dat").read_text()
         assert dat.splitlines()[1].startswith("9.0")
 
+    @pytest.mark.parametrize("data, field", [
+        ({"experiment": "cr_vs_dim", "trials": "3"}, "trials"),
+        ({"experiment": "single_run", "T": 2.5}, "T"),
+        ({"experiment": "lower_bound", "dims": "24"}, "dims"),
+        ({"experiment": "lower_bound", "dims": [2, True]}, "dims"),
+        ({"experiment": "single_run", "seed": False}, "seed"),
+        ({"experiment": "single_run", "beta": "0.5"}, "beta"),
+    ])
+    def test_mistyped_field_is_usage_error(self, tmp_path, capsys, data, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**data, "out": str(tmp_path / "out")}))
+        assert run_cli(["--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"obd: config error: field {field!r} must be ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_mistyped_dims_flag_is_usage_error(self, capsys):
+        assert run_cli(["--experiment", "lower_bound", "--dims", "2,x"]) == 1
+        assert "field 'dims'" in capsys.readouterr().err
+
+    def test_integer_float_field_matches_flag(self, tmp_path):
+        # a float field given as an integer is stored as a float, so the file
+        # and the flags describe one spec and write identical files
+        small = {"dims": [2], "trials": 1, "T": 10, "seed": 4}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**small, "cond": 10, "diameter": 10,
+                                    "out": str(tmp_path / "file")}))
+        assert run_cli(["--config", str(path)]) == 0
+        assert run_cli(["--dims", "2", "--trials", "1", "--T", "10", "--seed", "4",
+                        "--cond", "10", "--diameter", "10",
+                        "--out", str(tmp_path / "flags")]) == 0
+        names = sorted(os.listdir(tmp_path / "file"))
+        assert names == sorted(os.listdir(tmp_path / "flags"))
+        assert any(name.startswith("run_") for name in names)
+        for name in names:
+            assert (tmp_path / "file" / name).read_bytes() == \
+                (tmp_path / "flags" / name).read_bytes()
+
     def test_bad_config_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"nonsense": 1}))

@@ -595,18 +595,18 @@ def _kkt_multiplier(costs, x0, X) -> float:
     return w - 1.0
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), T=st.integers(1, 6),
-       family=st.sampled_from(["quadratic", "norm_tracking", "composite"]),
-       tracking=st.sampled_from(["l1", "l2", "linf"]),
-       switching=st.sampled_from(["l1", "l2", "linf", "mahalanobis"]),
-       kind=st.sampled_from(["whole", "ball", "box", "mahalanobis ball"]),
-       fraction=st.floats(0.05, 0.95))
-def test_budgeted_solve_properties(seed, d, T, family, tracking, switching, kind, fraction):
-    # every family, tracking norm, switching norm and set the budgeted solve
-    # takes: within the budget, between OPT and base shrunk to the budget,
-    # converged, inside the set; the sets and families it does not take
-    # raise ValueError
+# the draw space of every family, tracking norm, switching norm and set the
+# offline solves take
+SOLVE_DRAWS = dict(
+    seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), T=st.integers(1, 6),
+    family=st.sampled_from(["quadratic", "norm_tracking", "composite"]),
+    tracking=st.sampled_from(["l1", "l2", "linf"]),
+    switching=st.sampled_from(["l1", "l2", "linf", "mahalanobis"]),
+    kind=st.sampled_from(["whole", "ball", "box", "mahalanobis ball"]))
+
+
+def _drawn_instance(seed, d, T, family, tracking, switching, kind):
+    """One draw of ``SOLVE_DRAWS``: (instance, switching norm, feasible set)."""
     rng = np.random.default_rng(seed)
     spec = InstanceSpec(d=d, T=T, family=family, seed=seed % 2**31, tracking_norm=tracking,
                         switching_norm="l2" if switching == "mahalanobis" else switching,
@@ -619,6 +619,48 @@ def test_budgeted_solve_properties(seed, d, T, family, tracking, switching, kind
         Q = _norm("mahalanobis", rng, d)
         points = np.vstack([inst.x0] + [f.minimizer for f in inst.costs])
         feasible = FeasibleSet.ball(np.zeros(d), 1.5 * Q(points).max(), Q)
+    return inst, norm, feasible
+
+
+def _path_objective(costs, x0, norm, X) -> float:
+    """X's hitting plus switching cost, each round priced by its own call."""
+    hit = sum(f(x) for f, x in zip(costs, X))
+    return hit + float(norm(np.diff(np.vstack([x0, X]), axis=0)).sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(**SOLVE_DRAWS)
+def test_guarded_solves_never_above_a_candidate(seed, d, T, family, tracking, switching,
+                                                kind):
+    # offline_opt and static_opt return a trajectory inside the set, priced
+    # exactly, and never above a candidate inside the set: staying at x0 and
+    # jumping to every minimizer, and holding x0 or one round's minimizer.
+    # static_opt ranks its candidates by stacked sums and prices only the
+    # winner exactly, so another candidate may undercut it by rounding alone
+    inst, norm, feasible = _drawn_instance(seed, d, T, family, tracking, switching, kind)
+    x0, costs = inst.x0, inst.costs
+    V = np.stack([f.minimizer for f in costs])
+    candidates = {"opt": [np.tile(x0, (T, 1)), V],
+                  "static": [np.tile(x, (T, 1)) for x in np.vstack([x0, V])]}
+    for label, solve in (("opt", offline_opt), ("static", static_opt)):
+        sol = solve(costs, x0, feasible, norm)
+        assert np.all(feasible.contains(sol.trajectory, 0.0))
+        assert sol.objective == pytest.approx(_path_objective(costs, x0, norm, sol.trajectory),
+                                              rel=1e-12, abs=1e-12)
+        for Y in candidates[label]:
+            if np.all(feasible.contains(Y, 0.0)):
+                bound = _path_objective(costs, x0, norm, Y)
+                assert sol.objective <= bound * (1.0 + (1e-12 if label == "static" else 0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**SOLVE_DRAWS, fraction=st.floats(0.05, 0.95))
+def test_budgeted_solve_properties(seed, d, T, family, tracking, switching, kind, fraction):
+    # every family, tracking norm, switching norm and set the budgeted solve
+    # takes: within the budget, between OPT and base shrunk to the budget,
+    # converged, inside the set; the sets and families it does not take
+    # raise ValueError
+    inst, norm, feasible = _drawn_instance(seed, d, T, family, tracking, switching, kind)
     base = offline_opt(inst.costs, inst.x0, feasible, norm)
     binds = base.total_move > 1e-6
     if binds:
@@ -662,6 +704,24 @@ def test_budgeted_solve_properties(seed, d, T, family, tracking, switching, kind
 
 
 class TestStatic:
+    @pytest.mark.parametrize("kind", ["ball", "box"])
+    def test_never_above_holding_x0(self, kind):
+        # l1 tracking under l1 switching separates by coordinate, so the static
+        # optimum is the coordinate-wise weighted median, 31.773462; the solve
+        # ends at 31.8833, above holding x0 (31.814775), and is reported as
+        # that candidate, not converged
+        spec = InstanceSpec(d=3, T=5, family="norm_tracking", seed=6, tracking_norm="l1",
+                            switching_norm="l1", feasible_kind=kind, feasible_radius=6.0,
+                            x0=tuple(np.random.default_rng(6).uniform(-1, 1, 3)))
+        inst = generate_instance(spec)
+        sol = static_opt(inst.costs, inst.x0, inst.feasible, inst.switching_norm)
+        hold = sum(f(inst.x0) for f in inst.costs)
+        assert hold == pytest.approx(31.814775, abs=1e-6)
+        assert sol.objective <= hold
+        np.testing.assert_array_equal(sol.trajectory, np.tile(inst.x0, (5, 1)))
+        assert not sol.converged
+        assert "hold x0" in sol.note
+
     def test_three_targets(self):
         costs = [abs_cost(t) for t in (1.0, 2.0, 3.0)]
         sol = static_opt(costs, [0.0])
