@@ -350,7 +350,7 @@ class _BalancedStepper(OnlineAlgorithm):
             if self.cfg.feasible is None else self.cfg
 
     def _account(self, rec: StepRecord) -> StepRecord:
-        if self._cfg.mirror_map.norm.kind != self.norm.kind:
+        if self._cfg.mirror_map.norm != self.norm:
             rec = replace(rec, move=self.norm(rec.x - self.x))
         self.x = rec.x
         return rec

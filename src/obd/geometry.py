@@ -3,7 +3,8 @@
 Everything downstream (level-set projections, balanced-descent steps, offline
 comparators) is phrased in terms of the objects defined here:
 
-* ``Norm``            -- one of l1 / l2 / linf / mahalanobis(Q), with its dual.
+* ``Norm``            -- one of l1 / l2 / linf / mahalanobis(Q), with its dual
+                         and value equality (same kind, same Q).
 * ``MirrorMap``       -- a potential Phi with gradient, inverse gradient and
                          the strong-convexity / smoothness moduli (m, M)
                          measured in a declared norm, so that
@@ -78,6 +79,7 @@ class Norm:
         self.kind = kind
         self.Q = None
         self._chol = None  # lower triangular L with Q = L L'
+        self._dual = None  # built by ``dual``
         if kind == MAHALANOBIS:
             if Q is None:
                 raise ValueError("mahalanobis norm requires Q")
@@ -135,26 +137,29 @@ class Norm:
 
     def dual_value(self, z) -> float:
         """Value of the dual norm ||z||_* = max_{||x|| <= 1} <z, x>."""
-        z = np.asarray(z, dtype=float)
-        if self.kind == L2:
-            return float(np.linalg.norm(z))
-        if self.kind == L1:
-            return float(np.abs(z).max()) if z.size else 0.0
-        if self.kind == LINF:
-            return float(np.abs(z).sum())
-        # ||z||_{Q^{-1}} = ||L^{-1} z||_2 with Q = L L'
-        w = np.linalg.solve(self._chol, z)
-        return float(np.linalg.norm(w))
+        return self.dual()(z)
 
     def dual(self) -> "Norm":
-        """The dual norm as a Norm object (l1 <-> linf, l2 and Q self-paired)."""
-        if self.kind == L2:
-            return Norm.l2()
-        if self.kind == L1:
-            return Norm.linf()
-        if self.kind == LINF:
-            return Norm.l1()
-        return Norm.mahalanobis(np.linalg.inv(self.Q))
+        """The dual norm (l1 <-> linf, l2 self-paired, Q <-> Q^-1), built on
+        the first call and kept; its own dual is this norm."""
+        if self._dual is None:
+            if self.kind == MAHALANOBIS:
+                self._dual = Norm.mahalanobis(np.linalg.inv(self.Q))
+            else:
+                self._dual = Norm({L1: LINF, L2: L2, LINF: L1}[self.kind])
+            self._dual._dual = self
+        return self._dual
+
+    def __eq__(self, other) -> bool:
+        """Same kind and, for Mahalanobis norms, the same Q; the l1, l2 and
+        linf kinds answer without touching numpy."""
+        if not isinstance(other, Norm):
+            return NotImplemented
+        return self.kind == other.kind and (
+            self.kind != MAHALANOBIS or np.array_equal(self.Q, other.Q))
+
+    def __hash__(self) -> int:
+        return hash(self.kind)
 
     def unit_ball_sample(self, rng: np.random.Generator, d: int) -> np.ndarray:
         """A random point on the unit sphere of this norm (for sampling checks)."""
@@ -179,22 +184,16 @@ class Norm:
 
 
 def norm_equivalence_constants(norm: Norm, d: int) -> tuple[float, float]:
-    """Tight constants (k1, k2) with k1*||x|| <= ||x||_2 <= k2*||x||.
+    """Tight constants (k1, k2) with k1*||x|| <= ||x||_2 <= k2*||x||:
+    k1 = c(l2, norm) and k2 = 1/c(norm, l2) for c = ``pair_growth_constant``.
 
     l1: (1/sqrt(d), 1); linf: (1, sqrt(d)); l2: (1, 1);
-    mahalanobis(Q): (1/sqrt(lambda_max(Q)), 1/sqrt(lambda_min(Q))), the unique
-    constants making the displayed inequality tight.
+    mahalanobis(Q): (1/sqrt(lambda_max(Q)), 1/sqrt(lambda_min(Q))).
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    if norm.kind == L2:
-        return 1.0, 1.0
-    if norm.kind == L1:
-        return 1.0 / math.sqrt(d), 1.0
-    if norm.kind == LINF:
-        return 1.0, math.sqrt(d)
-    lo, hi = norm.eigen_range()
-    return 1.0 / math.sqrt(hi), 1.0 / math.sqrt(lo)
+    return (pair_growth_constant(Norm.l2(), norm, d),
+            1.0 / pair_growth_constant(norm, Norm.l2(), d))
 
 
 def generalized_eigh(A: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,12 +213,13 @@ def generalized_eigh(A: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def pair_growth_constant(norm_a: Norm, norm_b: Norm, d: int) -> float:
     """Largest c with ||x||_a >= c * ||x||_b for all x in R^d.
 
-    Exact for any pair of l1/l2/linf; for pairs involving a mahalanobis norm
-    the value is composed through l2 and is a valid (possibly conservative)
-    lower bound.
+    Exactly 1 for equal norms, exact for any pair of l1/l2/linf and of two
+    mahalanobis norms; a mahalanobis norm against l1/l2/linf is composed
+    through l2 and is a valid (possibly conservative) lower bound.
     """
+    if norm_a == norm_b:
+        return 1.0
     exact = {
-        (L1, L1): 1.0, (L2, L2): 1.0, (LINF, LINF): 1.0,
         (L1, L2): 1.0, (L1, LINF): 1.0,
         (L2, L1): 1.0 / math.sqrt(d), (L2, LINF): 1.0,
         (LINF, L1): 1.0 / d, (LINF, L2): 1.0 / math.sqrt(d),
@@ -231,18 +231,13 @@ def pair_growth_constant(norm_a: Norm, norm_b: Norm, d: int) -> float:
         # min x'Qx / x'Px = smallest generalized eigenvalue of (Q, P)
         lam = generalized_eigh(norm_a.Q, norm_b.Q)[0]
         return float(math.sqrt(max(lam[0], 0.0)))
-    # chain through l2: ||x||_a >= c_a ||x||_2 and ||x||_2 >= c_2b ||x||_b
-    def vs_l2_lower(n: Norm) -> float:
-        if n.kind == MAHALANOBIS:
-            return math.sqrt(n.eigen_range()[0])
-        return pair_growth_constant(n, Norm.l2(), d)
-
-    def l2_vs_lower(n: Norm) -> float:
-        if n.kind == MAHALANOBIS:
-            return 1.0 / math.sqrt(n.eigen_range()[1])
-        return pair_growth_constant(Norm.l2(), n, d)
-
-    return vs_l2_lower(norm_a) * l2_vs_lower(norm_b)
+    # chain through l2: ||x||_a >= c_a ||x||_2 and ||x||_2 >= c_b ||x||_b, where
+    # ||x||_Q >= sqrt(lambda_min) ||x||_2 and ||x||_2 >= ||x||_Q / sqrt(lambda_max)
+    c_a = math.sqrt(norm_a.eigen_range()[0]) if norm_a.kind == MAHALANOBIS \
+        else pair_growth_constant(norm_a, Norm.l2(), d)
+    c_b = 1.0 / math.sqrt(norm_b.eigen_range()[1]) if norm_b.kind == MAHALANOBIS \
+        else pair_growth_constant(Norm.l2(), norm_b, d)
+    return c_a * c_b
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +357,11 @@ def bregman_divergence(mirror_map: MirrorMap, x, y) -> float:
     return mirror_map.phi(x) - mirror_map.phi(y) - float(mirror_map.grad(y) @ (x - y))
 
 
-def check_divergence_sandwich(mirror_map: MirrorMap, x, y,
-                              slack: float = 1e-9) -> tuple[bool, float]:
+# the violation ``check_divergence_sandwich`` allows, relative to max(1, ||x-y||^2)
+SANDWICH_SLACK = 1e-9
+
+
+def check_divergence_sandwich(mirror_map: MirrorMap, x, y) -> tuple[bool, float]:
     """Check (m/2)||x-y||^2 <= D_Phi(x,y) <= (M/2)||x-y||^2 for one pair.
 
     Returns (ok, worst signed violation); the predicate Theorem-style audits
@@ -374,7 +372,7 @@ def check_divergence_sandwich(mirror_map: MirrorMap, x, y,
     lo_violation = 0.5 * mirror_map.m * n2 - div
     hi_violation = div - 0.5 * mirror_map.M * n2
     worst = max(lo_violation, hi_violation)
-    return worst <= slack * max(1.0, n2), worst
+    return worst <= SANDWICH_SLACK * max(1.0, n2), worst
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +465,9 @@ class FeasibleSet:
     def diameter(self, norm: Optional[Norm] = None) -> float:
         """Diameter in ``norm`` (default l2); inf for unbounded kinds.
 
-        Exact for box/simplex in any supported norm and for balls whose norm
-        matches; ball diameters in a different norm use equivalence constants
-        and may be conservative.
+        Exact for box/simplex in any supported norm and for balls in their
+        own norm; a ball's diameter in another norm is 2r over
+        ``pair_growth_constant`` and may be conservative.
         """
         norm = norm or Norm.l2()
         p = self.params
@@ -478,11 +476,7 @@ class FeasibleSet:
         if self.kind == BOX:
             return norm(p["hi"] - p["lo"])
         if self.kind == BALL:
-            if norm.kind == p["norm"].kind and (
-                    norm.kind != MAHALANOBIS or np.array_equal(norm.Q, p["norm"].Q)):
-                return 2.0 * p["radius"]
-            c = pair_growth_constant(p["norm"], norm, self.dim)
-            return 2.0 * p["radius"] / c
+            return 2.0 * p["radius"] / pair_growth_constant(p["norm"], norm, self.dim)
         # delta-interior simplex: extreme points put 1-(d-1)*delta on one axis
         d, delta = self.dim, p["delta"]
         span = 1.0 - d * delta

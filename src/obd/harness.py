@@ -30,7 +30,7 @@ from .algorithms import (
 from .costs import HYPERPLANE_CHASE, Instance, InstanceSpec, generate_instance
 from .geometry import (
     BALL, BOX, SIMPLEX, FeasibleSet, MirrorMap, Norm, euclidean_map,
-    norm_equivalence_constants,
+    norm_equivalence_constants, pair_growth_constant,
 )
 from .offline import OfflineSolution, offline_opt, offline_opt_constrained, static_opt
 
@@ -95,30 +95,27 @@ class RunReport:
 
 
 def mirror_grad_bound(mirror_map: MirrorMap, feasible: FeasibleSet) -> float:
-    """Upper bound on ||grad Phi(x)||_* over the feasible set (inf if unbounded)."""
+    """Upper bound on ||grad Phi(x)||_* over the feasible set (inf if unbounded).
+
+    Under a quadratic-form map Phi(x) = x'Qx/2 (the Euclidean map as Q = I)
+    ||Qx||_* is the map's own norm of x, so a ball gives ||c||_map + r / c(ball
+    norm, map norm) and a box ||corner||_2 / c(l2, map norm), with c the
+    ``pair_growth_constant``; the Euclidean map gives 1 on the simplex, and
+    the entropy map there max(1, |ln delta + 1|).
+    """
     p = feasible.params
-    if mirror_map.name == "euclidean":
-        if feasible.kind == BALL and p["norm"].kind == "l2":
-            return float(np.linalg.norm(p["center"])) + p["radius"]
-        if feasible.kind == BOX:
-            return float(np.linalg.norm(np.maximum(np.abs(p["lo"]), np.abs(p["hi"]))))
-        if feasible.kind == SIMPLEX:
-            return 1.0
-        return math.inf
-    if mirror_map.name == "mahalanobis":
-        qn = Norm.mahalanobis(mirror_map.Q)
-        if feasible.kind == BALL:
-            c = qn(p["center"])
-            if p["norm"].kind == "mahalanobis" and np.array_equal(p["norm"].Q, mirror_map.Q):
-                return c + p["radius"]
-            if p["norm"].kind == "l2":
-                return c + p["radius"] * math.sqrt(qn.eigen_range()[1])
-        if feasible.kind == BOX:
-            corner = np.maximum(np.abs(p["lo"]), np.abs(p["hi"]))
-            return math.sqrt(qn.eigen_range()[1]) * float(np.linalg.norm(corner))
-        return math.inf
     if mirror_map.name == "entropy" and feasible.kind == SIMPLEX:
         return max(1.0, abs(math.log(p["delta"]) + 1.0))
+    if mirror_map.name not in ("euclidean", "mahalanobis"):
+        return math.inf
+    norm, d = mirror_map.norm, feasible.dim
+    if feasible.kind == BALL:
+        return norm(p["center"]) + p["radius"] / pair_growth_constant(p["norm"], norm, d)
+    if feasible.kind == BOX:
+        corner = np.maximum(np.abs(p["lo"]), np.abs(p["hi"]))
+        return float(np.linalg.norm(corner)) / pair_growth_constant(Norm.l2(), norm, d)
+    if feasible.kind == SIMPLEX and mirror_map.name == "euclidean":
+        return 1.0
     return math.inf
 
 
@@ -238,7 +235,7 @@ def audit_theorem1(report: RunReport, alpha: float) -> list[AuditResult]:
     C = choice.competitive_ratio
     acct = inst.switching_norm
     k1, k2 = norm_equivalence_constants(acct, inst.d)
-    factor = 1.0 if acct.kind == "l2" else max(k2, 1.0) / min(k1, 1.0)
+    factor = max(k2, 1.0) / min(k1, 1.0)
     bound = factor * C
     results = []
 
@@ -489,11 +486,11 @@ def experiment_lower_bound(dims: Sequence[int]) -> tuple[ResultTable, list[dict]
     return table, payloads
 
 
-def theorem1_suite(seed: int, count: int = 50,
-                   alphas: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
-                   dims: Sequence[int] = (2, 5, 10), T: int = 50) -> list[InstanceSpec]:
-    """Seeded locally polyhedral instances cycling over (alpha, d) pairs."""
-    combos = [(a, d) for a in alphas for d in dims]
+def theorem1_suite(seed: int, count: int = 50, dims: Sequence[int] = (2, 5, 10),
+                   T: int = 50) -> list[InstanceSpec]:
+    """Seeded locally polyhedral instances cycling over (alpha, d) pairs, with
+    alpha in 0.5, 1, 2 and 4."""
+    combos = [(a, d) for a in (0.5, 1.0, 2.0, 4.0) for d in dims]
     specs = []
     for i in range(count):
         alpha, d = combos[i % len(combos)]
@@ -504,15 +501,15 @@ def theorem1_suite(seed: int, count: int = 50,
 
 
 def theorem3_suite(seed: int, count: int = 30, dims: Sequence[int] = (2, 5),
-                   T: int = 100, diameter: float = 10.0) -> list[InstanceSpec]:
-    """Seeded smooth quadratic instances on a centered feasible ball."""
+                   T: int = 100) -> list[InstanceSpec]:
+    """Seeded smooth quadratic instances on the centered radius-10 ball."""
     specs = []
     for i in range(count):
         d = dims[i % len(dims)]
         specs.append(InstanceSpec(d=d, T=T, family="quadratic",
                                   seed=derive_seed(seed, i), cond=10.0,
-                                  diameter=diameter, feasible_kind="ball",
-                                  feasible_radius=diameter))
+                                  diameter=10.0, feasible_kind="ball",
+                                  feasible_radius=10.0))
     return specs
 
 
@@ -556,16 +553,14 @@ class RegretCase:
     report: RunReport
 
 
-def run_theorem3_case(spec: InstanceSpec,
-                      budgets: Sequence[str] = ("opt_move", "diameter", "zero"),
-                      ) -> list[RegretCase]:
+def run_theorem3_case(spec: InstanceSpec) -> list[RegretCase]:
     """Run the dual stepper per movement budget with the optimizing eta.
 
-    Budgets name the comparator's movement allowance: the dynamic optimum's
-    own movement, the feasible diameter, or zero.  Positive budgets re-run
-    the stepper with eta = sqrt(2*G*L*m/T); the zero budget is solved in the
-    smallest positive-budget run (eta grows with L, so its eta is the
-    smallest), whose bound T*eta/(2m) is valid for any eta.
+    The budgets are the comparator's movement allowances: the dynamic
+    optimum's own movement, the feasible diameter, and zero.  Positive
+    budgets re-run the stepper with eta = sqrt(2*G*L*m/T); the zero budget
+    is solved in the smallest positive-budget run (eta grows with L, so its
+    eta is the smallest), whose bound T*eta/(2m) is valid for any eta.
     ``opt`` and ``static`` are solved once, guarded as in ``run``: one that
     raises is None in every report and listed by its ``unverified()``; the
     opt_move budget is then skipped, and a budget whose comparator raised
@@ -582,13 +577,12 @@ def run_theorem3_case(spec: InstanceSpec,
         list(instance.costs), instance.x0, instance.feasible, instance.switching_norm))
     opt = shared["opt"]
     named = {"opt_move": opt.total_move if opt else None, "diameter": D}
-    positive = [(name, named[name]) for name in budgets
-                if name != "zero" and named[name] is not None]
+    positive = [(name, L) for name, L in named.items() if L is not None]
     smallest = min(range(len(positive)), key=lambda i: positive[i][1], default=None)
     cases = []
     for i, (name, L) in enumerate(positive):
         eta = choose_eta(G, L, m, instance.T).eta
-        budget_Ls = (L, 0.0) if "zero" in budgets and i == smallest else (L,)
+        budget_Ls = (L, 0.0) if i == smallest else (L,)
         cfg = DualConfig(eta=eta, mirror_map=euclidean_map())
         rep = run(DualOBD(cfg), instance, comparators=("opt", "static"),
                   opt_L=budget_Ls, precomputed=dict(shared))

@@ -140,8 +140,7 @@ def _cost_parts(costs: Sequence[CostFunction]) -> list:
                                        for name in ("A", "y", "AtA", "Aty"))]
     if all(isinstance(f, NormTrackingCost) for f in costs):
         norm = costs[0].norm_a
-        if any(f.norm_a.kind != norm.kind or not np.array_equal(f.norm_a.Q, norm.Q)
-               for f in costs):
+        if any(f.norm_a != norm for f in costs):
             raise ValueError("the offline solves need one tracking norm for all rounds")
         return [("tracking", norm, np.stack([f.minimizer for f in costs]),
                  np.array([f.scale for f in costs]))]
@@ -1042,14 +1041,14 @@ class GridSpec:
         return self.lo.shape[0]
 
 
-def auto_grid(costs: Sequence[CostFunction], x0, points: int = 21,
-              margin: float = 1.0) -> GridSpec:
-    """Bounding box of the anchors (minimizers and x0), padded by ``margin``."""
+def auto_grid(costs: Sequence[CostFunction], x0, points: int = 21) -> GridSpec:
+    """Bounding box of the anchors (minimizers and x0), padded on each side
+    by 1 plus its width."""
     anchors = [np.asarray(x0, dtype=float)]
     anchors += [f.minimizer for f in costs if hasattr(f, "minimizer")]
     arr = np.stack(anchors)
     lo, hi = arr.min(axis=0), arr.max(axis=0)
-    pad = margin * (1.0 + (hi - lo))
+    pad = 1.0 + (hi - lo)
     return GridSpec(lo - pad, hi + pad, points)
 
 

@@ -1,27 +1,21 @@
 """Bregman projections onto cost sublevel sets and onto simple convex sets.
 
-The central operation is ``project_sublevel``: minimize D_Phi(x, x_prev)
-subject to f(x) <= l over the feasible set.  It is one scalar root in the
-multiplier eta of the level constraint -- f evaluated at
+``project_sublevel`` minimizes D_Phi(x, x_prev) subject to f(x) <= l over the
+feasible set.  It is one scalar root in the multiplier eta of the level
+constraint: f at x(eta) = argmin_x D_Phi(x, x_prev) + eta * f(x) is
+non-increasing in eta, so ``_multiplier_root`` brackets the eta with
+f(x(eta)) = l and finds it with Brent's method; the balanced-descent steppers
+of ``obd.algorithms`` find their balanced points with the same root.  The
+root runs along a ``_Path``, built once per (map, cost, x_prev, set), which
+prices the two balance sides in closed form where it can and builds x(eta)
+as ``solve_regularized`` describes.
 
-    x(eta) = argmin_x  D_Phi(x, x_prev) + eta * f(x)
-
-is non-increasing in eta, so the eta with f(x(eta)) = l brackets cleanly.
-``_multiplier_root`` finds it with Brent's method; the balanced-descent
-steppers of ``obd.algorithms`` find their balanced points with the same root.
-The root runs along a ``_Path``, built once per (map, cost, x_prev, set).
-On the whole space, for quadratic costs under quadratic-form maps and l2
-tracking costs under the Euclidean map, the path prices both balance sides,
-the move and f, in closed form without building x, and x is built once, at
-the root.  Each x(eta) is a closed form where one exists (quadratic costs
-under quadratic-form maps, norm-tracking costs under the Euclidean map) and
-lands in the set, a KKT Newton solve for quadratic costs under the entropy
-map on the simplex, and otherwise the damped-Newton barrier solve of
-``obd.offline`` on the one-row form of its trajectory problem.  Pairs none of
-these covers raise ValueError; there is no first-order fallback.  The scalars
-of the ellipsoid and entropy-simplex projections are Brent roots too.
-
-Everything here is stateless given its inputs; a path lives for one step.
+Each geometric step is written once: ``project_set`` holds one closed-form
+block for every quadratic-form map, the Euclidean map as Q = I; the tracking
+prox is Moreau's u minus a projection onto a dual-norm ball; and the
+multiplier and the ellipsoid and entropy-simplex scales are each one
+``_bracketed_root``.  Everything here is stateless given its inputs; a path
+lives for one step.
 """
 
 from __future__ import annotations
@@ -33,15 +27,18 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import (
-    BALL, BOX, HALFSPACE, HYPERPLANE, L1, L2, LINF, MAHALANOBIS, SIMPLEX, WHOLE,
-    FeasibleSet, MirrorMap, Norm,
+    BALL, BOX, HALFSPACE, HYPERPLANE, L1, L2, LINF, SIMPLEX, WHOLE, FeasibleSet,
+    MirrorMap, Norm, euclidean_map,
 )
 from .costs import CostFunction, NormTrackingCost, QuadraticCost
 from .offline import _TrajectoryProblem, _interior, _solve
 
 ETA_CAP = 2.0 ** 60
+# the last bracket end the ellipsoid and entropy-simplex scalars try
+_SCALE_CAP = 2.0 ** 59
 # Brent's method (``_brent``) run to machine precision in its root
 _BRENT = dict(xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=100)
+_EUCLIDEAN = euclidean_map()
 
 
 class InfeasibleLevel(ValueError):
@@ -86,70 +83,44 @@ def _simplex_project_shifted(y: np.ndarray, total: float) -> np.ndarray:
     return np.maximum(y - tau, 0.0)
 
 
-def _l1_ball_project(u: np.ndarray, radius: float) -> np.ndarray:
-    if np.abs(u).sum() <= radius:
-        return u.copy()
-    if radius <= 0.0:
-        return np.zeros_like(u)
-    mag = _simplex_project_shifted(np.abs(u), radius)
-    return np.sign(u) * mag
-
-
 def _ellipsoid_project(x: np.ndarray, center: np.ndarray, Q: np.ndarray,
                        radius: float) -> np.ndarray:
-    """Euclidean projection onto {y : ||y - center||_Q <= radius}."""
+    """Euclidean projection onto {y : ||y - center||_Q <= radius}: y(mu) =
+    center + (I + mu Q)^-1 (x - center), with mu the ``_bracketed_root`` of
+    radius^2 - ||y(mu) - center||_Q^2 in Q's eigenbasis."""
     z = x - center
     if float(z @ (Q @ z)) <= radius * radius:
         return x.copy()
     q, V = np.linalg.eigh(Q)
     w = V.T @ z
 
-    def excess(mu: float) -> float:
+    def shortfall(mu: float) -> float:
         s = w / (1.0 + mu * q)
-        return float(np.sum(q * s * s)) - radius * radius
+        return radius * radius - float(np.sum(q * s * s))
 
-    lo, hi = 0.0, 1.0
-    while excess(hi) > 0.0:
-        lo, hi = hi, 2.0 * hi
-        if hi > 1e18:
-            raise NonConvergence("ellipsoid projection bracket blew up")
-    mu = _brent(excess, lo, hi, **_BRENT) if excess(lo) > 0.0 else lo
+    mu = _bracketed_root(shortfall, _SCALE_CAP, "ellipsoid projection bracket blew up")[0]
     return center + V @ (w / (1.0 + mu * q))
 
 
 def _euclidean_project(constraint: FeasibleSet, x: np.ndarray) -> np.ndarray:
-    """argmin_{y in set} ||y - x||_2."""
+    """argmin_{y in set} ||y - x||_2 on the sets that only the Euclidean map
+    projects onto in closed form: the simplex and the l1, linf and
+    Mahalanobis balls."""
     p = constraint.params
-    if constraint.kind == WHOLE:
-        return x.copy()
-    if constraint.kind == BOX:
-        return np.clip(x, p["lo"], p["hi"])
-    if constraint.kind == HYPERPLANE:
-        a, b = p["a"], p["b"]
-        return x - ((float(a @ x) - b) / float(a @ a)) * a
-    if constraint.kind == HALFSPACE:
-        a, b = p["a"], p["b"]
-        viol = float(a @ x) - b
-        if viol <= 0.0:
-            return x.copy()
-        return x - (viol / float(a @ a)) * a
     if constraint.kind == SIMPLEX:
         delta, d = p["delta"], constraint.dim
         # substitute w = x - delta: standard simplex with mass 1 - d*delta
         w = _simplex_project_shifted(x - delta, 1.0 - d * delta)
         return w + delta
-    # ball
     c, r, norm = p["center"], p["radius"], p["norm"]
-    u = x - c
-    if norm.kind == L2:
-        n = norm(u)
-        if n <= r:
-            return x.copy()
-        return c + (r / n) * u
     if norm.kind == LINF:
-        return c + np.clip(u, -r, r)
+        return c + np.clip(x - c, -r, r)
     if norm.kind == L1:
-        return c + _l1_ball_project(u, r)
+        u = x - c
+        if np.abs(u).sum() <= r:
+            return x.copy()
+        return c + np.sign(u) * _simplex_project_shifted(np.abs(u), r) if r > 0.0 \
+            else c.copy()
     return _ellipsoid_project(x, c, norm.Q, r)
 
 
@@ -158,12 +129,7 @@ def _entropy_simplex_project(x: np.ndarray, delta: float) -> np.ndarray:
     def excess(c: float) -> float:
         return float(np.maximum(delta, c * x).sum()) - 1.0
 
-    lo, hi = 0.0, 1.0
-    while excess(hi) < 0.0:
-        lo, hi = hi, 2.0 * hi
-        if hi > 1e18:
-            raise NonConvergence("entropy projection scale blew up")
-    c = _brent(excess, lo, hi, **_BRENT) if excess(lo) < 0.0 else lo
+    c = _bracketed_root(excess, _SCALE_CAP, "entropy projection scale blew up")[0]
     out = np.maximum(delta, c * x)
     return out / out.sum()
 
@@ -171,46 +137,48 @@ def _entropy_simplex_project(x: np.ndarray, delta: float) -> np.ndarray:
 def project_set(mirror_map: MirrorMap, constraint: FeasibleSet, x) -> np.ndarray:
     """Bregman projection argmin_{y in set} D_Phi(y, x).
 
-    Closed forms cover the Euclidean map on every supported set, the
-    quadratic-form (Mahalanobis) map on affine sets / matching balls /
-    diagonal boxes, and the entropy map on the simplex interior.  Other
-    pairs raise ValueError.
+    One block serves every quadratic-form map Phi(x) = x'Qx/2, the Euclidean
+    map as Q = I: an affine set steps along Q^-1 a, a ball in the map's own
+    norm scales radially, and a box is clipped when Q is diagonal.  The
+    Euclidean map also projects onto the simplex and the other balls
+    (``_euclidean_project``), and the entropy map onto the simplex interior.
+    Other pairs raise ValueError.
     """
     x = np.asarray(x, dtype=float)
     if constraint.contains(x, tol=0.0):
         return x.copy()
-    if mirror_map.name == "euclidean":
-        return _euclidean_project(constraint, x)
     if mirror_map.name == "entropy" and constraint.kind == SIMPLEX:
         return _entropy_simplex_project(x, constraint.params["delta"])
-    if mirror_map.Q is not None:
-        Q = mirror_map.Q
-        p = constraint.params
+    euclidean, Q, p = mirror_map.name == "euclidean", mirror_map.Q, constraint.params
+    if euclidean or Q is not None:
+        if constraint.kind == WHOLE:
+            return x.copy()
         if constraint.kind in (HYPERPLANE, HALFSPACE):
             a, b = p["a"], p["b"]
             viol = float(a @ x) - b
             if constraint.kind == HALFSPACE and viol <= 0.0:
                 return x.copy()
-            Qinv_a = np.linalg.solve(Q, a)
+            Qinv_a = a if euclidean else np.linalg.solve(Q, a)
             return x - (viol / float(a @ Qinv_a)) * Qinv_a
-        if constraint.kind == BALL and p["norm"].kind == MAHALANOBIS \
-                and np.array_equal(p["norm"].Q, Q):
+        if constraint.kind == BALL and p["norm"] == mirror_map.norm:
             u = x - p["center"]
             n = p["norm"](u)
             if n <= p["radius"]:
                 return x.copy()
             return p["center"] + (p["radius"] / n) * u
-        if constraint.kind == BOX and np.count_nonzero(Q - np.diag(np.diag(Q))) == 0:
+        if constraint.kind == BOX and (euclidean or not np.any(Q - np.diag(np.diag(Q)))):
             return np.clip(x, p["lo"], p["hi"])
-    kind = f"{constraint.params['norm'].kind} ball" if constraint.kind == BALL \
-        else constraint.kind
+        if euclidean:
+            return _euclidean_project(constraint, x)
+    kind = f"{p['norm'].kind} ball" if constraint.kind == BALL else constraint.kind
     raise ValueError(f"no closed-form projection onto a {kind} under the "
                      f"{mirror_map.name} map")
 
 
 def _prox_tracking(u: np.ndarray, thr: float, norm: Norm) -> np.ndarray:
-    """prox of thr*||.|| evaluated at u: u minus its Euclidean projection
-    onto the dual-norm ball of radius thr."""
+    """prox of thr*||.|| evaluated at u, by Moreau's decomposition: u minus
+    its Euclidean projection onto the radius-thr ball of the dual norm.  l2
+    keeps its own (1 - thr/||u||) u, which rounds differently."""
     if thr <= 0.0:
         return u.copy()
     if norm.kind == L2:
@@ -218,30 +186,26 @@ def _prox_tracking(u: np.ndarray, thr: float, norm: Norm) -> np.ndarray:
         if n <= thr:
             return np.zeros_like(u)
         return (1.0 - thr / n) * u
-    if norm.kind == L1:
-        return np.sign(u) * np.maximum(np.abs(u) - thr, 0.0)
-    if norm.kind == LINF:
-        return u - _l1_ball_project(u, thr)
-    return u - _ellipsoid_project(u, np.zeros_like(u), np.linalg.inv(norm.Q), thr)
+    return u - project_set(_EUCLIDEAN, FeasibleSet.ball(np.zeros_like(u), thr, norm.dual()), u)
 
 
 def _entropy_simplex_regularized(f: QuadraticCost, eta: float,
-                                 x_prev: np.ndarray, delta: float,
-                                 tol: float = 1e-12,
-                                 max_iter: int = 60) -> np.ndarray:
+                                 x_prev: np.ndarray, delta: float) -> np.ndarray:
     """KKT Newton solve of min D_ent(x, x_prev) + eta*f(x) on the simplex.
 
     Solves the stationarity system ln x - ln x_prev + eta*grad f(x) + nu*1 = 0
-    with sum x = 1; raises NonConvergence when Newton fails to settle or a
+    with sum x = 1, to a KKT residual of 1e-12 * (1 + eta) in at most 60
+    Newton steps; raises NonConvergence when Newton fails to settle or a
     bound x_i >= delta turns active, which this system leaves out.
     """
+    tol = 1e-12
     d = x_prev.size
     x = x_prev.copy()
     nu = 0.0
     log_prev = np.log(x_prev)
     H = 2.0 * eta * f.AtA
     t = 1.0
-    for _ in range(max_iter):
+    for _ in range(60):
         g = np.log(x) - log_prev + eta * f.grad(x) + nu
         r2 = float(x.sum()) - 1.0
         res = math.sqrt(float(g @ g) + r2 * r2)
@@ -455,29 +419,37 @@ def _brent(f: Callable[[float], float], xpre: float, xcur: float, xtol: float,
     return xcur
 
 
-def _multiplier_root(path: _Path, balance: Callable[[float], float]):
-    """Solve balance(eta) = 0 over eta > 0, given balance(0) < 0, where
-    balance prices x(eta) of ``path``.
+def _bracketed_root(g: Callable[[float], float], cap: float,
+                    blowup: Optional[str] = None) -> tuple[float, dict]:
+    """Root of a non-decreasing g over [0, inf): the bracket's upper end
+    doubles from 1 while g < 0, up to ``cap``, then Brent's method runs to
+    machine precision.  Returns the point of least |g| it evaluated, ties
+    going to the larger point, and every value (point -> g).  If g is still
+    negative at the cap, it raises NonConvergence(blowup) when ``blowup`` is
+    given and otherwise returns as above."""
+    values: dict = {}
 
-    The bracket's upper end doubles from eta = 1 until the sign changes (hard
-    cap ETA_CAP), then Brent's method runs to machine precision in eta.
-    Returns the eta of smallest |balance| seen, ties going to the larger eta,
-    the point x(eta) with whether its solve converged, and the number of
-    balance evaluations.
-    """
-    values: dict = {}  # eta -> balance
-
-    def g(eta: float) -> float:
-        if eta not in values:
-            values[eta] = balance(eta)
-        return values[eta]
+    def value(x: float) -> float:
+        if x not in values:
+            values[x] = g(x)
+        return values[x]
 
     lo, hi = 0.0, 1.0
-    while g(hi) < 0.0 and hi < ETA_CAP:
+    while value(hi) < 0.0 and hi < cap:
         lo, hi = hi, 2.0 * hi
-    if g(lo) < 0.0 < g(hi):
-        _brent(g, lo, hi, **_BRENT)
-    eta = min(values, key=lambda e: (abs(values[e]), -e))
+    if blowup is not None and values[hi] < 0.0:
+        raise NonConvergence(blowup)
+    if value(lo) < 0.0 < values[hi]:
+        _brent(value, lo, hi, **_BRENT)
+    return min(values, key=lambda x: (abs(values[x]), -x)), values
+
+
+def _multiplier_root(path: _Path, balance: Callable[[float], float]):
+    """Solve balance(eta) = 0 over eta > 0, given balance(0) < 0, where
+    balance prices x(eta) of ``path``: one ``_bracketed_root`` capped at
+    ETA_CAP.  Returns its eta, the point x(eta) with whether its solve
+    converged, and the number of balance evaluations."""
+    eta, values = _bracketed_root(balance, ETA_CAP)
     return (eta, *path.point(eta), len(values))
 
 

@@ -16,7 +16,7 @@ from obd.costs import (
     Instance, InstanceSpec, adversary_step, generate_instance, make_norm_tracking,
     make_quadratic,
 )
-from obd.geometry import FeasibleSet, Norm, euclidean_map
+from obd.geometry import FeasibleSet, Norm, euclidean_map, mahalanobis_map
 from obd.harness import run
 
 EMAP = euclidean_map()
@@ -277,6 +277,20 @@ class TestParameterChoices:
 
 
 class TestBaselinesAndMemory:
+    def test_move_recorded_in_the_switching_norm(self):
+        # the map's norm and the switching norm are both Mahalanobis, with
+        # different Q: each recorded move is in the switching norm
+        spec = InstanceSpec(d=2, T=3, family="quadratic", seed=1)
+        base = generate_instance(spec)
+        sw = Norm.mahalanobis(np.diag([9.0, 1.0]))
+        inst = Instance(spec, base.costs, base.feasible, sw, base.x0, base.alpha)
+        cfg = PrimalConfig(0.5, mahalanobis_map(np.diag([1.0, 4.0])))
+        report = run(PrimalOBD(cfg), inst, comparators=())
+        X = [inst.x0] + [s.x for s in report.steps]
+        moves = [sw(b - a) for a, b in zip(X[:-1], X[1:])]
+        assert [s.move for s in report.steps] == moves
+        assert report.total_move == pytest.approx(14.3820, abs=1e-4)
+
     def test_greedy_tracks_minimizers(self):
         spec = InstanceSpec(d=2, T=10, family="norm_tracking", seed=35)
         inst = generate_instance(spec)

@@ -85,6 +85,19 @@ class TestNorms:
         md = Norm.mahalanobis(Q).dual()
         np.testing.assert_allclose(md.Q, np.linalg.inv(Q))
 
+    def test_equality_and_hash(self):
+        # same kind and, for Mahalanobis norms, the same Q
+        Q = np.diag([4.0, 1.0])
+        assert Norm.l2() == Norm.l2() and Norm.l1() != Norm.linf()
+        assert Norm.mahalanobis(Q) == Norm.mahalanobis(Q.copy())
+        assert Norm.mahalanobis(Q) != Norm.mahalanobis(np.diag([1.0, 4.0]))
+        assert Norm.mahalanobis(np.eye(2)) != Norm.l2()
+        assert len({Norm.l1(), Norm.l1(), Norm.mahalanobis(Q),
+                    Norm.mahalanobis(Q.copy())}) == 2
+        m = Norm.mahalanobis(Q)
+        assert m.dual() is m.dual() and m.dual().dual() is m
+        assert pair_growth_constant(m, Norm.mahalanobis(Q.copy()), 2) == 1.0
+
     def test_singular_Q_rejected(self):
         with pytest.raises(SingularMatrixError):
             Norm.mahalanobis(np.zeros((2, 2)))

@@ -200,7 +200,7 @@ class TestAudits:
 
     def test_theorem3_zero_budget_reduction(self):
         spec = theorem3_suite(seed=70, count=1, dims=(2,), T=30)[0]
-        cases = run_theorem3_case(spec, budgets=("opt_move", "zero"))
+        cases = run_theorem3_case(spec)
         zero = [c for c in cases if c.L == 0.0][0]
         assert zero.bound == pytest.approx(30 * zero.eta / 2.0)
         assert zero.regret <= zero.bound + 1e-4 * max(1.0, zero.bound)
@@ -254,6 +254,20 @@ class TestGradBounds:
             worst = max(mmap.norm.dual_value(mmap.grad(x)) for x in points)
             assert math.isfinite(G) and worst <= G * (1.0 + 1e-12), name
         assert mirror_grad_bound(mmap, FeasibleSet.halfspace(c, 1.0)) == math.inf
+
+    @pytest.mark.parametrize("which", ["euclidean", "mahalanobis"])
+    def test_balls_in_other_norms(self, which):
+        # a ball in any norm is bounded: its bound is finite and holds at
+        # sampled points, boundary points included
+        rng = np.random.default_rng(85)
+        mmap = euclidean_map() if which == "euclidean" else self._mahalanobis_map(rng, 3)
+        c, r = rng.standard_normal(3), 1.5
+        radial = rng.uniform(0.0, 1.0, 200) ** np.repeat([0.0, 1.0], 100)
+        for norm in (Norm.l1(), Norm.linf(), self._mahalanobis_map(rng, 3).norm):
+            points = [c + r * a * norm.unit_ball_sample(rng, 3) for a in radial]
+            G = mirror_grad_bound(mmap, FeasibleSet.ball(c, r, norm))
+            worst = max(mmap.norm.dual_value(mmap.grad(x)) for x in points)
+            assert math.isfinite(G) and worst <= G * (1.0 + 1e-12), norm
 
     def test_mahalanobis_matching_ball_is_attained(self):
         # the ball's point farthest from the origin in the Q norm attains it

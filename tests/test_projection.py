@@ -263,9 +263,15 @@ def _spd(rng, d):
 
 
 class TestMahalanobisClosedForms:
-    """project_set under Phi = x'Qx/2 on a halfspace, a matching Mahalanobis
-    ball and a diagonal-Q box: the projection lies in the set, a point inside
-    is returned as it is, and <Q(x - p), z - p> <= 0 for sampled z in the set."""
+    """project_set under Phi = x'Qx/2 on a halfspace, a hyperplane, a ball in
+    the map's own norm and a diagonal-Q box: the projection lies in the set, a
+    point inside is returned as it is, and <Q(x - p), z - p> <= 0 for sampled
+    z in the set."""
+
+    @staticmethod
+    def _map(rng, diagonal=False):
+        return mahalanobis_map(np.diag(rng.uniform(0.5, 4.0, 3)) if diagonal
+                               else _spd(rng, 3))
 
     @staticmethod
     def _check(mmap, s, xs, zs):
@@ -276,7 +282,7 @@ class TestMahalanobisClosedForms:
             if s.contains(x, tol=0.0):
                 inside += 1
                 np.testing.assert_array_equal(p, x)
-            g = mmap.Q @ (x - p)
+            g = mmap.grad(x) - mmap.grad(p)
             for z in zs:
                 scale = 1.0 + np.linalg.norm(g) * np.linalg.norm(z - p)
                 assert float(g @ (z - p)) <= 1e-10 * scale
@@ -284,14 +290,23 @@ class TestMahalanobisClosedForms:
 
     def test_halfspace(self):
         rng = np.random.default_rng(61)
-        mmap = mahalanobis_map(_spd(rng, 3))
+        mmap = self._map(rng)
         s = FeasibleSet.halfspace(rng.standard_normal(3), 0.5)
         zs = [project_set(EMAP, s, w) for w in 4.0 * rng.standard_normal((60, 3))]
         self._check(mmap, s, 4.0 * rng.standard_normal((20, 3)), zs)
 
+    def test_hyperplane(self):
+        # integer points, so that some lie on the plane exactly
+        rng = np.random.default_rng(64)
+        mmap = self._map(rng)
+        s = FeasibleSet.hyperplane(np.array([1.0, 2.0, -1.0]), 1.0)
+        zs = [project_set(EMAP, s, w) for w in 4.0 * rng.standard_normal((60, 3))]
+        xs = [np.array([1.0, 0.0, 0.0])] + list(rng.integers(-3, 4, (20, 3)).astype(float))
+        self._check(mmap, s, xs, zs)
+
     def test_matching_ball(self):
         rng = np.random.default_rng(62)
-        mmap = mahalanobis_map(_spd(rng, 3))
+        mmap = self._map(rng)
         c, r = rng.standard_normal(3), 1.5
         s = FeasibleSet.ball(c, r, mmap.norm)
         zs = [c + r * rng.uniform(0.0, 1.0) ** k * mmap.norm.unit_ball_sample(rng, 3)
@@ -302,11 +317,42 @@ class TestMahalanobisClosedForms:
 
     def test_diagonal_box(self):
         rng = np.random.default_rng(63)
-        mmap = mahalanobis_map(np.diag(rng.uniform(0.5, 4.0, 3)))
+        mmap = self._map(rng, diagonal=True)
         lo, hi = -rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 2.0, 3)
         s = FeasibleSet.box(lo, hi)
         zs = [np.clip(w, lo, hi) for w in 3.0 * rng.standard_normal((60, 3))]
         self._check(mmap, s, 2.0 * rng.standard_normal((20, 3)), zs)
+
+
+class TestEuclideanClosedForms(TestMahalanobisClosedForms):
+    """The same closed forms under the Euclidean map, Q = I."""
+
+    @staticmethod
+    def _map(rng, diagonal=False):
+        return EMAP
+
+
+class TestProxTracking:
+    """The prox of thr*||.|| by Moreau's decomposition: u - p lies in the
+    radius-thr dual ball and attains <u - p, p> = thr*||p||, both to 1e-12
+    relative to ||u||_*, the scale at which forming u - p rounds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8),
+           kind=st.sampled_from(["l1", "l2", "linf", "mahalanobis"]),
+           thr=st.floats(1e-3, 10.0), spread=st.floats(1e-2, 1e2))
+    def test_moreau_optimality(self, seed, d, kind, thr, spread):
+        rng = np.random.default_rng(seed)
+        if kind == "mahalanobis":  # Q = M M' of condition number up to 100
+            M = _conditioned(rng, d, 10.0)
+            norm = Norm.mahalanobis(M @ M.T)
+        else:
+            norm = Norm(kind)
+        u = spread * rng.standard_normal(d)
+        p = obd.projection._prox_tracking(u, thr, norm)
+        scale = norm.dual_value(u)
+        assert norm.dual_value(u - p) <= thr + 1e-12 * scale
+        assert abs(float((u - p) @ p) - thr * norm(p)) <= 1e-12 * scale * norm(p)
 
 
 class TestBrentProjections:
