@@ -12,9 +12,12 @@ whose level constraint has multiplier eta:
 Each is one bracketed scalar root in eta (``obd.projection._multiplier_root``,
 the same one ``project_sublevel`` uses) along the step's x(eta) path
 (``obd.projection._Path``).  The primal balance reads its two sides, the
-move and f, from the path: in closed form for quadratics under the Euclidean
-or a Mahalanobis map and for l2 tracking costs under the Euclidean map, on
-the whole space, and otherwise from the built point.  x is built at the
+move and f, from the path: in closed form, with their slopes in eta, for
+quadratics under the Euclidean or a Mahalanobis map and for l2 tracking costs
+under the Euclidean map, on the whole space, and otherwise from the built
+point.  Its Newton steps are in eta for l2 tracking, whose gap is linear in
+eta up to the minimizer, and in log eta for quadratics; built points take
+secant steps.  x is built at the
 chosen eta, and a step is converged only if the Newton solve behind that x
 (where there is one) converged too.  The level sweeps of ``primal_balance_curve`` /
 ``dual_balance_curve`` check that no crossing is missed.  Steppers are pure
@@ -126,24 +129,36 @@ def primal_obd_step(x_prev, f: CostFunction, cfg: PrimalConfig,
     if f.is_indicator:
         return _indicator_step(cfg.mirror_map, norm, f, x_prev, t)
 
+    feasible = cfg.feasible or FeasibleSet.whole_space(x_prev.shape[0])
+    path = _Path(cfg.mirror_map, f, x_prev, feasible)
     fv = f.min_value
-    fx = f(x_prev)
+    fx = path.hit_prev
     if fx - fv <= 1e-12 * max(1.0, abs(fx)):
         # degenerate round: already at the minimum level, stay put
         return StepRecord(t=t, x=x_prev.copy(), hit=fx, move=0.0, level=fx,
                           eta_t=0.0, branch=Branch.MOVE_TO_MINIMIZER)
 
-    dist_to_v = norm(x_prev - f.minimizer)
+    dist_to_v = path.dist_to_minimizer()
     if dist_to_v < cfg.beta * fv:
         return StepRecord(t=t, x=f.minimizer.copy(), hit=fv, move=dist_to_v,
                           level=fv, eta_t=0.0, branch=Branch.MOVE_TO_MINIMIZER)
 
-    feasible = cfg.feasible or FeasibleSet.whole_space(x_prev.shape[0])
-    path = _Path(cfg.mirror_map, f, x_prev, feasible)
-
     def gap(eta):
-        move, hit = path.sides(eta)
-        return move - cfg.beta * hit
+        # Newton's step in eta; on a quadratic's closed form, whose sides go
+        # as powers of eta, the step in log eta on log(move / (beta hit)),
+        # written as a slope in eta, which at eta = 0 is the limit move'
+        move, hit, dmove, dhit = path.sides(eta)
+        g = move - cfg.beta * hit
+        if dmove is None:
+            return g, None
+        if path.in_logs and eta == 0.0:
+            return g, dmove
+        if path.in_logs and move > 0.0 and hit > 0.0:
+            h = math.log(move) - math.log(cfg.beta * hit)
+            dh = eta * (dmove / move - dhit / hit)
+            if h != 0.0 and dh > 0.0 and -h < 700.0 * dh:  # e^(-h/dh) stays finite
+                return g, g / (-eta * math.expm1(-h / dh))
+        return g, dmove - cfg.beta * dhit
 
     eta, x, solved, evals = _multiplier_root(path, gap)
     hit, move = f(x), norm(x - x_prev)
@@ -204,7 +219,7 @@ def dual_obd_step(x_prev, f: CostFunction, cfg: DualConfig,
     if norm.dual_value(f.grad(x_prev)) < 1e-12:
         raise ValueError("cost gradient below 1e-12 throughout the bracket")
     eta, x, solved, evals = _multiplier_root(
-        path, lambda eta: np.subtract(*sides(path.point(eta)[0])))
+        path, lambda eta: (np.subtract(*sides(path.point(eta)[0])), None))
     return record(eta, x, solved, 1 + evals)
 
 

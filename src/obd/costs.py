@@ -13,9 +13,12 @@ random numbers in a fixed order: a composite's target v_t, then the two
 d x d normal blocks of A_t's orthogonal factors (none for d = 1, where
 A_t = 1), then a quadratic's target y_t.  The rest runs once over the
 (T, d, d) and (T, d) stacks: one QR factorization, one product
-(U diag(sigma)) V', and one rank check, A'A, A'y and minimizer solve, the
-same path ``QuadraticCost(A, y)`` takes as a one-round stack.  Each round's
-cost holds views into the stacks.
+(U diag(sigma)) V', and one A'A, A'y and minimizer solve, the same path
+``QuadraticCost(A, y)`` takes as a one-round stack.  Each round's cost holds
+views into the stacks.  The generator knows its factors, so sigma is the
+rank check and (sigma^2, V_t) is each round's eigenbasis of A_t'A_t; a
+quadratic built alone finds its rank by an SVD and its eigenbasis by
+``eigh`` when first asked.
 
 A quadratic is priced by ``quadratic_value``, which multiplies A by each
 point on its own (``A @ x[..., None]``, one BLAS gemv per row), so a row of a
@@ -206,16 +209,25 @@ def quadratic_value(A: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.add.reduce(r * r, -1)
 
 
-def _quadratic_rounds(A: np.ndarray, y: np.ndarray) -> list[QuadraticCost]:
+def _quadratic_rounds(A: np.ndarray, y: np.ndarray,
+                      factors: Optional[tuple] = None) -> list[QuadraticCost]:
     """One ``QuadraticCost`` per round of the stacks A (T, m, d) and y (T, m).
 
     The rank check, A'A, A'y, the minimizers and their values are computed
     once over the stack, each round with the bits of its own 2-D call; every
     cost holds views into these stacks.  Raises ValueError if any round's A
-    is rank deficient.
+    is rank deficient.  ``factors`` = (sigma, W), when the caller built every
+    A_t as U_t diag(sigma) W_t' with sigma ascending, stands in for the SVD
+    of the rank check, and each round's ``eig_in(None)`` is (sigma^2, W_t),
+    the eigenpairs of A_t'A_t in ``eigh``'s ascending order.
     """
-    sv = np.linalg.svd(A, compute_uv=False)
-    if np.any(sv[:, -1] <= 1e-12 * sv[:, 0]):
+    if factors is None:
+        sv = np.linalg.svd(A, compute_uv=False)
+        rank_deficient = np.any(sv[:, -1] <= 1e-12 * sv[:, 0])
+    else:
+        sigma, W = factors
+        rank_deficient = sigma[0] <= 1e-12 * sigma[-1]
+    if rank_deficient:
         raise ValueError("A is rank deficient")
     At = A.swapaxes(-1, -2)
     AtA = At @ A
@@ -231,6 +243,8 @@ def _quadratic_rounds(A: np.ndarray, y: np.ndarray) -> list[QuadraticCost]:
         f.A, f.y, f.AtA, f.Aty = A[t], y[t], AtA[t], Aty[t]
         f.minimizer, f.min_value = V[t], min_value
         f.alpha, f.smooth, f._eig_cache = None, True, {}
+        if factors is not None:
+            f._eig_cache[None] = (sigma * sigma, W[t])
         rounds.append(f)
     return rounds
 
@@ -411,14 +425,18 @@ def _uniform_in_ball(rng: np.random.Generator, d: int, radius: float) -> np.ndar
     return (r / n) * u
 
 
-def _random_conditioned(G: np.ndarray, cond: float) -> np.ndarray:
+def _random_conditioned(G: np.ndarray, cond: float):
     """A_t = U_t diag(sigma) V_t' for each round of the normal blocks G
     (T, 2, d, d): U_t and V_t are the canonical orthogonal factors of G[t, 0]
-    and G[t, 1], and the singular values are log-spaced in [1, cond]."""
+    and G[t, 1], and the singular values are log-spaced in [1, cond].
+    Returns the stack A with sigma and a copy of the V_t stack, whose columns
+    are A_t'A_t's eigenvectors for the eigenvalues sigma^2."""
     q = _canonical_orthogonal(G)
+    sigma = np.geomspace(1.0, cond, G.shape[-1])
     u = q[:, 0]
-    u *= np.geomspace(1.0, cond, G.shape[-1])
-    return u @ q[:, 1].swapaxes(-1, -2)
+    u *= sigma
+    V = q[:, 1]
+    return u @ V.swapaxes(-1, -2), sigma, V.copy()
 
 
 def _feasible_from_spec(spec: InstanceSpec) -> FeasibleSet:
@@ -463,11 +481,15 @@ def generate_instance(spec: InstanceSpec) -> Instance:
                 G[t, 1] = rng.standard_normal((d, d))
             if not composite:
                 targets[t] = _uniform_in_ball(rng, d, radius)
-        A = np.ones((T, 1, 1)) if G is None else _random_conditioned(G, spec.cond)
+        if G is None:
+            A = np.ones((T, 1, 1))
+            factors = (np.ones(1), A)
+        else:
+            A, *factors = _random_conditioned(G, spec.cond)
         del G
         # a composite's quadratic part ||A_t x - A_t v_t||^2 is least at v_t
         quadratics = _quadratic_rounds(
-            A, (A @ targets[..., None])[..., 0] if composite else targets)
+            A, (A @ targets[..., None])[..., 0] if composite else targets, factors)
         costs = quadratics
         if composite:
             costs = [CompositeCost(NormTrackingCost(v, Norm(spec.tracking_norm),

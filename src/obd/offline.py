@@ -998,22 +998,38 @@ def static_opt(costs: Sequence[CostFunction], x0,
                norm: Optional[Norm] = None) -> OfflineSolution:
     """Best single point: min_x ||x - x0|| + sum_t f_t(x), held for all rounds.
 
-    Holding x0 and holding each round's minimizer are priced as one stack, in
-    chunks of about ``_CHUNK`` entries; ``_guarded`` reports the solve from
-    the minimizers' mean against the cheapest of them inside the set.
+    Holding x0 and holding each round's minimizer are ranked by
+    ``_held_totals``; ``_guarded`` reports the solve from the minimizers' mean
+    against the cheapest of them inside the set, priced exactly.
     """
     started = time.perf_counter()
     problem = _TrajectoryProblem(costs, x0, norm, feasible, tied=True)
     points = np.vstack([problem.x0[None]] + [f.minimizer[None] for f in costs])
-    rows = max(1, _CHUNK // points.size)
-    totals = problem.norm(points - problem.x0) + np.concatenate([
-        problem.price(np.broadcast_to(P[:, None], (len(P), problem.T, problem.d))).sum(axis=1)
-        for P in np.split(points, range(rows, len(points), rows))])
+    totals = problem.norm(points - problem.x0) + _held_totals(problem, points)
     totals[~problem.feasible.contains(points, 0.0)] = math.inf
     k = int(np.argmin(totals))
     paths = {} if totals[k] == math.inf else {f"hold {'x0' if k == 0 else f'minimizer {k}'}": (
         points[k:k + 1], problem.exact_parts(points[k:k + 1]))}
     return _guarded("static", problem, np.mean(points[1:], axis=0)[None], None, paths, started)
+
+
+def _held_totals(problem: _TrajectoryProblem, points: np.ndarray) -> np.ndarray:
+    """Each point's hitting cost summed over the rounds, the point held in all
+    of them.  A quadratic part is one quadratic form, x' (sum_t A_t'A_t) x -
+    2 x' sum_t A_t'y_t + sum_t ||y_t||^2, O(T d^2) in all; a tracking part
+    prices every round as one stack, in chunks of about ``_CHUNK`` entries."""
+    totals = np.zeros(len(points))
+    rows = max(1, _CHUNK // points.size)
+    for part, (_, price) in zip(problem.parts, problem._terms):
+        if part[0] == "quadratic":
+            _, _, Y, AtA, Aty = part
+            totals += np.einsum("ki,ki->k", points @ AtA.sum(axis=0), points) \
+                - 2.0 * (points @ Aty.sum(axis=0)) + float((Y * Y).sum())
+        else:
+            totals += np.concatenate([
+                price(np.broadcast_to(P[:, None], (len(P), problem.T, problem.d))).sum(axis=1)
+                for P in np.split(points, range(rows, len(points), rows))])
+    return totals
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@
 ``project_sublevel`` minimizes D_Phi(x, x_prev) subject to f(x) <= l over the
 feasible set.  It is one scalar root in the multiplier eta of the level
 constraint: f at x(eta) = argmin_x D_Phi(x, x_prev) + eta * f(x) is
-non-increasing in eta, so ``_multiplier_root`` brackets the eta with
-f(x(eta)) = l and finds it with Brent's method; the balanced-descent steppers
-of ``obd.algorithms`` find their balanced points with the same root.  The
-root runs along a ``_Path``, built once per (map, cost, x_prev, set), which
-prices the two balance sides in closed form where it can and builds x(eta)
-as ``solve_regularized`` describes.
+non-increasing in eta, so ``_multiplier_root`` finds the eta with
+f(x(eta)) = l by Newton's method kept inside a bracket; the balanced-descent
+steppers of ``obd.algorithms`` find their balanced points with the same
+root.  The root runs along a ``_Path``, built once per (map, cost, x_prev,
+set), which prices the two balance sides and their slopes in eta in closed
+form where it can, and otherwise builds x(eta) as ``solve_regularized``
+describes and takes secant steps.
 
 Each geometric step is written once: ``project_set`` holds one closed-form
 block for every quadratic-form map, the Euclidean map as Q = I; the tracking
@@ -36,8 +37,8 @@ from .offline import _TrajectoryProblem, _interior, _solve
 ETA_CAP = 2.0 ** 60
 # the last bracket end the ellipsoid and entropy-simplex scalars try
 _SCALE_CAP = 2.0 ** 59
-# Brent's method (``_brent``) run to machine precision in its root
-_BRENT = dict(xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=100)
+# the root's stop: a step or bracket within this of its point
+_RTOL = 4.0 * np.finfo(float).eps
 _EUCLIDEAN = euclidean_map()
 
 
@@ -94,9 +95,9 @@ def _ellipsoid_project(x: np.ndarray, center: np.ndarray, Q: np.ndarray,
     q, V = np.linalg.eigh(Q)
     w = V.T @ z
 
-    def shortfall(mu: float) -> float:
+    def shortfall(mu: float) -> tuple[float, None]:
         s = w / (1.0 + mu * q)
-        return radius * radius - float(np.sum(q * s * s))
+        return radius * radius - float(np.sum(q * s * s)), None
 
     mu = _bracketed_root(shortfall, _SCALE_CAP, "ellipsoid projection bracket blew up")[0]
     return center + V @ (w / (1.0 + mu * q))
@@ -126,8 +127,8 @@ def _euclidean_project(constraint: FeasibleSet, x: np.ndarray) -> np.ndarray:
 
 def _entropy_simplex_project(x: np.ndarray, delta: float) -> np.ndarray:
     """KL projection onto {sum = 1, x_i >= delta}: x -> max(delta, c*x)."""
-    def excess(c: float) -> float:
-        return float(np.maximum(delta, c * x).sum()) - 1.0
+    def excess(c: float) -> tuple[float, None]:
+        return float(np.maximum(delta, c * x).sum()) - 1.0, None
 
     c = _bracketed_root(excess, _SCALE_CAP, "entropy projection scale blew up")[0]
     out = np.maximum(delta, c * x)
@@ -175,14 +176,16 @@ def project_set(mirror_map: MirrorMap, constraint: FeasibleSet, x) -> np.ndarray
                      f"{mirror_map.name} map")
 
 
-def _prox_tracking(u: np.ndarray, thr: float, norm: Norm) -> np.ndarray:
+def _prox_tracking(u: np.ndarray, thr: float, norm: Norm,
+                   n: Optional[float] = None) -> np.ndarray:
     """prox of thr*||.|| evaluated at u, by Moreau's decomposition: u minus
     its Euclidean projection onto the radius-thr ball of the dual norm.  l2
-    keeps its own (1 - thr/||u||) u, which rounds differently."""
+    keeps its own (1 - thr/||u||) u, which rounds differently; ``n`` is
+    ||u||_2 when the caller has it."""
     if thr <= 0.0:
         return u.copy()
     if norm.kind == L2:
-        n = norm(u)
+        n = norm(u) if n is None else n
         if n <= thr:
             return np.zeros_like(u)
         return (1.0 - thr / n) * u
@@ -247,7 +250,8 @@ class _Path:
     * an l2 tracking cost s||x - v|| under the Euclidean map: with
       u = x_prev - v, the move is min(eta s, ||u||) and f = s max(||u|| - eta s, 0).
 
-    Everywhere else ``sides`` prices the built point.
+    Everywhere else ``sides`` prices the built point.  ``hit_prev`` is f(x_prev);
+    for l2 tracking it shares ||u|| with the closed form and every prox.
     """
 
     def __init__(self, mirror_map: MirrorMap, f: CostFunction, x_prev: np.ndarray,
@@ -256,6 +260,7 @@ class _Path:
         self._points: dict = {}  # eta -> (x, converged)
         self._sides = None
         self._eig = None
+        self._track = None  # (u, ||u||_2) of an l2 tracking cost under the Euclidean map
         euclidean = mirror_map.name == "euclidean"
         whole = feasible.kind == WHOLE
         if isinstance(f, QuadraticCost) and (euclidean or mirror_map.Q is not None):
@@ -265,17 +270,29 @@ class _Path:
             self._eig = (w, W, zp, b)
             if whole:
                 self._sides = _quadratic_sides(w, zp, b, f.A @ W, f.y)
-        elif isinstance(f, NormTrackingCost) and euclidean and whole \
-                and f.norm_a.kind == L2:
-            n, s = f.norm_a(x_prev - f.minimizer), f.scale
-            self._sides = lambda eta: (min(eta * s, n), s * max(n - eta * s, 0.0))
+        elif isinstance(f, NormTrackingCost) and euclidean and f.norm_a.kind == L2:
+            u = x_prev - f.minimizer
+            n, s = f.norm_a(u), f.scale
+            self._track = (u, n)
+            if whole:
+                self._sides = lambda eta: (min(eta * s, n), s * max(n - eta * s, 0.0),
+                                       *((s, -s * s) if eta * s < n else (0.0, 0.0)))
+        self.hit_prev = f(x_prev) if self._track is None else f.scale * self._track[1]
+        self.in_logs = whole and self._eig is not None  # sides go as powers of eta
 
-    def sides(self, eta: float) -> tuple[float, float]:
-        """(move, hit) at x(eta)."""
+    def dist_to_minimizer(self) -> float:
+        """||x_prev - v|| in the map's norm, v the cost's minimizer."""
+        if self._track is not None:  # the map's norm is l2
+            return self._track[1]
+        return self.mirror_map.norm(self.x_prev - self.f.minimizer)
+
+    def sides(self, eta: float) -> tuple:
+        """(move, hit) at x(eta) and their slopes in eta, which are None where
+        the point is built."""
         if self._sides is not None:
             return self._sides(eta)
         x = self.point(eta)[0]
-        return self.mirror_map.norm(x - self.x_prev), self.f(x)
+        return self.mirror_map.norm(x - self.x_prev), self.f(x), None, None
 
     def point(self, eta: float) -> tuple[np.ndarray, bool]:
         """x(eta), and whether the Newton solve behind it converged."""
@@ -302,7 +319,8 @@ class _Path:
             w, W, zp, b = self._eig
             x = W @ ((zp + 2.0 * eta * b) / (1.0 + 2.0 * eta * w))
         elif isinstance(f, NormTrackingCost) and euclidean:
-            x = f.minimizer + _prox_tracking(x_prev - f.minimizer, eta * f.scale, f.norm_a)
+            u, n = self._track or (x_prev - f.minimizer, None)
+            x = f.minimizer + _prox_tracking(u, eta * f.scale, f.norm_a, n)
         if x is not None and feasible.contains(x):
             return x, True
         Q = np.eye(x_prev.shape[0]) if euclidean else mirror_map.Q
@@ -328,16 +346,22 @@ def _quadratic_sides(w: np.ndarray, zp: np.ndarray, b: np.ndarray, AW: np.ndarra
     than reading f off the eigenvalues w: W'A'AW is diagonal only up to the
     eigensolver's backward error, which would move f by about eps * cond(A)^2
     relative to f at the built point.
+
+    Their slopes follow from d/d eta z(eta) = step / (eta (1 + 2 eta w)), with
+    step = z(eta) - z_prev, which is 2c at eta = 0: one more product by AW.
     """
     c, r_prev = b - w * zp, AW.dot(zp) - y
 
-    def sides(eta: float) -> tuple[float, float]:
+    def sides(eta: float) -> tuple[float, float, float, float]:
         if eta == 0.0:
-            return 0.0, float(r_prev.dot(r_prev))
+            return (0.0, float(r_prev.dot(r_prev)), 2.0 * math.sqrt(c.dot(c)),
+                    4.0 * float(r_prev.dot(AW.dot(c))))
         step = c / (w + 0.5 / eta)  # z(eta) - z_prev
         r = AW.dot(step)
         r += r_prev
-        return math.sqrt(step.dot(step)), float(r.dot(r))
+        slope = step / (eta + 2.0 * eta * eta * w)
+        move = math.sqrt(step.dot(step))
+        return move, float(r.dot(r)), step.dot(slope) / move, 2.0 * float(r.dot(AW.dot(slope)))
 
     return sides
 
@@ -370,85 +394,55 @@ def solve_regularized(mirror_map: MirrorMap, f: CostFunction, eta: float,
 # Multiplier root and sublevel-set projection
 # ---------------------------------------------------------------------------
 
-def _brent(f: Callable[[float], float], xpre: float, xcur: float, xtol: float,
-           rtol: float, maxiter: int) -> float:
-    """Brent's root of f between xpre and xcur, where f changes sign.
-
-    The iteration of scipy's ``brentq`` (its ``brentq.c``), which evaluates
-    the same sequence of points; it returns its last point, without a word,
-    when maxiter iterations run out.  A NaN value raises ValueError.
-    """
-    def value(x: float) -> float:
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN")
-        return fx
-
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0 or fcur == 0.0:
-        return xpre if fpre == 0.0 else xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 \
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        good = False  # bisect, unless interpolation takes a good short step
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            bound = 3 * abs(sbis) - delta
-            good = 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound)
-        spre, scur = (scur, stry) if good else (sbis, sbis)
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    return xcur
-
-
-def _bracketed_root(g: Callable[[float], float], cap: float,
+def _bracketed_root(g: Callable[[float], tuple], cap: float,
                     blowup: Optional[str] = None) -> tuple[float, dict]:
-    """Root of a non-decreasing g over [0, inf): the bracket's upper end
-    doubles from 1 while g < 0, up to ``cap``, then Brent's method runs to
-    machine precision.  Returns the point of least |g| it evaluated, ties
-    going to the larger point, and every value (point -> g).  If g is still
-    negative at the cap, it raises NonConvergence(blowup) when ``blowup`` is
-    given and otherwise returns as above."""
+    """Root of a non-decreasing g over [0, inf), g(x) = (value, slope or None):
+    Newton's method kept inside a bracket (``rtsafe``, Numerical Recipes
+    9.4) from x = 0, a secant through the last two points standing in for a
+    slope that is None.  A step that leaves the bracket, or that is not half
+    the step before last, gives way to doubling the upper end from 1 up to
+    ``cap`` while no value is positive, else to bisection, geometric once the
+    lower end is positive.  It stops on a zero, a step or bracket within 4 eps
+    of its point, or 100 values.  Returns the point of least |g| it evaluated,
+    ties going to the larger, and every value (point -> g).  NaN raises
+    ValueError; g still negative at the cap raises NonConvergence(blowup)
+    when ``blowup`` is given and otherwise returns as above."""
     values: dict = {}
-
-    def value(x: float) -> float:
-        if x not in values:
-            values[x] = g(x)
-        return values[x]
-
-    lo, hi = 0.0, 1.0
-    while value(hi) < 0.0 and hi < cap:
-        lo, hi = hi, 2.0 * hi
-    if blowup is not None and values[hi] < 0.0:
+    lo, hi, x = 0.0, math.inf, 0.0
+    last = step = before = math.inf  # the last point; the last two steps
+    for _ in range(100):
+        gx, slope = g(x)
+        if math.isnan(gx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        values[x] = gx
+        if gx >= 0.0:
+            hi = x
+        else:
+            lo = x
+        if gx == 0.0 or lo >= cap or hi < math.inf and hi - lo <= _RTOL * hi:
+            break
+        secant = slope is None
+        if secant and last != math.inf:
+            slope = (gx - values[last]) / (x - last)
+        new = x - gx / slope if slope else math.nan
+        if abs(new - x) <= _RTOL * x:
+            if not secant:
+                break
+            new = x - math.copysign(_RTOL * x, gx)  # a secant's stop needs a sign change
+        if not lo < new < hi or hi < math.inf and abs(new - x) > 0.5 * abs(before):
+            new = min(2.0 * lo or 1.0, cap) if hi == math.inf \
+                else math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
+        last, before, step, x = x, step, new - x, min(new, cap)
+    if blowup is not None and lo >= cap:
         raise NonConvergence(blowup)
-    if value(lo) < 0.0 < values[hi]:
-        _brent(value, lo, hi, **_BRENT)
     return min(values, key=lambda x: (abs(values[x]), -x)), values
 
 
-def _multiplier_root(path: _Path, balance: Callable[[float], float]):
+def _multiplier_root(path: _Path, balance: Callable[[float], tuple]):
     """Solve balance(eta) = 0 over eta > 0, given balance(0) < 0, where
-    balance prices x(eta) of ``path``: one ``_bracketed_root`` capped at
-    ETA_CAP.  Returns its eta, the point x(eta) with whether its solve
-    converged, and the number of balance evaluations."""
+    balance prices x(eta) of ``path`` as (value, slope in eta or None): one
+    ``_bracketed_root`` capped at ETA_CAP.  Returns its eta, the point x(eta)
+    with whether its solve converged, and the number of balance evaluations."""
     eta, values = _bracketed_root(balance, ETA_CAP)
     return (eta, *path.point(eta), len(values))
 
@@ -478,7 +472,12 @@ def project_sublevel(mirror_map: MirrorMap, f: CostFunction, l: float, x_prev,
 
     tol_abs = level_tol * max(1.0, abs(l))
     path = _Path(mirror_map, f, x_prev, feasible)
-    eta, x, solved, evals = _multiplier_root(path, lambda eta: l - path.sides(eta)[1])
+
+    def shortfall(eta):
+        hit, dhit = path.sides(eta)[1::2]
+        return l - hit, None if dhit is None else -dhit
+
+    eta, x, solved, evals = _multiplier_root(path, shortfall)
     excess = f(x) - l
     if excess > tol_abs and eta >= ETA_CAP:
         raise NonConvergence(f"level {l} unreachable: multiplier bracket exceeded "

@@ -147,6 +147,36 @@ class TestBalanceRoot:
         assert sublevel_calls == []
 
 
+    def test_pinned_work_on_quad_sweep_steps(self, monkeypatch):
+        # quad_sweep's shape: a generated d = 32 quadratic family, beta 1/2,
+        # from x0 = 0.  The eigenbasis is the generator's (no eigh), and each
+        # balanced step takes 6 evaluations: eta = 0, then Newton's steps in
+        # log eta to machine precision
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        inst = generate_instance(InstanceSpec(d=32, T=6, family="quadratic", seed=40))
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        x = inst.x0
+        for t, f in enumerate(inst.costs, 1):
+            rec = primal_obd_step(x, f, primal_cfg(0.5), t=t)
+            assert rec.branch == Branch.BALANCED and rec.converged
+            assert rec.iterations == 6
+            assert rec.residual <= 8.0 * np.finfo(float).eps * rec.level
+            x = rec.x
+
+    def test_one_newton_step_on_l2_tracking(self):
+        # below ||u||/s the l2 tracking gap is linear in eta, so the Newton
+        # step from eta = 0 lands on the root: two evaluations
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            f = make_norm_tracking(rng.uniform(-5.0, 5.0, 3), Norm.l2(),
+                                   scale=rng.uniform(0.5, 4.0))
+            rec = primal_obd_step(np.zeros(3), f, primal_cfg(rng.uniform(0.5, 0.9)))
+            assert rec.branch == Branch.BALANCED and rec.converged
+            assert rec.iterations == 2
+
+
 class TestDualStep:
     def test_scalar_balance(self):
         # f = x^2/2 via A = sqrt(1/2): |x - 4| = eta * |x| crossings

@@ -286,6 +286,38 @@ class TestInstanceGeneration:
             QuadraticCost(A[2], np.zeros(3))
         assert len(_quadratic_rounds(np.delete(A, 2, axis=0), np.zeros((4, 3)))) == 4
 
+    def test_ill_conditioned_factors_reject_the_stack(self):
+        # the generator's sigma is the rank check: cond >= 1e12 reads as rank
+        # deficient, as the SVD of the product would
+        for d in (2, 5):
+            with pytest.raises(ValueError, match="A is rank deficient"):
+                generate_instance(InstanceSpec(d=d, T=3, family="quadratic", seed=1,
+                                               cond=1e12))
+        sigma, V = np.geomspace(1.0, 1e13, 3), np.tile(np.eye(3), (2, 1, 1))
+        with pytest.raises(ValueError, match="A is rank deficient"):
+            _quadratic_rounds(V * sigma, np.zeros((2, 3)), (sigma, V))
+        generate_instance(InstanceSpec(d=5, T=3, family="quadratic", seed=1, cond=1e11))
+
+    @pytest.mark.parametrize("family", ["quadratic", "composite"])
+    @pytest.mark.parametrize("d", [1, 2, 5, 32])
+    @pytest.mark.parametrize("cond", [1.0, 10.0, 1e3])
+    def test_generated_eigenbasis(self, family, d, cond):
+        # each round's eig_in(None) is the generator's (sigma^2, V_t): an
+        # orthonormal W with W'A'AW = diag(w) to rounding, w ascending, and
+        # w within eigh's own error, eps ||A'A||, of eigh's eigenvalues
+        inst = generate_instance(InstanceSpec(d=d, T=20, family=family, seed=d, cond=cond))
+        for f in inst.costs:
+            q = f.h if family == "composite" else f
+            w, W = q.eig_in(None)
+            assert np.all(np.diff(w) >= 0.0)
+            np.testing.assert_allclose(W.T @ W, np.eye(d), rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(W.T @ q.AtA @ W, np.diag(w), rtol=0.0,
+                                       atol=1e-14 * w.max())
+            np.testing.assert_allclose(w, np.linalg.eigh(q.AtA)[0], rtol=0.0,
+                                       atol=1e-12 * w.max())
+            if cond <= 10.0:
+                np.testing.assert_allclose(w, np.linalg.eigh(q.AtA)[0], rtol=1e-12)
+
     def test_deterministic(self):
         spec = InstanceSpec(d=3, T=4, family="quadratic", seed=99)
         a = generate_instance(spec)

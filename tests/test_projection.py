@@ -14,8 +14,8 @@ from obd.geometry import (
     mahalanobis_map,
 )
 from obd.projection import (
-    InfeasibleLevel, NonConvergence, _brent, project_set, project_sublevel,
-    solve_regularized,
+    ETA_CAP, InfeasibleLevel, NonConvergence, _bracketed_root, project_set,
+    project_sublevel, solve_regularized,
 )
 
 EMAP = euclidean_map()
@@ -356,8 +356,8 @@ class TestProxTracking:
 
 
 class TestBrentProjections:
-    """The two projections whose scalar is a Brent root, checked against their
-    optimality conditions."""
+    """The two projections whose scalar is a ``_bracketed_root`` (which was
+    once Brent's), checked against their optimality conditions."""
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8),
@@ -630,47 +630,82 @@ class TestPathSides:
                 mmap = mahalanobis_map(M @ M.T)
         x_prev = f.minimizer + spread * rng.standard_normal(d)
         path = obd.projection._Path(mmap, f, x_prev, FeasibleSet.whole_space(d))
-        move, hit = path.sides(eta)
+        move, hit = path.sides(eta)[:2]
         assert path._points == {}  # priced without building a point
         x, converged = path.point(eta)
         assert converged
         assert abs(move - mmap.norm(x - x_prev)) <= 1e-12 * max(1.0, move)
         assert abs(hit - f(x)) <= 1e-12 * max(1.0, hit)
 
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(1, 32), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["euclidean", "mahalanobis", "tracking"]),
+           eta=st.one_of(st.just(0.0), st.floats(1e-3, 1e2)), cond=st.floats(1.0, 30.0))
+    def test_closed_form_slopes_are_derivatives(self, d, seed, kind, eta, cond):
+        # the slopes the closed forms give Newton's steps match central (at
+        # eta = 0, forward) differences of the sides themselves
+        rng = np.random.default_rng(seed)
+        mmap = EMAP
+        if kind == "tracking":
+            f = make_norm_tracking(3.0 * rng.standard_normal(d), Norm.l2(),
+                                   scale=rng.uniform(0.5, 4.0))
+        else:
+            f = make_quadratic(_conditioned(rng, d, cond), 3.0 * rng.standard_normal(d))
+            if kind == "mahalanobis":
+                M = _conditioned(rng, d, math.sqrt(10.0))
+                mmap = mahalanobis_map(M @ M.T)
+        x_prev = f.minimizer + 3.0 * rng.standard_normal(d)
+        path = obd.projection._Path(mmap, f, x_prev, FeasibleSet.whole_space(d))
+        move, hit, dmove, dhit = path.sides(eta)
+        if kind == "tracking" and abs(eta * f.scale - path.dist_to_minimizer()) < 1e-3:
+            return  # the kink where x(eta) reaches v
+        h = 1e-7 * max(eta, 1e-3)
+        lo, hi = path.sides(max(eta - h, 0.0)), path.sides(eta + h)
+        width = eta + h - max(eta - h, 0.0)
+        for slope, k, scale in ((dmove, 0, move), (dhit, 1, hit)):
+            diff = (hi[k] - lo[k]) / width
+            assert abs(slope - diff) <= 1e-3 * max(abs(slope), scale / max(eta, 1e-3), 1e-9)
 
-def _bracket(rng, k):
-    """A monotone function with a sign change on the returned bracket."""
-    r = rng.uniform(-5.0, 5.0)
-    a, b = r - rng.uniform(0.01, 10.0), r + rng.uniform(0.01, 10.0)
-    p, c = rng.uniform(0.2, 5.0), rng.uniform(0.1, 3.0)
-    f = [lambda x: math.copysign(abs(x - r) ** p, x - r),
-         lambda x: math.tanh(c * (x - r)) + 1e-3 * (x - r),
-         lambda x: math.exp(c * (x - r)) - 1.0,
-         lambda x: (x - r) ** 3 + c * (x - r)][k % 4]
-    return (f if rng.random() < 0.5 else (lambda x: -f(x))), a, b
+
+def _increasing(rng, k):
+    """An increasing function with one simple root r > 0, as (value, slope)
+    pairs, the slope None on every other draw, and r."""
+    r = 10.0 ** rng.uniform(-3.0, 3.0)
+    p, c = rng.uniform(0.2, 1.0), rng.uniform(0.1, 3.0) / r
+    f, df = [(lambda x: math.copysign(abs(x - r) ** p, x - r),
+              lambda x: p * abs(x - r) ** (p - 1.0) if x != r else math.inf),
+             (lambda x: math.tanh(c * (x - r)) + 1e-3 * c * (x - r),
+              lambda x: c / math.cosh(c * (x - r)) ** 2 + 1e-3 * c),
+             (lambda x: math.expm1(min(c * (x - r), 700.0)),
+              lambda x: c * math.exp(min(c * (x - r), 700.0))),
+             (lambda x: (c * (x - r)) ** 3 + c * (x - r),
+              lambda x: 3.0 * c * (c * (x - r)) ** 2 + c)][k % 4]
+    secant = k % 8 >= 4
+    return (lambda x: (f(x), None if secant else df(x))), r
 
 
-class TestBrent:
-    """``_brent`` is scipy's brentq iteration, evaluated point for point."""
+class TestBracketedRoot:
+    """``_bracketed_root``: Newton's method, or a secant, kept inside a bracket."""
 
-    def test_same_points_as_scipy(self):
-        from scipy.optimize import brentq
+    def test_root_to_machine_precision(self):
         rng = np.random.default_rng(30)
-        rtol = 4.0 * np.finfo(float).eps
-        exhausted = 0
+        eps = np.finfo(float).eps
         for k in range(600):
-            f, a, b = _bracket(rng, k)
-            maxiter = 4 if k % 50 == 0 else 100
-            ours, theirs = [], []
-            _brent(lambda x: ours.append(x) or f(x), a, b, 1e-300, rtol, maxiter)
-            brentq(lambda x: theirs.append(x) or f(x), a, b, xtol=1e-300, rtol=rtol,
-                   maxiter=maxiter, disp=False)
-            assert ours == theirs
-            exhausted += len(ours) == maxiter + 2
-        assert exhausted >= 1  # the silent end of the iteration budget is covered
+            g, r = _increasing(rng, k)
+            x, values = _bracketed_root(g, ETA_CAP)
+            assert abs(x - r) <= 4.0 * eps * r
+            assert len(values) <= 100
+            assert abs(values[x]) == min(map(abs, values.values()))
 
     def test_nan_and_same_sign_raise(self):
-        with pytest.raises(ValueError):
-            _brent(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, 1e-12, 1e-15, 100)
-        with pytest.raises(ValueError):
-            _brent(lambda x: x + 2.0, 0.0, 1.0, 1e-12, 1e-15, 100)
+        with pytest.raises(ValueError, match="NaN"):
+            _bracketed_root(lambda x: (math.nan if x > 0.5 else x - 0.75, 1.0), ETA_CAP)
+        # no sign change up to the cap: NonConvergence when a message is given,
+        # otherwise the cap, where the value is least
+        with pytest.raises(NonConvergence, match="blew up"):
+            _bracketed_root(lambda x: (-1.0 / (1.0 + x), 1.0 / (1.0 + x) ** 2), 2.0 ** 10,
+                            "blew up")
+        x, values = _bracketed_root(lambda x: (-1.0 / (1.0 + x), None), 2.0 ** 10)
+        assert x == 2.0 ** 10 and max(values) == x
+        # no sign change because g is positive at 0: the root is 0
+        assert _bracketed_root(lambda x: (x + 2.0, 1.0), ETA_CAP) == (0.0, {0.0: 2.0})
