@@ -17,12 +17,12 @@ quadratics under the Euclidean or a Mahalanobis map and for l2 tracking costs
 under the Euclidean map, on the whole space, and otherwise from the built
 point.  Its Newton steps are in eta for l2 tracking, whose gap is linear in
 eta up to the minimizer, and in log eta for quadratics; built points take
-secant steps.  x is built at the
-chosen eta, and a step is converged only if the Newton solve behind that x
-(where there is one) converged too.  The level sweeps of ``primal_balance_curve`` /
-``dual_balance_curve`` check that no crossing is missed.  Steppers are pure
-functions of (previous point, revealed cost, config): replaying any suffix
-from a stored point reproduces it bitwise.
+secant steps.  x is built at the chosen eta, and a step is converged only if
+the Newton solve behind that x (where there is one) converged too.  The
+level sweeps of ``primal_balance_curve`` / ``dual_balance_curve`` check that
+no crossing is missed.  Steppers are pure functions of (previous point,
+revealed cost, config): replaying any suffix from a stored point reproduces
+it bitwise.
 
 ``solve_regularized`` and ``project_sublevel`` are importable from here,
 where ``obdbench/tracing.py`` looks them up.
@@ -144,9 +144,10 @@ def primal_obd_step(x_prev, f: CostFunction, cfg: PrimalConfig,
                           level=fv, eta_t=0.0, branch=Branch.MOVE_TO_MINIMIZER)
 
     def gap(eta):
-        # Newton's step in eta; on a quadratic's closed form, whose sides go
-        # as powers of eta, the step in log eta on log(move / (beta hit)),
-        # written as a slope in eta, which at eta = 0 is the limit move'
+        # Newton's step in eta, except on a quadratic's closed form, whose
+        # sides go as powers of eta: there the step in log eta on
+        # log(move / (beta hit)), passed on as the slope in eta that takes
+        # the same step (move' at eta = 0, where that step has its limit)
         move, hit, dmove, dhit = path.sides(eta)
         g = move - cfg.beta * hit
         if dmove is None:
